@@ -20,10 +20,6 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
       mux_(config.crc_window),
       batch_(detector, /*streams=*/0, pool_.get()) {
   if (config_.adapter != nullptr) {
-    if (!config_.batched) {
-      throw std::invalid_argument(
-          "MonitorEngine: adaptation requires the batched engine");
-    }
     if (config_.adapt_interval == 0) {
       throw std::invalid_argument(
           "MonitorEngine: adapt_interval must be > 0");
@@ -75,10 +71,8 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
     tele_.peak_links = &reg.gauge("engine_peak_links");
     tele_.peak_pending = &reg.gauge("engine_peak_pending");
     tele_.model_version = &reg.gauge("engine_model_version");
-    if (config_.batched) {
-      batch_.set_stage_timers({&reg.histogram("stage_lookup_ns"),
-                               &reg.histogram("stage_nn_ns")});
-    }
+    batch_.set_stage_timers({&reg.histogram("stage_lookup_ns"),
+                             &reg.histogram("stage_nn_ns")});
   }
 }
 
@@ -152,14 +146,10 @@ void MonitorEngine::join(ics::LinkId id, Link& link) {
   slots_.push_back(id);
   slot_links_.push_back(&link);
   link.closed = false;
-  if (config_.batched) {
-    batch_.grow(slots_.size());
-    if (resuming) {
-      batch_.restore_stream(link.slot, *link.parked_state);
-      link.parked_state.reset();
-    }
-  } else if (!resuming) {
-    link.stream = detector_->make_stream();
+  batch_.grow(slots_.size());
+  if (resuming) {
+    batch_.restore_stream(link.slot, *link.parked_state);
+    link.parked_state.reset();
   }
   link.parked = false;
   if (resuming) {
@@ -217,14 +207,13 @@ void MonitorEngine::retire_drained() {
     const ics::LinkId id = slots_[s];
     const std::size_t last = slots_.size() - 1;
     if (s != last) {
-      if (config_.batched) batch_.swap_streams(s, last);
+      batch_.swap_streams(s, last);
       std::swap(slots_[s], slots_[last]);
       std::swap(slot_links_[s], slot_links_[last]);
       slot_links_[s]->slot = s;
     }
-    if (config_.batched) batch_.shrink(last);
+    batch_.shrink(last);
     link.slot = kNoSlot;
-    link.stream = {};
     slots_.pop_back();
     slot_links_.pop_back();
     ++stats_.links_retired;
@@ -234,20 +223,19 @@ void MonitorEngine::retire_drained() {
 
 void MonitorEngine::park(std::size_t s) {
   Link& link = *slot_links_[s];
-  if (config_.batched) link.parked_state = batch_.extract_stream(s);
+  link.parked_state = batch_.extract_stream(s);
   const std::size_t last = slots_.size() - 1;
   if (s != last) {
-    if (config_.batched) batch_.swap_streams(s, last);
+    batch_.swap_streams(s, last);
     std::swap(slots_[s], slots_[last]);
     std::swap(slot_links_[s], slot_links_[last]);
     slot_links_[s]->slot = s;
   }
-  if (config_.batched) batch_.shrink(last);
+  batch_.shrink(last);
   link.slot = kNoSlot;
   link.parked = true;
   link.parked_since = stats_.ticks;
   link.parked_wall_ms = 0.0;
-  // In reference mode link.stream simply stays put until the rejoin.
   slots_.pop_back();
   slot_links_.pop_back();
   ++parked_count_;
@@ -258,7 +246,6 @@ void MonitorEngine::park(std::size_t s) {
 void MonitorEngine::retire_parked(ics::LinkId id, Link& link) {
   link.parked = false;
   link.parked_state.reset();
-  link.stream = {};
   --parked_count_;
   ++stats_.links_retired;
   if (config_.adapter != nullptr) config_.adapter->stream_break(id);
@@ -428,16 +415,8 @@ void MonitorEngine::maybe_tick() {
       tick_rows_[s] = slot_links_[s]->queue.front().row;
     }
     Stopwatch sw;
-    if (config_.batched) {
-      batch_.step(tick_rows_, verdicts_,
-                  config_.adapter != nullptr ? &package_verdicts_ : nullptr);
-    } else {
-      verdicts_.assign(n, {});
-      for (std::size_t s = 0; s < n; ++s) {
-        verdicts_[s] = detector_->classify_and_consume(slot_links_[s]->stream,
-                                                       tick_rows_[s]);
-      }
-    }
+    batch_.step(tick_rows_, verdicts_,
+                config_.adapter != nullptr ? &package_verdicts_ : nullptr);
     stats_.classify_us += sw.elapsed_us();
     ++stats_.ticks;
     gate_blocked_ms_ = 0.0;  // the gate moved; the stall clock restarts

@@ -11,13 +11,8 @@
 // (swap-to-back + shrink, so the batch stays dense). Because every stream's
 // arithmetic is a fixed per-row function (DESIGN.md §5/§7), a link's
 // verdict sequence is bit-identical whether it is monitored alone or
-// alongside any number of other links — the batched engine is a pure
+// alongside any number of other links — lockstep batching is a pure
 // throughput optimization.
-//
-// `batched = false` selects the reference path instead: one
-// classify_and_consume per package on a per-link Stream — bit-identical to
-// the historical single-link `mlad monitor` loop, and the baseline the
-// serve benchmarks compare against ("N sequential monitors").
 #pragma once
 
 #include <cstdint>
@@ -51,10 +46,6 @@ struct MonitorEngineConfig {
   /// Kernel-row partitioning only (0 = all cores, 1 = sequential); never
   /// changes any verdict or stat (DESIGN.md §5).
   std::size_t threads = 1;
-  /// true: StreamBatch lockstep ticks (the serve hot path). false: the
-  /// per-package reference loop, bit-identical to the pre-engine
-  /// `mlad monitor`.
-  bool batched = true;
   std::size_t crc_window = 50;  ///< per-link rolling CRC window (§VII)
 
   // ---- straggler policy (DESIGN.md §9) ------------------------------------
@@ -106,9 +97,9 @@ struct MonitorEngineConfig {
 
   // ---- online adaptation (DESIGN.md §9) -----------------------------------
   /// Background adaptation subsystem; must wrap the SAME detector object
-  /// this engine serves, and requires `batched` mode. The engine harvests
-  /// verdict-clean windows into it and hot-swaps the weights it publishes.
-  /// Null = adaptation off (the default; the tick path is untouched).
+  /// this engine serves. The engine harvests verdict-clean windows into it
+  /// and hot-swaps the weights it publishes. Null = adaptation off (the
+  /// default; the tick path is untouched).
   adapt::OnlineTrainer* adapter = nullptr;
   /// Ticks between adaptation rounds: at every multiple the engine adopts
   /// the previous round's weights (waiting for it if still training) and
@@ -246,8 +237,7 @@ class MonitorEngine {
     std::uint64_t rejoined_at = 0;   ///< tick of the last park→rejoin
     double parked_wall_ms = 0.0;     ///< wall-clock time spent in this park
     LinkStats stats;
-    detect::CombinedDetector::Stream stream;  ///< reference mode only
-    /// Batched-mode stream state saved across a park (nullopt otherwise).
+    /// Stream state saved across a park (nullopt otherwise).
     std::optional<detect::StreamBatch::StreamSnapshot> parked_state;
   };
 

@@ -43,10 +43,10 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
   if (config.shards == 0) {
     throw std::invalid_argument("ShardedEngine: shards must be > 0");
   }
-  if (config.engine.adapter != nullptr) {
+  if (config.engine.adapter != nullptr && config.shards > 1) {
     throw std::invalid_argument(
-        "ShardedEngine: online adaptation requires the unsharded engine "
-        "(shards share the detector read-only)");
+        "ShardedEngine: online adaptation requires shards == 1 (shards "
+        "share the detector read-only)");
   }
   if (sink != nullptr) serialized_.emplace(sink);
   AlarmSink* shard_sink = serialized_ ? &*serialized_ : nullptr;

@@ -17,9 +17,10 @@
 // sink. A full shard queue blocks the pump (lossless backpressure),
 // counted in IngestStats.
 //
-// Online adaptation is mutually exclusive with sharding: shards share the
-// detector read-only, and the adapter hot-swaps its weights. Serve with
-// --adapt runs the single unsharded engine instead.
+// This is the one serve pipeline: `mlad serve` and `mlad monitor` always
+// run it, with one shard by default. Online adaptation requires
+// shards == 1: shards share the detector read-only, while the adapter
+// hot-swaps its weights from the one shard thread that owns the engine.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +46,9 @@ struct ShardedEngineConfig {
   /// wall_clock_sweep so a silent tap cannot stall a shard's gate. Ignored
   /// (plain blocking pops) when neither threshold is set.
   int sweep_interval_ms = 10;
-  /// Per-shard engine configuration. `adapter` must stay null (see above);
-  /// `threads` applies per shard (leave at 1 unless cores >> shards).
+  /// Per-shard engine configuration. `adapter` requires shards == 1 (see
+  /// above); `threads` applies per shard (leave at 1 unless cores >>
+  /// shards).
   MonitorEngineConfig engine;
 };
 
@@ -72,8 +74,8 @@ EngineStats aggregate_stats(std::span<const EngineStats> shards);
 class ShardedEngine {
  public:
   /// `detector` and `sink` must outlive the engine; `sink` may be null.
-  /// Shard threads start immediately. Throws if config.engine.adapter is
-  /// set or config.shards is 0.
+  /// Shard threads start immediately. Throws if config.shards is 0, or if
+  /// config.engine.adapter is set with more than one shard.
   ShardedEngine(const detect::CombinedDetector& detector, AlarmSink* sink,
                 const ShardedEngineConfig& config = {});
   ~ShardedEngine();

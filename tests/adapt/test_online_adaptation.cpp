@@ -9,7 +9,9 @@
 //      are no worse than the frozen model's;
 //  (d) the weight hot-swap machinery (refresh + stream carry-over) is
 //      exact: post-swap ticks equal a cold engine on the new weights with
-//      the same stream state restored.
+//      the same stream state restored;
+//  (e) the one-shard ShardedEngine that `mlad serve` runs adapts exactly
+//      like the lockstep engine driven directly.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -26,6 +28,7 @@
 #include "ics/link_mux.hpp"
 #include "ics/simulator.hpp"
 #include "serve/monitor_engine.hpp"
+#include "serve/sharded_engine.hpp"
 
 namespace mlad::adapt {
 namespace {
@@ -208,6 +211,40 @@ TEST(OnlineAdaptation, AdaptationDoesNotIncreaseFalseAlarmsOnDrift) {
             frozen.stats.package_level_alarms);
 }
 
+TEST(OnlineAdaptation, OneShardEngineAdaptsLikeTheLockstepEngine) {
+  // `mlad serve --adapt` runs through ShardedEngine{shards = 1}: a pump
+  // thread, one SPSC queue, and the engine on its shard thread. On the
+  // same drifted wire it must raise the same per-link alarms and publish
+  // the same weight versions on the same ticks as a MonitorEngine driven
+  // directly.
+  const RunResult& direct = canonical_run(true);
+  ASSERT_GE(direct.swaps.size(), 1u);
+
+  const Fixture& f = fixture();
+  std::istringstream in(f.model_bytes);
+  const auto detector = detect::load_framework(in);
+  OnlineTrainer trainer(*detector, test_adapt_config());
+  serve::CountingAlarmSink sink;
+  serve::ShardedEngineConfig cfg;
+  cfg.engine.adapter = &trainer;
+  cfg.engine.adapt_interval = 150;
+  serve::ShardedEngine engine(*detector, &sink, cfg);
+  for (const ics::LinkFrame& lf : f.drift_wire) engine.push(lf);
+  engine.finish();
+
+  std::vector<AlarmKey> alarms;
+  for (const serve::AlarmEvent& e : sink.events()) {
+    alarms.push_back({e.link, e.seq, e.verdict.package_level, e.time});
+  }
+  EXPECT_EQ(alarms, direct.alarms);
+  ASSERT_EQ(sink.swaps().size(), direct.swaps.size());
+  for (std::size_t i = 0; i < direct.swaps.size(); ++i) {
+    EXPECT_EQ(sink.swaps()[i].version, direct.swaps[i].version) << i;
+    EXPECT_EQ(sink.swaps()[i].tick, direct.swaps[i].tick) << i;
+  }
+  EXPECT_EQ(engine.stats().model_version, direct.stats.model_version);
+}
+
 TEST(OnlineAdaptation, JsonlSinkRecordsSwaps) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);
@@ -302,7 +339,7 @@ TEST(OnlineAdaptation, WeightRefreshPreservesStreamStateExactly) {
   }
 }
 
-TEST(OnlineAdaptation, AdapterRequiresBatchedEngineAndMatchingDetector) {
+TEST(OnlineAdaptation, AdapterRequiresIntervalAndMatchingDetector) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);
   const auto detector = detect::load_framework(in);
@@ -310,11 +347,6 @@ TEST(OnlineAdaptation, AdapterRequiresBatchedEngineAndMatchingDetector) {
 
   serve::MonitorEngineConfig cfg;
   cfg.adapter = &trainer;
-  cfg.batched = false;
-  EXPECT_THROW(serve::MonitorEngine(*detector, nullptr, cfg),
-               std::invalid_argument);
-
-  cfg.batched = true;
   cfg.adapt_interval = 0;
   EXPECT_THROW(serve::MonitorEngine(*detector, nullptr, cfg),
                std::invalid_argument);

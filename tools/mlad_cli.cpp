@@ -8,16 +8,18 @@
 //
 // `simulate` produces labeled traffic (ARFF package log and/or raw-frame
 // capture); `train` builds and persists the two-level detector from the
-// anomaly-free portion of a log; `evaluate` scores a labeled log;
-// `monitor` replays one raw byte capture through the Modbus decoder and
-// the detector, printing alarms; `serve` interleaves several captures into
-// one wire and monitors every link concurrently through the batched serve
-// engine (DESIGN.md §8) — the deployed multi-link data path.
+// anomaly-free portion of a log; `evaluate` scores a labeled log; `serve`
+// interleaves several captures (or a live socket feed) into one wire and
+// monitors every link concurrently through the sharded batched serve
+// engine (DESIGN.md §8, §10) — the deployed multi-link data path;
+// `monitor` is the same pipeline over one raw byte capture, printing
+// alarms.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -53,7 +55,6 @@
 #include "obs/metrics_http.hpp"
 #include "obs/stats_format.hpp"
 #include "obs/stats_writer.hpp"
-#include "serve/monitor_engine.hpp"
 #include "serve/sharded_engine.hpp"
 #include "sigdb/sigdb_view.hpp"
 
@@ -61,26 +62,61 @@ namespace {
 
 using namespace mlad;
 
-/// "--flag value" pairs after the subcommand. A flag in kBareSwitches may
-/// appear without a value and stores "on" (e.g. `mlad serve --adapt
-/// --adapt-interval 256`); any other flag with its value missing is still
-/// a hard error, not a silent "on".
+/// The flags each subcommand accepts (the `sigdb` subcommands are keyed
+/// "sigdb build" / "sigdb check"). parse_flags rejects every other flag, so
+/// a misspelling such as `serve --shard 4` fails instead of silently
+/// running with the default.
+const std::map<std::string, std::vector<std::string>> kCommandFlags = {
+    {"simulate", {"cycles", "seed", "attacks", "arff", "capture"}},
+    {"train",
+     {"arff", "model", "epochs", "hidden", "seed", "batch", "threads",
+      "adam-state", "resume", "captures"}},
+    {"evaluate", {"arff", "model", "threads", "streams"}},
+    {"monitor", {"capture", "model", "max-alarms"}},
+    {"serve",
+     {"captures", "model", "threads", "sink", "max-alarms", "sigdb",
+      "shards", "queue-cap", "source", "speed", "listen", "bind",
+      "max-conns", "idle-timeout-ms", "fault-spec", "park-after",
+      "close-after", "park-hysteresis", "park-after-ms", "close-after-ms",
+      "sweep-interval-ms", "adapt", "adapt-interval", "replay-cap",
+      "adapt-window", "adapt-min-windows", "adapt-epochs", "adapt-max-steps",
+      "adapt-threads", "adapt-seed", "adapt-history", "adapt-poison-round",
+      "adapt-poison-scale", "adam-state", "rollback-window",
+      "rollback-ratio", "metrics-port", "stats-out", "stats-interval"}},
+    {"tap",
+     {"captures", "port", "host", "token", "resend", "limit", "no-fin",
+      "pace-us", "fault-spec"}},
+    {"sigdb build", {"model", "out", "shard-bits", "prefilter-fpr"}},
+    {"sigdb check", {"file"}},
+    {"stats", {"ascii"}},
+};
+
+/// "--flag value" pairs after the subcommand `cmd`. A flag in
+/// kBareSwitches may appear without a value and stores "on" (e.g.
+/// `mlad serve --adapt --adapt-interval 256`); any other flag with its
+/// value missing is still a hard error, not a silent "on".
 constexpr const char* kBareSwitches[] = {"adapt", "no-fin", "ascii"};
 
 std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
+                                               int start,
+                                               const std::string& cmd) {
   const auto is_bare = [](const char* key) {
     for (const char* s : kBareSwitches) {
       if (std::strcmp(key, s) == 0) return true;
     }
     return false;
   };
+  const std::vector<std::string>& accepted = kCommandFlags.at(cmd);
   std::map<std::string, std::string> flags;
   for (int i = start; i < argc;) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       throw std::runtime_error(std::string("expected --flag, got ") + argv[i]);
     }
     const char* key = argv[i] + 2;
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      throw std::runtime_error(std::string("unknown flag --") + key +
+                               " for " + cmd);
+    }
     const bool has_value =
         i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
     if (has_value) {
@@ -321,48 +357,24 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_monitor(const std::map<std::string, std::string>& flags) {
-  const ics::Capture capture =
-      ics::read_capture_file(need(flags, "capture"));
-  const auto detector = detect::load_framework_file(need(flags, "model"));
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
-
-  // The single-link case of the serve engine, in reference mode: one
-  // classify_and_consume per package on one stream — bit-identical verdicts
-  // (and alarm lines) to the historical hand-rolled loop, which this
-  // replaces. (It also fixes that loop reading frame.bytes[0] without a
-  // size check: the sink prints the decoder-salvaged header fields.)
-  serve::MonitorEngineConfig cfg;
-  cfg.batched = false;
-  serve::ConsoleAlarmSink sink(stdout, max_alarms);
-  serve::MonitorEngine engine(*detector, &sink, cfg);
-  for (const ics::RawFrame& frame : capture) engine.push(0, frame);
-  engine.finish();
-  sink.flush();
-
-  const serve::EngineStats& stats = engine.stats();
-  std::printf("%zu alarms over %zu frames (%.2f%%)\n",
-              static_cast<std::size_t>(stats.alarms),
-              static_cast<std::size_t>(stats.frames),
-              stats.frames == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(stats.alarms) /
-                        static_cast<double>(stats.frames));
-  return 0;
-}
-
-std::vector<ics::Capture> load_captures(
-    const std::map<std::string, std::string>& flags) {
+/// The capture wire: every --captures file replays as one PLC link on a
+/// time-ordered interleaved wire; `monitor` reads its single --capture as
+/// link 0.
+std::vector<ics::LinkFrame> load_wire(
+    const std::map<std::string, std::string>& flags, bool monitor) {
+  std::vector<ics::Capture> captures;
+  if (monitor) {
+    captures.push_back(ics::read_capture_file(need(flags, "capture")));
+    return ics::merge_captures(captures);
+  }
   const std::vector<std::string> paths =
       split(need(flags, "captures"), ',');
-  if (paths.empty()) throw std::runtime_error("serve: no captures given");
-  std::vector<ics::Capture> captures;
+  if (paths.empty()) throw std::runtime_error("no captures given");
   captures.reserve(paths.size());
   for (const std::string& p : paths) {
     captures.push_back(ics::read_capture_file(std::string(trim(p))));
   }
-  return captures;
+  return ics::merge_captures(captures);
 }
 
 void print_link_table(
@@ -380,7 +392,7 @@ void print_link_table(
 }
 
 /// Serve telemetry (DESIGN.md §14): --metrics-port / --stats-out attach a
-/// MetricsRegistry plus its exporters to either serve path. Declared before
+/// MetricsRegistry plus its exporters to the serve pipeline. Declared before
 /// the engine so the registry outlives every instrument pointer.
 struct TelemetryRig {
   std::unique_ptr<obs::MetricsRegistry> registry;
@@ -435,124 +447,103 @@ void print_source_health(const ingest::SourceHealth& h) {
       static_cast<std::size_t>(h.faults_injected));
 }
 
-/// The sharded async path (DESIGN.md §10): --shards and/or --source select
-/// it. A pluggable front end feeds an ingest pump that hashes links onto N
-/// independent engine shards; per-link verdicts stay bit-identical to the
-/// unsharded lockstep engine for any shard count.
-int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
-  const auto detector = detect::load_framework_file(need(flags, "model"));
-  if (get_or(flags, "adapt", "off") != "off") {
-    throw std::runtime_error(
-        "serve: --adapt requires the unsharded engine (omit --shards and "
-        "--source)");
+/// Front end for `serve` (DESIGN.md §10): an in-memory capture drain, a
+/// paced pcap-style replay, or a live UDP/TCP socket listener receiving
+/// MLF1 records.
+std::unique_ptr<ingest::PackageSource> make_source(
+    const std::map<std::string, std::string>& flags, bool monitor,
+    const std::string& kind) {
+  if (kind == "capture") {
+    return std::make_unique<ingest::CaptureSource>(load_wire(flags, monitor));
   }
-
-  serve::ShardedEngineConfig cfg;
-  cfg.shards = std::stoul(get_or(flags, "shards", "1"));
-  cfg.queue_capacity = std::stoul(get_or(flags, "queue-cap", "4096"));
-  cfg.engine.threads = std::stoul(get_or(flags, "threads", "1"));
-  const std::string engine_mode = get_or(flags, "engine", "batched");
-  if (engine_mode != "batched" && engine_mode != "reference") {
-    throw std::runtime_error("serve: --engine must be batched or reference");
+  if (kind == "replay") {
+    return std::make_unique<ingest::PcapReplaySource>(
+        load_wire(flags, monitor), std::stod(get_or(flags, "speed", "1")));
   }
-  cfg.engine.batched = engine_mode == "batched";
-  cfg.engine.park_after = std::stoul(get_or(flags, "park-after", "0"));
-  cfg.engine.close_after = std::stoul(get_or(flags, "close-after", "0"));
-  cfg.engine.park_hysteresis =
-      std::stoul(get_or(flags, "park-hysteresis", "0"));
-  // Wall-clock straggler sweep (DESIGN.md §12): takes a live tap that goes
-  // silent out of the gate by elapsed real time, not queue depth.
-  cfg.engine.park_after_ms = std::stod(get_or(flags, "park-after-ms", "0"));
-  cfg.engine.close_after_ms = std::stod(get_or(flags, "close-after-ms", "0"));
-  cfg.sweep_interval_ms =
-      static_cast<int>(std::stoul(get_or(flags, "sweep-interval-ms", "10")));
-
-  // Front end: an in-memory capture drain, a paced pcap-style replay, or a
-  // live UDP/TCP socket listener receiving MLF1 records.
-  const std::string source_kind = get_or(flags, "source", "capture");
-  std::unique_ptr<ingest::PackageSource> source;
-  if (source_kind == "capture") {
-    source = std::make_unique<ingest::CaptureSource>(
-        ics::merge_captures(load_captures(flags)));
-  } else if (source_kind == "replay") {
-    const double speed = std::stod(get_or(flags, "speed", "1"));
-    source = std::make_unique<ingest::PcapReplaySource>(
-        ics::merge_captures(load_captures(flags)), speed);
-  } else if (source_kind == "udp" || source_kind == "tcp") {
-    const auto port = static_cast<std::uint16_t>(
-        std::stoul(get_or(flags, "listen", "5502")));
-    const std::string bind_addr = get_or(flags, "bind", "127.0.0.1");
-    std::unique_ptr<ingest::SocketSource> sock;
-    if (source_kind == "udp") {
-      sock = std::make_unique<ingest::UdpSource>(port, bind_addr);
-    } else {
-      sock = std::make_unique<ingest::TcpSource>(
-          port, bind_addr, std::stoul(get_or(flags, "max-conns", "16")),
-          static_cast<int>(std::stoul(get_or(flags, "idle-timeout-ms", "0"))));
-    }
-    std::printf("listening on %s %s:%u (MLF1 records; FIN record ends the "
-                "stream)\n",
-                source_kind.c_str(), bind_addr.c_str(), sock->port());
-    std::fflush(stdout);  // smoke drivers parse the port before connecting
-    source = std::move(sock);
+  if (kind != "udp" && kind != "tcp") {
+    throw std::runtime_error("--source must be capture, replay, udp or tcp");
+  }
+  const auto port = static_cast<std::uint16_t>(
+      std::stoul(get_or(flags, "listen", "5502")));
+  const std::string bind_addr = get_or(flags, "bind", "127.0.0.1");
+  std::unique_ptr<ingest::SocketSource> sock;
+  if (kind == "udp") {
+    sock = std::make_unique<ingest::UdpSource>(port, bind_addr);
   } else {
-    throw std::runtime_error(
-        "serve: --source must be capture, replay, udp or tcp");
+    sock = std::make_unique<ingest::TcpSource>(
+        port, bind_addr, std::stoul(get_or(flags, "max-conns", "16")),
+        static_cast<int>(std::stoul(get_or(flags, "idle-timeout-ms", "0"))));
   }
-  // --fault-spec decorates ANY front end with a seeded fault schedule
-  // (DESIGN.md §12), so CI and benches replay exact fault sequences.
-  if (const auto it = flags.find("fault-spec"); it != flags.end()) {
-    source = std::make_unique<ingest::FaultySource>(
-        std::move(source), ingest::FaultSpec::parse(it->second));
+  std::printf("listening on %s %s:%u (MLF1 records; FIN record ends the "
+              "stream)\n",
+              kind.c_str(), bind_addr.c_str(), sock->port());
+  std::fflush(stdout);  // smoke drivers parse the port before connecting
+  return sock;
+}
+
+/// --adapt: background incremental re-training with hot-swapped weights
+/// (DESIGN.md §9), wired into `engine`. Null when --adapt is off, which
+/// leaves the serve data path untouched.
+std::unique_ptr<adapt::OnlineTrainer> make_adapter(
+    const std::map<std::string, std::string>& flags,
+    detect::CombinedDetector& detector, serve::MonitorEngineConfig& engine) {
+  if (get_or(flags, "adapt", "off") == "off") return nullptr;
+  adapt::AdaptConfig acfg;
+  acfg.replay_capacity = std::stoul(get_or(flags, "replay-cap", "256"));
+  acfg.window_len = std::stoul(get_or(flags, "adapt-window", "48"));
+  acfg.min_windows = std::stoul(get_or(flags, "adapt-min-windows", "8"));
+  acfg.epochs_per_round = std::stoul(get_or(flags, "adapt-epochs", "1"));
+  acfg.max_steps_per_round =
+      std::stoul(get_or(flags, "adapt-max-steps", "0"));
+  acfg.threads = std::stoul(get_or(flags, "adapt-threads", "1"));
+  acfg.seed = std::stoull(get_or(flags, "adapt-seed", "1"));
+  acfg.swap_history = std::stoul(get_or(flags, "adapt-history", "4"));
+  // Rollback-suite fault hook: corrupt the Nth published round's weights.
+  acfg.poison_round = std::stoull(get_or(flags, "adapt-poison-round", "0"));
+  acfg.poison_scale = std::stod(get_or(flags, "adapt-poison-scale", "8"));
+  acfg.metrics = engine.metrics;
+  std::optional<nn::AdamState> warm;
+  if (const auto it = flags.find("adam-state"); it != flags.end()) {
+    warm = nn::load_adam_state_file(it->second);
   }
+  auto adapter = std::make_unique<adapt::OnlineTrainer>(
+      detector, acfg, warm ? &*warm : nullptr);
+  engine.adapter = adapter.get();
+  engine.adapt_interval = std::stoul(get_or(flags, "adapt-interval", "512"));
+  // Auto-rollback (DESIGN.md §12): score each swap's first N packages
+  // against the N before it; roll back on an alarm-rate spike.
+  engine.rollback_window = std::stoul(get_or(flags, "rollback-window", "0"));
+  engine.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
+  return adapter;
+}
 
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
-  std::unique_ptr<serve::AlarmSink> file_sink;
-  serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/true);
-  serve::AlarmSink* sink = &console;
-  if (const auto it = flags.find("sink"); it != flags.end()) {
-    file_sink = serve::make_file_sink(it->second);
-    sink = file_sink.get();
-  }
-
-  std::optional<sigdb::SigDbView> sigdb_view;
-  maybe_attach_sigdb(flags, *detector, sigdb_view);
-  TelemetryRig rig = setup_telemetry(flags);
-  cfg.engine.metrics = rig.registry.get();
-  serve::ShardedEngine engine(*detector, sink, cfg);
-  engine.run(*source);
-  sink->flush();
-  finish_telemetry(rig);
-
+/// End-of-run `serve` summary. The CI smokes grep "links, N packages",
+/// "straggler policy: N parks", "0 records lost" and "(N reconnects)".
+void print_serve_summary(const serve::ShardedEngine& engine,
+                         const std::string& source_kind,
+                         std::size_t queue_capacity,
+                         const ingest::FaultySource* faulty,
+                         const adapt::OnlineTrainer* adapter) {
   const serve::EngineStats s = engine.stats();
   const serve::IngestStats in = engine.ingest_stats();
   std::printf(
-      "serve[%s ×%zu shards, source=%s]: %zu links, %zu packages, "
-      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks\n",
-      cfg.engine.batched ? "batched" : "reference", engine.shards(),
-      source_kind.c_str(), static_cast<std::size_t>(s.links_seen),
+      "serve[%zu shard%s, source=%s]: %zu links, %zu packages, "
+      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks (mean batch "
+      "%.2f)\n",
+      engine.shards(), engine.shards() == 1 ? "" : "s", source_kind.c_str(),
+      static_cast<std::size_t>(s.links_seen),
       static_cast<std::size_t>(s.packages),
       static_cast<std::size_t>(s.alarms),
       s.packages == 0 ? 0.0
                       : 100.0 * static_cast<double>(s.alarms) /
                             static_cast<double>(s.packages),
-      s.us_per_package(), static_cast<std::size_t>(s.ticks));
+      s.us_per_package(), static_cast<std::size_t>(s.ticks), s.mean_batch());
   std::printf(
       "ingest: %zu frames routed, %zu producer stalls, peak queue depth "
       "%zu/%zu\n",
       static_cast<std::size_t>(in.frames_routed),
       static_cast<std::size_t>(in.producer_blocks),
-      static_cast<std::size_t>(in.peak_queue_depth), cfg.queue_capacity);
-  print_source_health(in.source_health);
-  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
-    std::printf(
-        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
-        "closes\n",
-        static_cast<std::size_t>(s.links_parked),
-        static_cast<std::size_t>(s.wall_clock_parks),
-        static_cast<std::size_t>(s.wall_clock_closes));
-  }
+      static_cast<std::size_t>(in.peak_queue_depth), queue_capacity);
   const std::vector<serve::EngineStats> per_shard = engine.shard_stats();
   for (std::size_t i = 0; i < per_shard.size(); ++i) {
     const serve::EngineStats& ss = per_shard[i];
@@ -562,140 +553,26 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
                 static_cast<std::size_t>(ss.packages),
                 static_cast<std::size_t>(ss.alarms), ss.us_per_package());
   }
-  print_link_table(engine.link_stats());
-  return 0;
-}
-
-int cmd_serve(const std::map<std::string, std::string>& flags) {
-  // --shards / --source select the sharded async ingestion path; without
-  // them serve stays the single lockstep engine (bit-identical to previous
-  // releases, and the only mode supporting --adapt).
-  if (flags.count("shards") != 0 || flags.count("source") != 0) {
-    return cmd_serve_sharded(flags);
-  }
-  const std::vector<ics::Capture> captures = load_captures(flags);
-  const auto detector = detect::load_framework_file(need(flags, "model"));
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
-
-  serve::MonitorEngineConfig cfg;
-  cfg.threads = std::stoul(get_or(flags, "threads", "1"));
-  // --engine reference: N independent per-package monitors (the batched
-  // engine's baseline; same verdicts up to float rounding, much slower).
-  const std::string engine_mode = get_or(flags, "engine", "batched");
-  if (engine_mode != "batched" && engine_mode != "reference") {
-    throw std::runtime_error("serve: --engine must be batched or reference");
-  }
-  cfg.batched = engine_mode == "batched";
-  // Straggler policy: take a silent link out of the lockstep gate once some
-  // other link has T packages queued behind it (DESIGN.md §9).
-  cfg.park_after = std::stoul(get_or(flags, "park-after", "0"));
-  cfg.close_after = std::stoul(get_or(flags, "close-after", "0"));
-  cfg.park_hysteresis = std::stoul(get_or(flags, "park-hysteresis", "0"));
-
-  TelemetryRig rig = setup_telemetry(flags);
-  cfg.metrics = rig.registry.get();
-
-  // --adapt: background incremental re-training with hot-swapped weights
-  // (DESIGN.md §9). Default off — without it the serve data path is
-  // bit-identical to previous releases.
-  std::unique_ptr<adapt::OnlineTrainer> adapter;
-  if (get_or(flags, "adapt", "off") != "off") {
-    adapt::AdaptConfig acfg;
-    acfg.replay_capacity = std::stoul(get_or(flags, "replay-cap", "256"));
-    acfg.window_len = std::stoul(get_or(flags, "adapt-window", "48"));
-    acfg.min_windows = std::stoul(get_or(flags, "adapt-min-windows", "8"));
-    acfg.epochs_per_round = std::stoul(get_or(flags, "adapt-epochs", "1"));
-    acfg.max_steps_per_round =
-        std::stoul(get_or(flags, "adapt-max-steps", "0"));
-    acfg.threads = std::stoul(get_or(flags, "adapt-threads", "1"));
-    acfg.seed = std::stoull(get_or(flags, "adapt-seed", "1"));
-    acfg.swap_history = std::stoul(get_or(flags, "adapt-history", "4"));
-    // Rollback-suite fault hook: corrupt the Nth published round's weights.
-    acfg.poison_round =
-        std::stoull(get_or(flags, "adapt-poison-round", "0"));
-    acfg.poison_scale = std::stod(get_or(flags, "adapt-poison-scale", "8"));
-    acfg.metrics = rig.registry.get();
-    std::optional<nn::AdamState> warm;
-    if (const auto it = flags.find("adam-state"); it != flags.end()) {
-      warm = nn::load_adam_state_file(it->second);
-    }
-    adapter = std::make_unique<adapt::OnlineTrainer>(
-        *detector, acfg, warm ? &*warm : nullptr);
-    cfg.adapter = adapter.get();
-    cfg.adapt_interval = std::stoul(get_or(flags, "adapt-interval", "512"));
-    // Auto-rollback (DESIGN.md §12): score each swap's first N packages
-    // against the N before it; roll back on an alarm-rate spike.
-    cfg.rollback_window = std::stoul(get_or(flags, "rollback-window", "0"));
-    cfg.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
-  }
-
-  // Console unless --sink names a file (.csv → CSV, else JSONL); the
-  // console then only shows the closing stats.
-  std::unique_ptr<serve::AlarmSink> file_sink;
-  serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/true);
-  serve::AlarmSink* sink = &console;
-  if (const auto it = flags.find("sink"); it != flags.end()) {
-    file_sink = serve::make_file_sink(it->second);
-    sink = file_sink.get();
-  }
-
-  std::optional<sigdb::SigDbView> sigdb_view;
-  maybe_attach_sigdb(flags, *detector, sigdb_view);
-
-  // Each capture replays as one PLC link on a time-ordered interleaved wire.
-  serve::MonitorEngine engine(*detector, sink, cfg);
-  std::optional<ingest::FaultStats> fault_stats;
-  ingest::SourceHealth health;
-  if (const auto it = flags.find("fault-spec"); it != flags.end()) {
-    // Same seeded fault decoration the sharded path offers, over the
-    // merged capture wire.
-    ingest::FaultySource faulty(std::make_unique<ingest::CaptureSource>(
-                                    ics::merge_captures(captures)),
-                                ingest::FaultSpec::parse(it->second));
-    ics::LinkFrame lf;
-    while (faulty.next(lf)) engine.push(lf.link, lf.frame);
-    engine.finish();
-    fault_stats = faulty.fault_stats();
-    health = faulty.health();
-  } else {
-    engine.replay(ics::merge_captures(captures));
-  }
-  sink->flush();
-  if (rig.registry) {
-    ingest::SourceHealthMetrics hm;
-    hm.bind(*rig.registry);
-    hm.publish(health);
-  }
-  finish_telemetry(rig);
-
-  const serve::EngineStats& s = engine.stats();
-  std::printf(
-      "serve[%s]: %zu links, %zu packages, %zu alarms (%.2f%%), "
-      "%.2f µs/package, %zu ticks (mean batch %.2f)\n",
-      cfg.batched ? "batched" : "reference",
-      static_cast<std::size_t>(s.links_seen),
-      static_cast<std::size_t>(s.packages),
-      static_cast<std::size_t>(s.alarms),
-      s.packages == 0 ? 0.0
-                      : 100.0 * static_cast<double>(s.alarms) /
-                            static_cast<double>(s.packages),
-      s.us_per_package(), static_cast<std::size_t>(s.ticks), s.mean_batch());
-  if (s.links_parked > 0) {
-    std::printf("straggler policy: %zu parks\n",
-                static_cast<std::size_t>(s.links_parked));
-  }
-  if (fault_stats) {
+  print_source_health(in.source_health);
+  if (faulty != nullptr) {
+    const ingest::FaultStats& fs = faulty->fault_stats();
     std::printf(
         "faults injected: %zu drops, %zu truncations, %zu corruptions, "
         "%zu stalls\n",
-        static_cast<std::size_t>(fault_stats->drops),
-        static_cast<std::size_t>(fault_stats->truncations),
-        static_cast<std::size_t>(fault_stats->corruptions),
-        static_cast<std::size_t>(fault_stats->stalls));
+        static_cast<std::size_t>(fs.drops),
+        static_cast<std::size_t>(fs.truncations),
+        static_cast<std::size_t>(fs.corruptions),
+        static_cast<std::size_t>(fs.stalls));
   }
-  print_source_health(health);
-  if (adapter) {
+  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
+    std::printf(
+        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
+        "closes\n",
+        static_cast<std::size_t>(s.links_parked),
+        static_cast<std::size_t>(s.wall_clock_parks),
+        static_cast<std::size_t>(s.wall_clock_closes));
+  }
+  if (adapter != nullptr) {
     const adapt::AdaptStats as = adapter->stats();
     std::printf(
         "adapt: %zu windows harvested (replay %zu), %zu rounds trained "
@@ -712,6 +589,84 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     }
   }
   print_link_table(engine.link_stats());
+}
+
+/// `mlad serve`, and `mlad monitor` with `monitor` set: one --capture, the
+/// console without its link column, and the historical closing line in
+/// place of the serve summary. Every run goes through serve::ShardedEngine
+/// (DESIGN.md §10), one shard unless --shards says otherwise, so every
+/// serve flag applies to every --source; per-link verdicts are
+/// bit-identical for any shard count.
+int cmd_serve(const std::map<std::string, std::string>& flags,
+              bool monitor = false) {
+  const auto detector = detect::load_framework_file(need(flags, "model"));
+
+  serve::ShardedEngineConfig cfg;
+  cfg.shards = std::stoul(get_or(flags, "shards", "1"));
+  cfg.queue_capacity = std::stoul(get_or(flags, "queue-cap", "4096"));
+  cfg.engine.threads = std::stoul(get_or(flags, "threads", "1"));
+  // Straggler policy: take a silent link out of the lockstep gate once some
+  // other link has T packages queued behind it (DESIGN.md §9).
+  cfg.engine.park_after = std::stoul(get_or(flags, "park-after", "0"));
+  cfg.engine.close_after = std::stoul(get_or(flags, "close-after", "0"));
+  cfg.engine.park_hysteresis =
+      std::stoul(get_or(flags, "park-hysteresis", "0"));
+  // Wall-clock straggler sweep (DESIGN.md §12): takes a live tap that goes
+  // silent out of the gate by elapsed real time, not queue depth.
+  cfg.engine.park_after_ms = std::stod(get_or(flags, "park-after-ms", "0"));
+  cfg.engine.close_after_ms = std::stod(get_or(flags, "close-after-ms", "0"));
+  cfg.sweep_interval_ms =
+      static_cast<int>(std::stoul(get_or(flags, "sweep-interval-ms", "10")));
+
+  const std::string source_kind = get_or(flags, "source", "capture");
+  std::unique_ptr<ingest::PackageSource> source =
+      make_source(flags, monitor, source_kind);
+  // --fault-spec decorates ANY front end with a seeded fault schedule
+  // (DESIGN.md §12), so CI and benches replay exact fault sequences.
+  const ingest::FaultySource* faulty = nullptr;
+  if (const auto it = flags.find("fault-spec"); it != flags.end()) {
+    auto decorated = std::make_unique<ingest::FaultySource>(
+        std::move(source), ingest::FaultSpec::parse(it->second));
+    faulty = decorated.get();
+    source = std::move(decorated);
+  }
+
+  // Console unless --sink names a file (.csv → CSV, else JSONL); the
+  // console then only shows the closing stats.
+  const std::size_t max_alarms =
+      std::stoul(get_or(flags, "max-alarms", "20"));
+  std::unique_ptr<serve::AlarmSink> file_sink;
+  serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/!monitor);
+  serve::AlarmSink* sink = &console;
+  if (const auto it = flags.find("sink"); it != flags.end()) {
+    file_sink = serve::make_file_sink(it->second);
+    sink = file_sink.get();
+  }
+
+  std::optional<sigdb::SigDbView> sigdb_view;
+  maybe_attach_sigdb(flags, *detector, sigdb_view);
+  TelemetryRig rig = setup_telemetry(flags);
+  cfg.engine.metrics = rig.registry.get();
+  const std::unique_ptr<adapt::OnlineTrainer> adapter =
+      make_adapter(flags, *detector, cfg.engine);
+
+  serve::ShardedEngine engine(*detector, sink, cfg);
+  engine.run(*source);
+  sink->flush();
+  finish_telemetry(rig);
+
+  if (monitor) {
+    const serve::EngineStats s = engine.stats();
+    std::printf("%zu alarms over %zu frames (%.2f%%)\n",
+                static_cast<std::size_t>(s.alarms),
+                static_cast<std::size_t>(s.frames),
+                s.frames == 0 ? 0.0
+                              : 100.0 * static_cast<double>(s.alarms) /
+                                    static_cast<double>(s.frames));
+    return 0;
+  }
+  print_serve_summary(engine, source_kind, cfg.queue_capacity, faulty,
+                      adapter.get());
   return 0;
 }
 
@@ -778,8 +733,7 @@ int cmd_tap(const std::map<std::string, std::string>& flags) {
   }
 
   std::unique_ptr<ingest::PackageSource> src =
-      std::make_unique<ingest::CaptureSource>(
-          ics::merge_captures(load_captures(flags)));
+      std::make_unique<ingest::CaptureSource>(load_wire(flags, false));
   if (spec.any_frame_faults()) {
     src = std::make_unique<ingest::FaultySource>(std::move(src), spec);
   }
@@ -971,7 +925,9 @@ int usage() {
       "           (--threads: sharded parallel scoring; --streams S>1:\n"
       "           batched multi-stream inference, one (S×dim) LSTM step\n"
       "           per tick; both identical for any thread count)\n"
-      "  monitor  --capture f --model f [--max-alarms N]\n"
+      "  monitor  --capture f --model f [--max-alarms N]   serve over one\n"
+      "           capture: alarm lines without the link column, then an\n"
+      "           \"N alarms over M frames\" closing line\n"
       "  sigdb    build --model f --out f.sigdb [--shard-bits N]\n"
       "           [--prefilter-fpr P]   write the compact mmap-able\n"
       "           signature index: sharded Eytzinger key blocks with\n"
@@ -979,21 +935,21 @@ int usage() {
       "           filter embedded verbatim, CRC-guarded header\n"
       "  sigdb    check --file f.sigdb   full CRC + bounds validation\n"
       "  serve    --captures a.cap,b.cap,… --model f [--threads N]\n"
+      "           (each capture replays as one PLC link; one batched LSTM\n"
+      "           step per tick advances every link — per-link verdicts\n"
+      "           are bit-identical to monitoring that link alone; every\n"
+      "           serve flag below applies to every --source)\n"
       "           [--sink out.jsonl|out.csv] [--max-alarms N]\n"
       "           [--sigdb f.sigdb]   mmap the compact signature index\n"
       "           (mlad sigdb build) and route membership/id lookups\n"
       "           through it — verdicts bit-identical to the in-RAM path\n"
-      "           [--engine batched|reference]   (each capture replays\n"
-      "           as one PLC link; one batched LSTM step per tick\n"
-      "           advances every link — per-link verdicts are\n"
-      "           bit-identical to monitoring that link alone)\n"
       "           [--park-after T] [--close-after T]   straggler policy:\n"
       "           park (state kept across rejoin) or close a link that\n"
       "           stalls the gate for T ticks' worth of wire\n"
-      "           [--shards N] [--queue-cap Q]   sharded async ingestion:\n"
-      "           links hash onto N engine shards, each fed by a bounded\n"
-      "           SPSC queue (Q frames; a full queue back-pressures the\n"
-      "           pump); per-link verdicts are bit-identical to --shards 1\n"
+      "           [--shards N] [--queue-cap Q]   links hash onto N engine\n"
+      "           shards (default 1), each fed by a bounded SPSC queue\n"
+      "           (Q frames; a full queue back-pressures the pump);\n"
+      "           per-link verdicts are bit-identical for any N\n"
       "           [--source capture|replay|udp|tcp]   front end (default\n"
       "           capture = drain --captures at full speed):\n"
       "             replay  paced pcap-style replay of --captures with\n"
@@ -1014,8 +970,8 @@ int usage() {
       "           stall_ms, disconnect_every); delivered well-formed\n"
       "           packages keep bit-identical verdicts\n"
       "           [--park-after-ms T] [--close-after-ms T]   wall-clock\n"
-      "           straggler policy for live taps (sharded serve): a silent\n"
-      "           link blocking the gate for T real ms is parked / closed\n"
+      "           straggler policy for live taps: a silent link blocking\n"
+      "           the gate for T real ms is parked / closed\n"
       "           [--sweep-interval-ms T] [--park-hysteresis H]   sweep\n"
       "           granularity; a recently-rejoined link needs H extra ticks\n"
       "           of pressure before it re-parks\n"
@@ -1026,7 +982,8 @@ int usage() {
       "           online adaptation: harvest verdict-clean windows into a\n"
       "           seeded replay buffer, re-train on a background thread\n"
       "           (warm-start Adam), hot-swap weights every N ticks; a\n"
-      "           round below W buffered windows is skipped (no swap)\n"
+      "           round below W buffered windows is skipped (no swap);\n"
+      "           requires --shards 1\n"
       "           [--rollback-window N] [--rollback-ratio R]\n"
       "           [--adapt-history H]   adaptation auto-rollback: after a\n"
       "           swap, compare the alarm rate over the next N packages\n"
@@ -1067,33 +1024,32 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  try {
-    if (cmd == "sigdb") {
-      if (argc < 3) return usage();
-      const std::string sub = argv[2];
-      const auto flags = parse_flags(argc, argv, 3);
-      if (sub == "build") return cmd_sigdb_build(flags);
-      if (sub == "check") return cmd_sigdb_check(flags);
+  std::string cmd = argv[1];
+  int first_flag = 2;
+  if (cmd == "sigdb") {
+    if (argc < 3) return usage();
+    cmd = cmd + " " + argv[2];
+    first_flag = 3;
+  } else if (cmd == "stats") {
+    if (argc < 3 || std::string_view(argv[2]).starts_with("--")) {
       return usage();
     }
-    if (cmd == "stats") {
-      if (argc < 3 || std::string_view(argv[2]).starts_with("--")) {
-        return usage();
-      }
-      const auto flags = parse_flags(argc, argv, 3);
-      return cmd_stats(argv[2], flags);
-    }
-    const auto flags = parse_flags(argc, argv, 2);
+    first_flag = 3;
+  }
+  if (kCommandFlags.count(cmd) == 0) return usage();
+  try {
+    const auto flags = parse_flags(argc, argv, first_flag, cmd);
     if (cmd == "simulate") return cmd_simulate(flags);
     if (cmd == "train") return cmd_train(flags);
     if (cmd == "evaluate") return cmd_evaluate(flags);
-    if (cmd == "monitor") return cmd_monitor(flags);
+    if (cmd == "monitor") return cmd_serve(flags, /*monitor=*/true);
     if (cmd == "serve") return cmd_serve(flags);
     if (cmd == "tap") return cmd_tap(flags);
+    if (cmd == "sigdb build") return cmd_sigdb_build(flags);
+    if (cmd == "sigdb check") return cmd_sigdb_check(flags);
+    return cmd_stats(argv[2], flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mlad %s: %s\n", cmd.c_str(), e.what());
     return 1;
   }
-  return usage();
 }
