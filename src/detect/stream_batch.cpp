@@ -34,13 +34,11 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
   const std::size_t C = model.num_classes();
 
   // Package level + verdict per stream (Fig. 3 flow, as in
-  // classify_and_consume), then gather the one-hot encodings — noisy bit =
-  // the verdict — into one (n×input_dim) matrix. Every row [0, n) is fully
-  // overwritten below, so the matrix is only reshaped (resize zero-fills)
-  // when the active stream count actually changed.
-  if (x_.rows() != n || x_.cols() != model.input_dim()) {
-    x_.resize(n, model.input_dim());
-  }
+  // classify_and_consume), then each stream's one-hot input row as its
+  // active ids: one per discretized feature, plus the noisy bit (the last
+  // column) when the verdict is an anomaly — ascending, as the layer-0
+  // gather requires.
+  x_ids_.clear(model.input_dim());
   // The signature checks for the whole tick run as ONE batched membership +
   // id-lookup pass (classify_batch: kernel-dispatched Eytzinger walk when a
   // .sigdb view is attached, batched map/Bloom probes otherwise) — verdicts
@@ -60,26 +58,26 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
       v.anomaly = true;
     } else if (has_prediction_[s] != 0) {
       const std::span<const float> predicted{
-          state_.probs.data() + s * C, C};
+          state_.logits.data() + s * C, C};
       v.timeseries_level = ts.is_anomalous(predicted, pv.signature_id, k);
       v.anomaly = v.timeseries_level;
     }
-    sig::one_hot_encode(pv.discrete, ts.cardinalities(), /*extra_bits=*/1,
-                        encode_scratch_);
-    if (v.anomaly) encode_scratch_.back() = 1.0f;
-    std::copy(encode_scratch_.begin(), encode_scratch_.end(),
-              x_.data() + s * x_.cols());
+    sig::append_one_hot_ids(pv.discrete, ts.cardinalities(), x_ids_.ids);
+    if (v.anomaly) {
+      x_ids_.ids.push_back(static_cast<std::uint32_t>(x_ids_.cols - 1));
+    }
+    x_ids_.end_row();
     if (packages != nullptr) (*packages)[s] = std::move(pv);
   }
 
-  // One batched LSTM step per layer + batched softmax; row s of state_.probs
-  // is stream s's prediction for its NEXT package.
+  // One batched LSTM step per layer + the output layer's logits; row s of
+  // state_.logits ranks stream s's NEXT package.
   if (timers_.nn_ns != nullptr) {
     const std::uint64_t t0 = obs::now_ns();
-    model.predict_batch(state_, x_, pool_);
+    model.predict_batch(state_, x_ids_, pool_);
     timers_.nn_ns->record(obs::now_ns() - t0);
   } else {
-    model.predict_batch(state_, x_, pool_);
+    model.predict_batch(state_, x_ids_, pool_);
   }
   std::fill(has_prediction_.begin(), has_prediction_.begin() + n, 1);
 }
@@ -127,7 +125,7 @@ StreamBatch::StreamSnapshot StreamBatch::extract_stream(std::size_t s) const {
   snap.has_prediction = has_prediction_[s] != 0;
   snap.model =
       detector_->timeseries_level().model().extract_batch_stream(state_, s);
-  if (!snap.has_prediction) snap.model.probs.clear();
+  if (!snap.has_prediction) snap.model.logits.clear();
   return snap;
 }
 

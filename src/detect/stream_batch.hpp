@@ -1,9 +1,9 @@
 // Batched multi-stream inference stepping (DESIGN.md §4, ROADMAP
 // "kernel-level batching for inference"): advance S concurrent
 // CombinedDetector streams one package-tick at a time through a single
-// (S×dim) LSTM step per layer — gather the per-stream one-hot encodings into
-// one matrix, run one batched matmul+gates pass per layer, scatter the
-// refreshed predictions back to the streams.
+// (S×dim) LSTM step per layer — collect each stream's one-hot input as its
+// active ids, run one batched pass per layer (a row gather for layer 0,
+// matmul+gates above), and keep each stream's next-signature logits.
 //
 // Per-stream semantics mirror CombinedDetector::classify_and_consume
 // exactly; numerically the batched kernels and the per-sample reference sum
@@ -92,8 +92,7 @@ class StreamBatch {
   const CombinedDetector* detector_;
   ThreadPool* pool_;
   nn::SequenceModel::BatchState state_;
-  nn::Matrix x_;                       ///< active×input_dim gathered inputs
-  std::vector<float> encode_scratch_;  ///< one row's one-hot encoding
+  nn::OneHotRows x_ids_;  ///< per-tick layer-0 inputs as active ids
   std::vector<PackageVerdict> pkg_verdicts_;          ///< per-tick results
   PackageLevelDetector::BatchScratch pkg_scratch_;    ///< batched lookups
   std::vector<char> has_prediction_;   ///< per stream, false before tick 1

@@ -364,15 +364,15 @@ double TimeSeriesDetector::top_k_error(
   std::size_t misses = 0;
   std::size_t total = 0;
   std::vector<float> x;
-  std::vector<float> probs;
+  std::vector<float> logits;
   for (const DiscreteFragment& df : fragments) {
     if (df.size() < 2) continue;
     nn::SequenceModel::State state = model_.make_state();
     for (std::size_t t = 0; t + 1 < df.size(); ++t) {
       sig::one_hot_encode(df[t], cardinalities_, /*extra_bits=*/1, x);
-      model_.predict(state, x, probs);
+      model_.predict(state, x, logits);
       const auto id = db_->id_of(df[t + 1]);
-      if (!id || !nn::in_top_k(probs, *id, k)) ++misses;
+      if (!id || !nn::in_top_k(logits, *id, k)) ++misses;
       ++total;
     }
   }

@@ -126,7 +126,7 @@ class TimeSeriesDetector {
   /// Rolling detection state over one package stream.
   struct Stream {
     nn::SequenceModel::State model_state;
-    std::vector<float> predicted;  ///< Pr(s | history) for the NEXT package
+    std::vector<float> predicted;  ///< logits over s for the NEXT package
     bool has_prediction = false;   ///< false until the first package is seen
     std::vector<float> encode_scratch;  ///< reused one-hot buffer (consume)
   };
@@ -149,10 +149,11 @@ class TimeSeriesDetector {
                     std::optional<std::size_t> signature_id,
                     std::size_t k) const;
 
-  /// The core F_t decision on an explicit prediction row — the single
-  /// source of truth shared by the streaming path above and the batched
-  /// multi-stream stepper (detect/stream_batch.cpp), which keeps its
-  /// predictions as matrix rows rather than Streams.
+  /// The core F_t decision on an explicit row of next-signature logits —
+  /// the single source of truth shared by the streaming path above and the
+  /// batched multi-stream stepper (detect/stream_batch.cpp), which keeps
+  /// its predictions as matrix rows rather than Streams. Softmax is
+  /// monotone, so ranking logits decides S(k) membership (DESIGN.md §5).
   bool is_anomalous(std::span<const float> predicted,
                     std::optional<std::size_t> signature_id,
                     std::size_t k) const;

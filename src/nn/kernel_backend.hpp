@@ -38,6 +38,17 @@ struct KernelBackend {
                          std::size_t K, std::size_t M, std::size_t N,
                          std::size_t rb, std::size_t re);
 
+  /// out rows [rb,re) += the b rows a 0/1 input row selects: row r adds
+  /// b(ids[k], :) for k in [offsets[r], offsets[r+1]) in that (ascending)
+  /// order, one plain float add per id and no FMA, so every backend
+  /// computes the same bits. On an FMA backend that also equals
+  /// matmul_nn_rows of the dense 0/1 matrix: fma(1,w,acc) = acc+w and
+  /// fma(0,w,acc) = acc for finite w.
+  void (*gather_rows_acc)(const std::uint32_t* ids,
+                          const std::uint32_t* offsets, const float* b,
+                          float* out, std::size_t N, std::size_t rb,
+                          std::size_t re);
+
   /// Fused LSTM gate activations + cell update over rows [rb,re). `a` is the
   /// B×4H pre-activation block in gate order [i,f,o,g]; all other buffers
   /// are B×H.
@@ -57,10 +68,10 @@ struct KernelBackend {
                               std::size_t rb, std::size_t re);
 
   /// Numerically-stabilized softmax in place over rows [rb,re) of the B×C
-  /// block `m` (subtract the row max, exponentiate, normalize). Per row the
-  /// arithmetic must be a fixed function of the row content and C alone —
-  /// never of the partition or of B — so row partitioning stays bitwise-safe
-  /// and a stream's probabilities do not depend on its batch neighbours.
+  /// block `m` (subtract the row max, exponentiate, normalize) — the
+  /// training loss's; inference ranks on logits. Per row the arithmetic
+  /// must be a fixed function of the row content and C alone — never of the
+  /// partition or of B — so row partitioning stays bitwise-safe.
   void (*softmax_rows)(float* m, std::size_t C, std::size_t rb,
                        std::size_t re);
 

@@ -165,6 +165,35 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
   });
 }
 
+void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
+                     ThreadPool* pool) {
+  if (x.cols != b.rows() || x.offsets.empty() ||
+      x.offsets.back() != x.ids.size()) {
+    throw std::invalid_argument("gather_rows_acc: malformed input rows");
+  }
+  if (out.rows() != x.rows() || out.cols() != b.cols()) {
+    throw std::invalid_argument("gather_rows_acc: output shape mismatch");
+  }
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::uint32_t kb = x.offsets[r];
+    const std::uint32_t ke = x.offsets[r + 1];
+    if (ke < kb) {
+      throw std::invalid_argument("gather_rows_acc: malformed input rows");
+    }
+    for (std::uint32_t k = kb; k < ke; ++k) {
+      if (x.ids[k] >= x.cols || (k > kb && x.ids[k] <= x.ids[k - 1])) {
+        throw std::invalid_argument(
+            "gather_rows_acc: ids out of range or not ascending");
+      }
+    }
+  }
+  const KernelBackend& be = kernel_backend();
+  for_row_blocks(x.rows(), pool, [&](std::size_t rb, std::size_t re) {
+    be.gather_rows_acc(x.ids.data(), x.offsets.data(), b.data(), out.data(),
+                       b.cols(), rb, re);
+  });
+}
+
 namespace {
 
 // Process-wide transpose() counters (kernels.hpp TransposeStats). Relaxed is

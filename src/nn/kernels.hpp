@@ -43,6 +43,13 @@ void matmul_nn_acc(const Matrix& a, const Matrix& b, Matrix& out,
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
                    ThreadPool* pool = nullptr);
 
+/// out += x · b for 0/1 rows x (x.cols == b.rows(), out: x.rows()×b.cols()):
+/// row r adds the b rows its ids select, ascending, with plain float adds —
+/// bitwise the same on every backend (DESIGN.md §2, §7). Throws on an id
+/// out of range or ids that are not strictly ascending within a row.
+void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
+                     ThreadPool* pool = nullptr);
+
 /// out = aᵀ (resized). Used to cache transposed weights once per minibatch.
 void transpose(const Matrix& a, Matrix& out);
 
@@ -78,8 +85,9 @@ void copy_top_rows(const Matrix& src, std::size_t n, Matrix& dst);
 /// dst.row(r) += src.row(r) for r < src.rows(); src.rows() <= dst.rows().
 void add_top_rows(Matrix& dst, const Matrix& src);
 
-/// Numerically-stabilized softmax over every row of m, in place. Runs on
-/// the active kernel backend (scalar reference = the historical libm loop,
+/// Numerically-stabilized softmax over every row of m, in place — the
+/// training loss's; inference ranks on logits (DESIGN.md §5). Runs on the
+/// active kernel backend (scalar reference = the historical libm loop,
 /// bit-for-bit; SIMD backends reuse their polynomial exp). Per row the
 /// result is a fixed function of the row content and m.cols() alone.
 void softmax_rows(Matrix& m, ThreadPool* pool = nullptr);

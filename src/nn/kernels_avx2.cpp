@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "nn/kernels_scalar_tail.hpp"
 #include "nn/sigdb_lookup_common.hpp"
@@ -87,139 +88,145 @@ inline __m256 tanh8(__m256 x) {
 // ---- matmul micro-kernels --------------------------------------------------
 
 // Per-element accumulation discipline of this backend: ascending k, a FUSED
-// multiply-add at EVERY k (_mm256_fmadd_ps in the vector lanes, std::fmaf
-// in scalar tails) — no zero-skipping, unlike the scalar backend. Skips
-// would have to fire identically in the micro-block and leftover-row paths
-// to keep bit-identical thread invariance (fma(0, b, acc) is NOT a bitwise
-// no-op when acc is -0.0 or b is non-finite), and per-row predication in
-// the micro-kernel costs more on dense operands than the skip saves on the
-// small one-hot layer-0 products. With every k executed, an output
-// element's bit pattern is independent of which loop shape a partition
-// routed it through, so the §5 contract holds within this backend.
+// multiply-add at EVERY k (_mm256_fmadd_ps, masked on the ragged column
+// tail) — no zero-skipping, unlike the scalar backend. Skips would have to
+// fire identically in every row group to keep bit-identical thread
+// invariance (fma(0, b, acc) is NOT a bitwise no-op when acc is -0.0 or b
+// is non-finite), and per-row predication in the micro-kernel costs more
+// on dense operands than the skip saves; the sparse layer-0 input takes
+// the gather entry instead. With every k executed, an output element's bit
+// pattern is independent of which loop shape a partition routed it
+// through, so the §5 contract holds within this backend.
 
-inline void fma1_row(const float* b_row, float aik, float* out_row,
-                     std::size_t N) {
-  const __m256 va = _mm256_set1_ps(aik);
-  std::size_t j = 0;
-  for (; j + 8 <= N; j += 8) {
-    _mm256_storeu_ps(out_row + j,
-                     _mm256_fmadd_ps(va, _mm256_loadu_ps(b_row + j),
-                                     _mm256_loadu_ps(out_row + j)));
-  }
-  for (; j < N; ++j) out_row[j] = std::fmaf(aik, b_row[j], out_row[j]);
+/// Lanes [0, n) of an 8-lane maskload/maskstore mask, n ≤ 8.
+inline __m256i lane_mask(std::size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-/// Register-blocked micro-kernel: 4 output rows × a 16-column tile, 8 ymm
-/// accumulators held across the whole K loop, so every loaded b row chunk is
-/// reused 4× (quarter the b traffic of the row-at-a-time kernel — the
-/// bandwidth this product is otherwise bound on). `a_at(k, r)` must return
-/// a(row r, k); row grouping never changes any element's k-summation order,
-/// so determinism is untouched.
-template <typename AccessA>
-inline void micro4x16(const AccessA& a_at, const float* b, float* r0,
-                      float* r1, float* r2, float* r3, std::size_t K,
-                      std::size_t N) {
+/// Register-blocked micro-kernel: R ≤ 4 consecutive output rows (row r at
+/// out + r·N) × a 16-column tile, 2R ymm accumulators held across the whole
+/// K loop, so every loaded b row chunk is reused R times (the b-operand
+/// bandwidth this product is otherwise bound on). The last N % 16 columns
+/// run as 8-lane steps, the final one masked. `a_at(k, r)` must return
+/// a(row r, k); neither the row group nor the column step changes any
+/// element's k-summation order, so determinism is untouched. Kept out of
+/// line: inlined into its caller, the k loop ran out of general registers
+/// and spilled the a-row and b pointers (≈1.4× slower at 8 rows).
+template <std::size_t R, typename AccessA>
+[[gnu::noinline]] void micro_tile(const AccessA& a_at, const float* b,
+                                  float* out, std::size_t K, std::size_t N) {
   std::size_t j = 0;
   for (; j + 16 <= N; j += 16) {
-    __m256 acc00 = _mm256_loadu_ps(r0 + j);
-    __m256 acc01 = _mm256_loadu_ps(r0 + j + 8);
-    __m256 acc10 = _mm256_loadu_ps(r1 + j);
-    __m256 acc11 = _mm256_loadu_ps(r1 + j + 8);
-    __m256 acc20 = _mm256_loadu_ps(r2 + j);
-    __m256 acc21 = _mm256_loadu_ps(r2 + j + 8);
-    __m256 acc30 = _mm256_loadu_ps(r3 + j);
-    __m256 acc31 = _mm256_loadu_ps(r3 + j + 8);
+    __m256 acc[R][2];
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r][0] = _mm256_loadu_ps(out + r * N + j);
+      acc[r][1] = _mm256_loadu_ps(out + r * N + j + 8);
+    }
     for (std::size_t k = 0; k < K; ++k) {
       const __m256 vb0 = _mm256_loadu_ps(b + k * N + j);
       const __m256 vb1 = _mm256_loadu_ps(b + k * N + j + 8);
-      acc00 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb0, acc00);
-      acc01 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb1, acc01);
-      acc10 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb0, acc10);
-      acc11 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb1, acc11);
-      acc20 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb0, acc20);
-      acc21 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb1, acc21);
-      acc30 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb0, acc30);
-      acc31 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb1, acc31);
-    }
-    _mm256_storeu_ps(r0 + j, acc00);
-    _mm256_storeu_ps(r0 + j + 8, acc01);
-    _mm256_storeu_ps(r1 + j, acc10);
-    _mm256_storeu_ps(r1 + j + 8, acc11);
-    _mm256_storeu_ps(r2 + j, acc20);
-    _mm256_storeu_ps(r2 + j + 8, acc21);
-    _mm256_storeu_ps(r3 + j, acc30);
-    _mm256_storeu_ps(r3 + j + 8, acc31);
-  }
-  for (; j + 8 <= N; j += 8) {
-    __m256 acc0 = _mm256_loadu_ps(r0 + j);
-    __m256 acc1 = _mm256_loadu_ps(r1 + j);
-    __m256 acc2 = _mm256_loadu_ps(r2 + j);
-    __m256 acc3 = _mm256_loadu_ps(r3 + j);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m256 vb = _mm256_loadu_ps(b + k * N + j);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb, acc3);
-    }
-    _mm256_storeu_ps(r0 + j, acc0);
-    _mm256_storeu_ps(r1 + j, acc1);
-    _mm256_storeu_ps(r2 + j, acc2);
-    _mm256_storeu_ps(r3 + j, acc3);
-  }
-  if (j < N) {
-    float* rows[4] = {r0, r1, r2, r3};
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float av = a_at(k, r);
-        for (std::size_t jj = j; jj < N; ++jj) {
-          rows[r][jj] = std::fmaf(av, b[k * N + jj], rows[r][jj]);
-        }
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256 va = _mm256_set1_ps(a_at(k, r));
+        acc[r][0] = _mm256_fmadd_ps(va, vb0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_ps(va, vb1, acc[r][1]);
       }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm256_storeu_ps(out + r * N + j, acc[r][0]);
+      _mm256_storeu_ps(out + r * N + j + 8, acc[r][1]);
+    }
+  }
+  for (; j < N; j += 8) {
+    const __m256i m = lane_mask(N - j);
+    __m256 acc[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_maskload_ps(out + r * N + j, m);
+    }
+    for (std::size_t k = 0; k < K; ++k) {
+      const __m256 vb = _mm256_maskload_ps(b + k * N + j, m);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, r)), vb, acc[r]);
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm256_maskstore_ps(out + r * N + j, m, acc[r]);
     }
   }
 }
 
-/// Row-at-a-time fallback for the < 4 leftover rows of a partition: the
-/// same ascending-k, every-k, fused discipline, so a row computes the same
-/// bits whether it lands here or in a micro4x16 group.
-inline void one_row(const float* a_row, const float* b, float* out_row,
-                    std::size_t K, std::size_t N) {
-  for (std::size_t k = 0; k < K; ++k) {
-    fma1_row(b + k * N, a_row[k], out_row, N);
+/// Rows [rb,re) in groups of four, then the 1–3 leftover rows as one
+/// smaller group: group(std::integral_constant<size_t, R>, first_row).
+template <typename Group>
+inline void row_groups(std::size_t rb, std::size_t re, const Group& group) {
+  std::size_t i = rb;
+  for (; i + 4 <= re; i += 4) group(std::integral_constant<std::size_t, 4>{}, i);
+  switch (re - i) {
+    case 3: group(std::integral_constant<std::size_t, 3>{}, i); break;
+    case 2: group(std::integral_constant<std::size_t, 2>{}, i); break;
+    case 1: group(std::integral_constant<std::size_t, 1>{}, i); break;
+    default: break;
   }
 }
 
 void nn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
+  row_groups(rb, re, [&](auto rows, std::size_t i) {
     const float* a0 = a + i * K;
-    micro4x16(
+    micro_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) one_row(a + i * K, b, out + i * N, K, N);
+        out + i * N, K, N);
+  });
 }
 
 void tn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t M, std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    // Out rows are columns of a: the four a-values of one k sit contiguously
-    // at a[k*M + i .. i+3].
+  row_groups(rb, re, [&](auto rows, std::size_t i) {
+    // Out rows are columns of a: the group's a-values of one k sit
+    // contiguously at a[k*M + i ..].
     const float* a_col = a + i;
-    micro4x16(
+    micro_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) {
-    float* out_row = out + i * N;
-    const float* a_col = a + i;
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row(b + k * N, a_col[k * M], out_row, N);
+        out + i * N, K, N);
+  });
+}
+
+/// Sparse 0/1 rows × b: per 32-column block, four ymm accumulators take one
+/// plain add per id in ascending id order — the scalar definition's bits.
+/// The last N % 32 columns run as 8-lane steps, the final one masked.
+void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                     const float* b, float* out, std::size_t N,
+                     std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    float* o = out + r * N;
+    const std::uint32_t kb = offsets[r];
+    const std::uint32_t ke = offsets[r + 1];
+    std::size_t j = 0;
+    for (; j + 32 <= N; j += 32) {
+      __m256 acc0 = _mm256_loadu_ps(o + j);
+      __m256 acc1 = _mm256_loadu_ps(o + j + 8);
+      __m256 acc2 = _mm256_loadu_ps(o + j + 16);
+      __m256 acc3 = _mm256_loadu_ps(o + j + 24);
+      for (std::uint32_t k = kb; k < ke; ++k) {
+        const float* br = b + std::size_t{ids[k]} * N + j;
+        acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(br));
+        acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(br + 8));
+        acc2 = _mm256_add_ps(acc2, _mm256_loadu_ps(br + 16));
+        acc3 = _mm256_add_ps(acc3, _mm256_loadu_ps(br + 24));
+      }
+      _mm256_storeu_ps(o + j, acc0);
+      _mm256_storeu_ps(o + j + 8, acc1);
+      _mm256_storeu_ps(o + j + 16, acc2);
+      _mm256_storeu_ps(o + j + 24, acc3);
+    }
+    for (; j < N; j += 8) {
+      const __m256i m = lane_mask(N - j);
+      __m256 acc = _mm256_maskload_ps(o + j, m);
+      for (std::uint32_t k = kb; k < ke; ++k) {
+        acc = _mm256_add_ps(
+            acc, _mm256_maskload_ps(b + std::size_t{ids[k]} * N + j, m));
+      }
+      _mm256_maskstore_ps(o + j, m, acc);
     }
   }
 }
@@ -455,8 +462,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx2Backend = {
-    "avx2", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
-    softmax_rows_, sigdb_lookup_rows_,
+    "avx2", nn_rows, tn_rows, gather_rows_acc, gates_forward_rows,
+    gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "nn/kernels_scalar_tail.hpp"
 #include "nn/sigdb_lookup_common.hpp"
@@ -103,134 +104,146 @@ inline __m512 tanh16(__m512 x) {
 // ---- matmul micro-kernels --------------------------------------------------
 
 // Per-element accumulation discipline of this backend: ascending k, a FUSED
-// multiply-add at EVERY k (_mm512_fmadd_ps in the vector lanes, std::fmaf
-// in scalar tails) — no zero-skipping, exactly the AVX2 backend's contract
-// (see kernels_avx2.cpp for the full rationale). With every k executed, an
+// multiply-add at EVERY k (_mm512_fmadd_ps, masked on the ragged column
+// tail) — no zero-skipping, exactly the AVX2 backend's contract (see
+// kernels_avx2.cpp for the full rationale). With every k executed, an
 // output element's bit pattern is independent of which loop shape a
 // partition routed it through, so the §5 contract holds within this backend.
 
-inline void fma1_row(const float* b_row, float aik, float* out_row,
-                     std::size_t N) {
-  const __m512 va = _mm512_set1_ps(aik);
+/// Register-blocked micro-kernel: R ≤ 4 consecutive output rows (row r at
+/// out + r·N) × a 64-column tile, 4R zmm accumulators held across the whole
+/// K loop, so every loaded b row chunk is reused R times and up to 16
+/// independent FMA chains hide the FMA latency. The last N % 64 columns
+/// run as 16-lane steps, the final one masked. `a_at(k, r)` must return
+/// a(row r, k); neither the row group nor the column step changes any
+/// element's k-summation order, so determinism is untouched. Kept out of
+/// line so the k loop gets the general registers to itself (inlined, the
+/// AVX2 twin spilled its a-row and b pointers).
+template <std::size_t R, typename AccessA>
+[[gnu::noinline]] void micro_tile(const AccessA& a_at, const float* b,
+                                  float* out, std::size_t K, std::size_t N) {
+  constexpr std::size_t V = 4;  // zmm per row of the main tile
   std::size_t j = 0;
-  for (; j + 16 <= N; j += 16) {
-    _mm512_storeu_ps(out_row + j,
-                     _mm512_fmadd_ps(va, _mm512_loadu_ps(b_row + j),
-                                     _mm512_loadu_ps(out_row + j)));
-  }
-  for (; j < N; ++j) out_row[j] = std::fmaf(aik, b_row[j], out_row[j]);
-}
-
-/// Register-blocked micro-kernel: 4 output rows × a 32-column tile, 8 zmm
-/// accumulators held across the whole K loop, so every loaded b row chunk is
-/// reused 4× (quarter the b traffic of the row-at-a-time kernel). `a_at(k, r)`
-/// must return a(row r, k); row grouping never changes any element's
-/// k-summation order, so determinism is untouched.
-template <typename AccessA>
-inline void micro4x32(const AccessA& a_at, const float* b, float* r0,
-                      float* r1, float* r2, float* r3, std::size_t K,
-                      std::size_t N) {
-  std::size_t j = 0;
-  for (; j + 32 <= N; j += 32) {
-    __m512 acc00 = _mm512_loadu_ps(r0 + j);
-    __m512 acc01 = _mm512_loadu_ps(r0 + j + 16);
-    __m512 acc10 = _mm512_loadu_ps(r1 + j);
-    __m512 acc11 = _mm512_loadu_ps(r1 + j + 16);
-    __m512 acc20 = _mm512_loadu_ps(r2 + j);
-    __m512 acc21 = _mm512_loadu_ps(r2 + j + 16);
-    __m512 acc30 = _mm512_loadu_ps(r3 + j);
-    __m512 acc31 = _mm512_loadu_ps(r3 + j + 16);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m512 vb0 = _mm512_loadu_ps(b + k * N + j);
-      const __m512 vb1 = _mm512_loadu_ps(b + k * N + j + 16);
-      acc00 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb0, acc00);
-      acc01 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb1, acc01);
-      acc10 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb0, acc10);
-      acc11 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb1, acc11);
-      acc20 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb0, acc20);
-      acc21 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb1, acc21);
-      acc30 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb0, acc30);
-      acc31 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb1, acc31);
+  for (; j + 16 * V <= N; j += 16 * V) {
+    __m512 acc[R][V];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_loadu_ps(out + r * N + j + 16 * v);
+      }
     }
-    _mm512_storeu_ps(r0 + j, acc00);
-    _mm512_storeu_ps(r0 + j + 16, acc01);
-    _mm512_storeu_ps(r1 + j, acc10);
-    _mm512_storeu_ps(r1 + j + 16, acc11);
-    _mm512_storeu_ps(r2 + j, acc20);
-    _mm512_storeu_ps(r2 + j + 16, acc21);
-    _mm512_storeu_ps(r3 + j, acc30);
-    _mm512_storeu_ps(r3 + j + 16, acc31);
-  }
-  for (; j + 16 <= N; j += 16) {
-    __m512 acc0 = _mm512_loadu_ps(r0 + j);
-    __m512 acc1 = _mm512_loadu_ps(r1 + j);
-    __m512 acc2 = _mm512_loadu_ps(r2 + j);
-    __m512 acc3 = _mm512_loadu_ps(r3 + j);
     for (std::size_t k = 0; k < K; ++k) {
-      const __m512 vb = _mm512_loadu_ps(b + k * N + j);
-      acc0 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb, acc0);
-      acc1 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb, acc1);
-      acc2 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb, acc2);
-      acc3 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb, acc3);
-    }
-    _mm512_storeu_ps(r0 + j, acc0);
-    _mm512_storeu_ps(r1 + j, acc1);
-    _mm512_storeu_ps(r2 + j, acc2);
-    _mm512_storeu_ps(r3 + j, acc3);
-  }
-  if (j < N) {
-    float* rows[4] = {r0, r1, r2, r3};
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float av = a_at(k, r);
-        for (std::size_t jj = j; jj < N; ++jj) {
-          rows[r][jj] = std::fmaf(av, b[k * N + jj], rows[r][jj]);
+      __m512 vb[V];
+      for (std::size_t v = 0; v < V; ++v) {
+        vb[v] = _mm512_loadu_ps(b + k * N + j + 16 * v);
+      }
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512 va = _mm512_set1_ps(a_at(k, r));
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm512_fmadd_ps(va, vb[v], acc[r][v]);
         }
       }
     }
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < V; ++v) {
+        _mm512_storeu_ps(out + r * N + j + 16 * v, acc[r][v]);
+      }
+    }
+  }
+  for (; j < N; j += 16) {
+    const __mmask16 m =
+        N - j >= 16 ? __mmask16{0xffff}
+                    : static_cast<__mmask16>((1u << (N - j)) - 1u);
+    __m512 acc[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm512_maskz_loadu_ps(m, out + r * N + j);
+    }
+    for (std::size_t k = 0; k < K; ++k) {
+      const __m512 vb = _mm512_maskz_loadu_ps(m, b + k * N + j);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, r)), vb, acc[r]);
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm512_mask_storeu_ps(out + r * N + j, m, acc[r]);
+    }
   }
 }
 
-/// Row-at-a-time fallback for the < 4 leftover rows of a partition: the
-/// same ascending-k, every-k, fused discipline, so a row computes the same
-/// bits whether it lands here or in a micro4x32 group.
-inline void one_row(const float* a_row, const float* b, float* out_row,
-                    std::size_t K, std::size_t N) {
-  for (std::size_t k = 0; k < K; ++k) {
-    fma1_row(b + k * N, a_row[k], out_row, N);
+/// Rows [rb,re) in groups of four, then the 1–3 leftover rows as one
+/// smaller group: group(std::integral_constant<size_t, R>, first_row).
+template <typename Group>
+inline void row_groups(std::size_t rb, std::size_t re, const Group& group) {
+  std::size_t i = rb;
+  for (; i + 4 <= re; i += 4) group(std::integral_constant<std::size_t, 4>{}, i);
+  switch (re - i) {
+    case 3: group(std::integral_constant<std::size_t, 3>{}, i); break;
+    case 2: group(std::integral_constant<std::size_t, 2>{}, i); break;
+    case 1: group(std::integral_constant<std::size_t, 1>{}, i); break;
+    default: break;
   }
 }
 
 void nn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
+  row_groups(rb, re, [&](auto rows, std::size_t i) {
     const float* a0 = a + i * K;
-    micro4x32(
+    micro_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) one_row(a + i * K, b, out + i * N, K, N);
+        out + i * N, K, N);
+  });
 }
 
 void tn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t M, std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    // Out rows are columns of a: the four a-values of one k sit contiguously
-    // at a[k*M + i .. i+3].
+  row_groups(rb, re, [&](auto rows, std::size_t i) {
+    // Out rows are columns of a: the group's a-values of one k sit
+    // contiguously at a[k*M + i ..].
     const float* a_col = a + i;
-    micro4x32(
+    micro_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) {
-    float* out_row = out + i * N;
-    const float* a_col = a + i;
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row(b + k * N, a_col[k * M], out_row, N);
+        out + i * N, K, N);
+  });
+}
+
+/// Sparse 0/1 rows × b: per 64-column block, four zmm accumulators take
+/// one plain add per id in ascending id order — the scalar definition's
+/// bits. The last N % 64 columns run as 16-lane steps, the final one masked.
+/// Bound by L2 bandwidth (each id streams one b row), not by add latency.
+void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                     const float* b, float* out, std::size_t N,
+                     std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    float* o = out + r * N;
+    const std::uint32_t kb = offsets[r];
+    const std::uint32_t ke = offsets[r + 1];
+    std::size_t j = 0;
+    for (; j + 64 <= N; j += 64) {
+      __m512 acc0 = _mm512_loadu_ps(o + j);
+      __m512 acc1 = _mm512_loadu_ps(o + j + 16);
+      __m512 acc2 = _mm512_loadu_ps(o + j + 32);
+      __m512 acc3 = _mm512_loadu_ps(o + j + 48);
+      for (std::uint32_t k = kb; k < ke; ++k) {
+        const float* br = b + std::size_t{ids[k]} * N + j;
+        acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(br));
+        acc1 = _mm512_add_ps(acc1, _mm512_loadu_ps(br + 16));
+        acc2 = _mm512_add_ps(acc2, _mm512_loadu_ps(br + 32));
+        acc3 = _mm512_add_ps(acc3, _mm512_loadu_ps(br + 48));
+      }
+      _mm512_storeu_ps(o + j, acc0);
+      _mm512_storeu_ps(o + j + 16, acc1);
+      _mm512_storeu_ps(o + j + 32, acc2);
+      _mm512_storeu_ps(o + j + 48, acc3);
+    }
+    for (; j < N; j += 16) {
+      const __mmask16 m =
+          N - j >= 16 ? __mmask16{0xffff}
+                      : static_cast<__mmask16>((1u << (N - j)) - 1u);
+      __m512 acc = _mm512_maskz_loadu_ps(m, o + j);
+      for (std::uint32_t k = kb; k < ke; ++k) {
+        acc = _mm512_add_ps(
+            acc, _mm512_maskz_loadu_ps(m, b + std::size_t{ids[k]} * N + j));
+      }
+      _mm512_mask_storeu_ps(o + j, m, acc);
     }
   }
 }
@@ -455,8 +468,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx512Backend = {
-    "avx512", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
-    softmax_rows_, sigdb_lookup_rows_,
+    "avx512", nn_rows, tn_rows, gather_rows_acc, gates_forward_rows,
+    gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 
 }  // namespace

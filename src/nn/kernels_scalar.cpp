@@ -18,8 +18,7 @@ namespace {
 /// out row. Per out element the summation order is a fixed function of K
 /// alone — blocks are anchored at k=0, never at a chunk boundary — so
 /// results are bit-identical for any row partition. All-zero k-blocks are
-/// skipped: one-hot encoded inputs make the layer-0 activations ~95% zeros,
-/// turning the forward matmul into a row gather.
+/// skipped, which keeps sparse operands cheap.
 void nn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t N, std::size_t rb, std::size_t re) {
   const std::size_t K4 = K - K % 4;
@@ -84,6 +83,20 @@ void tn_rows(const float* a, const float* b, float* out, std::size_t K,
   }
 }
 
+/// Sparse 0/1 rows × b: per out element one plain add per id, ascending —
+/// the definition every backend must match bitwise.
+void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                     const float* b, float* out, std::size_t N,
+                     std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    float* out_row = out + r * N;
+    for (std::uint32_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      const float* b_row = b + std::size_t{ids[k]} * N;
+      for (std::size_t j = 0; j < N; ++j) out_row[j] += b_row[j];
+    }
+  }
+}
+
 void gates_forward_rows(const float* a, const float* c_prev, float* i,
                         float* f, float* o, float* g, float* c, float* tanh_c,
                         float* h, std::size_t H, std::size_t rb,
@@ -142,8 +155,9 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kScalarBackend = {
-    "scalar", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
-    softmax_rows_, sigdb_lookup_rows_,
+    "scalar",           nn_rows,       tn_rows,
+    gather_rows_acc,    gates_forward_rows, gates_backward_rows,
+    softmax_rows_,      sigdb_lookup_rows_,
 };
 
 }  // namespace

@@ -113,12 +113,11 @@ void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
   gemv_transposed_add(u_, da, dh_prev);
 }
 
-void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
-                             const Matrix& uT, LstmBatchCache& cache,
-                             Matrix& a_scratch, ThreadPool* pool) const {
-  const std::size_t B = x.rows();
-  if (x.cols() != input_dim_ || cache.h_prev.rows() != B ||
-      cache.h_prev.cols() != hidden_dim_ || cache.c_prev.rows() != B ||
+void LstmCell::check_forward_batch(std::size_t rows, std::size_t cols,
+                                   const Matrix& wT, const Matrix& uT,
+                                   const LstmBatchCache& cache) const {
+  if (cols != input_dim_ || cache.h_prev.rows() != rows ||
+      cache.h_prev.cols() != hidden_dim_ || cache.c_prev.rows() != rows ||
       cache.c_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: dim mismatch");
   }
@@ -126,17 +125,39 @@ void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
       uT.rows() != hidden_dim_ || uT.cols() != 4 * hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: stale transposes");
   }
-  // A = 1·bᵀ + X Wᵀ + H_prev Uᵀ, all four gates at once.
-  broadcast_rows(b_, B, a_scratch);
-  matmul_nn_acc(x, wT, a_scratch, pool);
+}
+
+void LstmCell::finish_forward_batch(const Matrix& uT, LstmBatchCache& cache,
+                                    Matrix& a_scratch,
+                                    ThreadPool* pool) const {
   matmul_nn_acc(cache.h_prev, uT, a_scratch, pool);
   lstm_gates_forward(a_scratch, cache.c_prev, cache.i, cache.f, cache.o,
                      cache.g, cache.c, cache.tanh_c, cache.h, pool);
 }
 
+void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
+                             const Matrix& uT, LstmBatchCache& cache,
+                             Matrix& a_scratch, ThreadPool* pool) const {
+  check_forward_batch(x.rows(), x.cols(), wT, uT, cache);
+  // A = 1·bᵀ + X Wᵀ + H_prev Uᵀ, all four gates at once.
+  broadcast_rows(b_, x.rows(), a_scratch);
+  matmul_nn_acc(x, wT, a_scratch, pool);
+  finish_forward_batch(uT, cache, a_scratch, pool);
+}
+
+void LstmCell::forward_batch(const OneHotRows& x, const Matrix& wT,
+                             const Matrix& uT, LstmBatchCache& cache,
+                             Matrix& a_scratch, ThreadPool* pool) const {
+  check_forward_batch(x.rows(), x.cols, wT, uT, cache);
+  // X Wᵀ of a 0/1 X is the ascending sum of the Wᵀ rows it selects.
+  broadcast_rows(b_, x.rows(), a_scratch);
+  gather_rows_acc(x, wT, a_scratch, pool);
+  finish_forward_batch(uT, cache, a_scratch, pool);
+}
+
 void LstmCell::backward_batch(const Matrix& x, const LstmBatchCache& cache,
                               const Matrix& dh, const Matrix& dc_in,
-                              Matrix& dx, Matrix& dh_prev, Matrix& dc_prev,
+                              Matrix* dx, Matrix& dh_prev, Matrix& dc_prev,
                               Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
                               Matrix& da_scratch, ThreadPool* pool) const {
   const std::size_t B = x.rows();
@@ -154,7 +175,7 @@ void LstmCell::backward_batch(const Matrix& x, const LstmBatchCache& cache,
   col_sum_acc(da_scratch, grad_b);
 
   // Input gradients: dX = dA W, dH_prev = dA U.
-  matmul_nn(da_scratch, w_, dx, pool);
+  if (dx != nullptr) matmul_nn(da_scratch, w_, *dx, pool);
   matmul_nn(da_scratch, u_, dh_prev, pool);
 }
 

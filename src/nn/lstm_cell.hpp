@@ -84,13 +84,21 @@ class LstmCell {
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
 
+  /// The same step for a 0/1 input given as active ids (the one-hot layer-0
+  /// input of inference): X Wᵀ becomes a gather of Wᵀ rows.
+  void forward_batch(const OneHotRows& x, const Matrix& wT, const Matrix& uT,
+                     LstmBatchCache& cache, Matrix& a_scratch,
+                     ThreadPool* pool = nullptr) const;
+
   /// Batched one-timestep backward. `dh` is ∂L/∂h_t (B×H, recurrent part
   /// included); `dc_in` is the recurrent ∂L/∂c_t from step t+1 and may have
   /// fewer rows than B (ended sequences contribute zero) or be empty.
   /// Parameter gradients accumulate into grad_w/grad_u/grad_b (shaped like
-  /// w()/u()/b()); dx (B×I), dh_prev and dc_prev (B×H) are overwritten.
+  /// w()/u()/b()); dh_prev and dc_prev (B×H) are overwritten, and so is
+  /// *dx (B×I) unless dx is null (the bottom layer's input gradient has no
+  /// consumer).
   void backward_batch(const Matrix& x, const LstmBatchCache& cache,
-                      const Matrix& dh, const Matrix& dc_in, Matrix& dx,
+                      const Matrix& dh, const Matrix& dc_in, Matrix* dx,
                       Matrix& dh_prev, Matrix& dc_prev, Matrix& grad_w,
                       Matrix& grad_u, Matrix& grad_b, Matrix& da_scratch,
                       ThreadPool* pool = nullptr) const;
@@ -112,6 +120,14 @@ class LstmCell {
   std::size_t param_count() const { return w_.size() + u_.size() + b_.size(); }
 
  private:
+  void check_forward_batch(std::size_t rows, std::size_t cols,
+                           const Matrix& wT, const Matrix& uT,
+                           const LstmBatchCache& cache) const;
+  /// A += H_prev Uᵀ, then the gates — the part of forward_batch after the
+  /// input product.
+  void finish_forward_batch(const Matrix& uT, LstmBatchCache& cache,
+                            Matrix& a_scratch, ThreadPool* pool) const;
+
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   Matrix w_;       ///< 4H × I, gate order [i,f,o,g]

@@ -83,13 +83,14 @@ void LstmLayer::backward_sequence_batch(std::span<const Matrix* const> xs,
                                         std::span<Matrix> dh_out,
                                         LayerBatchTape& tape, Matrix& grad_w,
                                         Matrix& grad_u, Matrix& grad_b,
+                                        bool need_dx,
                                         ThreadPool* pool) const {
   const std::size_t T = tape.steps.size();
   if (xs.size() != T || dh_out.size() != T) {
     throw std::invalid_argument(
         "backward_sequence_batch: tape/grad length mismatch");
   }
-  tape.dx.resize(T);
+  tape.dx.resize(need_dx ? T : 0);
   const Matrix empty;  // zero recurrent carry entering the last step
   std::size_t cur = 0;
   for (std::size_t t = T; t-- > 0;) {
@@ -101,9 +102,10 @@ void LstmLayer::backward_sequence_batch(std::span<const Matrix* const> xs,
     }
     const Matrix& dc_in = last ? empty : tape.dc_carry[cur];
     const std::size_t nxt = 1 - cur;
-    cell_.backward_batch(*xs[t], tape.steps[t], dh_total, dc_in, tape.dx[t],
-                         tape.dh_carry[nxt], tape.dc_carry[nxt], grad_w,
-                         grad_u, grad_b, tape.da, pool);
+    cell_.backward_batch(*xs[t], tape.steps[t], dh_total, dc_in,
+                         need_dx ? &tape.dx[t] : nullptr, tape.dh_carry[nxt],
+                         tape.dc_carry[nxt], grad_w, grad_u, grad_b, tape.da,
+                         pool);
     cur = nxt;
   }
 }

@@ -83,12 +83,13 @@ class LstmLayer {
 
   /// Batched BPTT over a tape filled by forward_sequence_batch. `dh_out[t]`
   /// (B_t×H) is ∂L/∂h_t from above and is modified in place (recurrent
-  /// additions); ∂L/∂x_t lands in tape.dx[t]. Parameter gradients accumulate
-  /// into grad_w/grad_u/grad_b.
+  /// additions); with `need_dx`, ∂L/∂x_t lands in tape.dx[t] (the bottom
+  /// layer passes false: nothing consumes its input gradient). Parameter
+  /// gradients accumulate into grad_w/grad_u/grad_b.
   void backward_sequence_batch(std::span<const Matrix* const> xs,
                                std::span<Matrix> dh_out, LayerBatchTape& tape,
                                Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
-                               ThreadPool* pool = nullptr) const;
+                               bool need_dx, ThreadPool* pool = nullptr) const;
 
   LstmCell& cell() { return cell_; }
   const LstmCell& cell() const { return cell_; }

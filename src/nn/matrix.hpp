@@ -9,6 +9,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -93,6 +94,26 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> data_;
+};
+
+/// A batch of 0/1 rows stored as each row's active column ids: row r is
+/// ids[offsets[r] .. offsets[r+1]), strictly ascending. The layer-0 input of
+/// batched inference (one id per discretized feature plus the noisy bit),
+/// whose product with a weight matrix is a row gather (DESIGN.md §2).
+struct OneHotRows {
+  std::size_t cols = 0;                   ///< width of the dense equivalent
+  std::vector<std::uint32_t> ids;         ///< active columns, row after row
+  std::vector<std::uint32_t> offsets{0};  ///< rows() + 1 entries
+
+  std::size_t rows() const { return offsets.size() - 1; }
+  /// Drop every row; the next rows are `width` columns wide.
+  void clear(std::size_t width) {
+    cols = width;
+    ids.clear();
+    offsets.assign(1, 0);
+  }
+  /// Close the row whose ids were appended since the last end_row().
+  void end_row() { offsets.push_back(static_cast<std::uint32_t>(ids.size())); }
 };
 
 /// out = a * b. Shapes must agree; `out` is resized.

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "nn/activations.hpp"
 #include "nn/kernels.hpp"
 
 namespace mlad::nn {
@@ -179,6 +180,7 @@ double SequenceModel::evaluate_fragment(
   std::vector<float> probs;
   for (std::size_t t = 0; t < xs.size(); ++t) {
     predict(state, xs[t], probs);
+    softmax_inplace(probs);  // predict stops at logits; the loss needs p
     const double p =
         std::max(static_cast<double>(probs.at(targets[t])), 1e-12);
     loss += -std::log(p);
@@ -194,10 +196,10 @@ std::size_t SequenceModel::top_k_misses(std::span<const std::vector<float>> xs,
   }
   std::size_t misses = 0;
   State state = make_state();
-  std::vector<float> probs;
+  std::vector<float> logits;
   for (std::size_t t = 0; t < xs.size(); ++t) {
-    predict(state, xs[t], probs);
-    if (!in_top_k(probs, targets[t], k)) ++misses;
+    predict(state, xs[t], logits);
+    if (!in_top_k(logits, targets[t], k)) ++misses;
   }
   return misses;
 }
@@ -227,9 +229,9 @@ SequenceModel::State SequenceModel::make_state() const {
 }
 
 void SequenceModel::predict(State& state, std::span<const float> x,
-                            std::vector<float>& probs) const {
+                            std::vector<float>& logits) const {
   const auto top = lstm_.step(x, state.lstm, state.scratch);
-  softmax_.forward(top, probs);
+  softmax_.logits(top, logits);
 }
 
 SequenceModel::BatchState SequenceModel::make_batch_state(
@@ -240,42 +242,41 @@ SequenceModel::BatchState SequenceModel::make_batch_state(
   return s;
 }
 
-void SequenceModel::predict_batch(BatchState& state, const Matrix& x,
+void SequenceModel::predict_batch(BatchState& state, const OneHotRows& x,
                                   ThreadPool* pool) const {
-  if (x.cols() != config_.input_dim) {
+  if (x.cols != config_.input_dim) {
     throw std::invalid_argument("predict_batch: input dim mismatch");
   }
   const Matrix& top = lstm_.step_stream_batch(x, state.lstm, pool);
-  broadcast_rows(softmax_.b(), top.rows(), state.probs);
-  matmul_nn_acc(top, state.softmax_wT, state.probs, pool);
-  softmax_rows(state.probs, pool);
+  broadcast_rows(softmax_.b(), top.rows(), state.logits);
+  matmul_nn_acc(top, state.softmax_wT, state.logits, pool);
 }
 
 void SequenceModel::shrink_batch_state(BatchState& state,
                                        std::size_t n) const {
   lstm_.shrink_stream_batch(n, state.lstm);
   // Drop the retired predictions too, so a later grow cannot resurrect a
-  // dead stream's stale probability row as a fresh stream's.
-  if (state.probs.cols() == num_classes() && n < state.probs.rows()) {
-    state.probs.resize_rows(n);
+  // dead stream's stale logit row as a fresh stream's.
+  if (state.logits.cols() == num_classes() && n < state.logits.rows()) {
+    state.logits.resize_rows(n);
   }
 }
 
 void SequenceModel::grow_batch_state(BatchState& state, std::size_t n) const {
   lstm_.grow_stream_batch(n, state.lstm);
-  // probs is lazily shaped by the first predict_batch; only carry existing
+  // logits is lazily shaped by the first predict_batch; only carry existing
   // rows forward once it exists (new rows are meaningless until that
   // stream's first tick, which callers gate on their own has-prediction
   // bookkeeping).
-  if (state.probs.cols() == num_classes()) state.probs.resize_rows(n);
+  if (state.logits.cols() == num_classes()) state.logits.resize_rows(n);
 }
 
 void SequenceModel::swap_batch_streams(BatchState& state, std::size_t a,
                                        std::size_t b) const {
   lstm_.swap_stream_rows(a, b, state.lstm);
-  if (state.probs.cols() == num_classes() && a < state.probs.rows() &&
-      b < state.probs.rows()) {
-    swap_rows(state.probs, a, b);
+  if (state.logits.cols() == num_classes() && a < state.logits.rows() &&
+      b < state.logits.rows()) {
+    swap_rows(state.logits, a, b);
   }
 }
 
@@ -288,9 +289,9 @@ SequenceModel::StreamSnapshot SequenceModel::extract_batch_stream(
     const BatchState& state, std::size_t s) const {
   StreamSnapshot snap;
   lstm_.extract_stream_state(state.lstm, s, snap.lstm);
-  if (state.probs.cols() == num_classes() && s < state.probs.rows()) {
-    const auto row = state.probs.row(s);
-    snap.probs.assign(row.begin(), row.end());
+  if (state.logits.cols() == num_classes() && s < state.logits.rows()) {
+    const auto row = state.logits.row(s);
+    snap.logits.assign(row.begin(), row.end());
   }
   return snap;
 }
@@ -298,19 +299,20 @@ SequenceModel::StreamSnapshot SequenceModel::extract_batch_stream(
 void SequenceModel::restore_batch_stream(BatchState& state, std::size_t s,
                                          const StreamSnapshot& snapshot) const {
   lstm_.restore_stream_state(state.lstm, s, snapshot.lstm);
-  if (snapshot.probs.empty()) return;
-  if (snapshot.probs.size() != num_classes()) {
-    throw std::invalid_argument("restore_batch_stream: probs size mismatch");
+  if (snapshot.logits.empty()) return;
+  if (snapshot.logits.size() != num_classes()) {
+    throw std::invalid_argument("restore_batch_stream: logits size mismatch");
   }
-  // probs is lazily shaped by the first predict_batch; a restore before the
-  // batch ever ticked must materialize it so the prediction survives.
-  if (state.probs.cols() != num_classes()) {
-    state.probs.resize(state.lstm.layers.front().h_prev.rows(), num_classes());
-  } else if (s >= state.probs.rows()) {
-    state.probs.resize_rows(state.lstm.layers.front().h_prev.rows());
+  // logits is lazily shaped by the first predict_batch; a restore before
+  // the batch ever ticked must materialize it so the prediction survives.
+  if (state.logits.cols() != num_classes()) {
+    state.logits.resize(state.lstm.layers.front().h_prev.rows(),
+                        num_classes());
+  } else if (s >= state.logits.rows()) {
+    state.logits.resize_rows(state.lstm.layers.front().h_prev.rows());
   }
-  std::copy(snapshot.probs.begin(), snapshot.probs.end(),
-            state.probs.row(s).data());
+  std::copy(snapshot.logits.begin(), snapshot.logits.end(),
+            state.logits.row(s).data());
 }
 
 void SequenceModel::copy_params_from(const SequenceModel& other) {

@@ -134,25 +134,28 @@ class SequenceModel {
 
   State make_state() const;
 
-  /// Consume one package's encoded features; emit Pr(s | history) in `probs`.
+  /// Consume one package's encoded features; emit the next-signature
+  /// logits (softmax of them = Pr(s | history)) in `logits`. The top-k
+  /// verdict ranks logits directly (DESIGN.md §5).
   void predict(State& state, std::span<const float> x,
-               std::vector<float>& probs) const;
+               std::vector<float>& logits) const;
 
   /// Rolling state for S concurrent inference streams advanced in lockstep:
   /// one (S×dim) batched kernel pass per layer per tick (DESIGN.md §4).
   struct BatchState {
     StreamBatchState lstm;
-    Matrix probs;       ///< B×C: Pr(s | history) per stream after the tick
+    Matrix logits;      ///< B×C: next-signature logits per stream
     Matrix softmax_wT;  ///< H_top×C cached transpose
   };
 
   BatchState make_batch_state(std::size_t streams) const;
 
-  /// One batched tick: x is (B×input_dim), B = current stream count; row s
-  /// of state.probs becomes stream s's next-package distribution. Matches
-  /// per-stream predict() to float rounding (batched kernels vs per-sample
-  /// reference); bit-identical for any `pool`.
-  void predict_batch(BatchState& state, const Matrix& x,
+  /// One batched tick: x holds B one-hot input rows as active ids, B =
+  /// current stream count; row s of state.logits becomes stream s's
+  /// next-package logits. Matches per-stream predict() to float rounding
+  /// (batched kernels vs per-sample reference); bit-identical for any
+  /// `pool`.
+  void predict_batch(BatchState& state, const OneHotRows& x,
                      ThreadPool* pool = nullptr) const;
 
   /// Keep only the first n streams of the batched state.
@@ -179,7 +182,7 @@ class SequenceModel {
   /// currency of the serve engine's straggler policy.
   struct StreamSnapshot {
     StackedLstmState lstm;
-    std::vector<float> probs;  ///< empty if the stream never ticked
+    std::vector<float> logits;  ///< empty if the stream never ticked
   };
 
   StreamSnapshot extract_batch_stream(const BatchState& state,

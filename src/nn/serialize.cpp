@@ -40,6 +40,21 @@ void read_matrix(std::istream& in, Matrix& m) {
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
   if (!in) throw std::runtime_error("load_model: truncated stream");
+  // A NaN logit is never "greater" under the top-k rank rule, so one NaN
+  // weight would silently switch the LSTM level off. NaN and ±Inf are the
+  // floats whose exponent bits are all ones; an integer OR-reduction over
+  // that test vectorizes (a float isfinite loop did not, and tripled the
+  // load time).
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t non_finite = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    non_finite |= static_cast<std::uint32_t>((bits & kExponent) == kExponent);
+  }
+  if (non_finite != 0) {
+    throw std::runtime_error("load_model: non-finite parameter");
+  }
 }
 
 }  // namespace

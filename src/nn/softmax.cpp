@@ -27,13 +27,18 @@ void SoftmaxLayer::init_params(Rng& rng) {
   b_.fill(0.0f);
 }
 
+void SoftmaxLayer::logits(std::span<const float> h,
+                          std::vector<float>& out) const {
+  if (h.size() != w_.cols()) {
+    throw std::invalid_argument("SoftmaxLayer::logits: dim mismatch");
+  }
+  out.assign(b_.row(0).begin(), b_.row(0).end());
+  gemv_add(w_, h, out);
+}
+
 void SoftmaxLayer::forward(std::span<const float> h,
                            std::vector<float>& probs) const {
-  if (h.size() != w_.cols()) {
-    throw std::invalid_argument("SoftmaxLayer::forward: dim mismatch");
-  }
-  probs.assign(b_.row(0).begin(), b_.row(0).end());
-  gemv_add(w_, h, probs);
+  logits(h, probs);
   softmax_inplace(probs);
 }
 
@@ -63,29 +68,29 @@ void SoftmaxLayer::zero_grads() {
   grad_b_.fill(0.0f);
 }
 
-std::vector<std::size_t> top_k_indices(std::span<const float> probs,
+std::vector<std::size_t> top_k_indices(std::span<const float> scores,
                                        std::size_t k) {
-  k = std::min(k, probs.size());
-  std::vector<std::size_t> idx(probs.size());
+  k = std::min(k, scores.size());
+  std::vector<std::size_t> idx(scores.size());
   std::iota(idx.begin(), idx.end(), 0);
   std::partial_sort(idx.begin(), idx.begin() + k, idx.end(),
                     [&](std::size_t a, std::size_t b) {
-                      if (probs[a] != probs[b]) return probs[a] > probs[b];
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;  // deterministic tie-break
                     });
   idx.resize(k);
   return idx;
 }
 
-bool in_top_k(std::span<const float> probs, std::size_t target,
+bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k) {
-  if (target >= probs.size() || k == 0) return false;
-  if (k >= probs.size()) return true;
-  const float pt = probs[target];
+  if (target >= scores.size() || k == 0) return false;
+  if (k >= scores.size()) return true;
+  const float st = scores[target];
   // Count entries strictly greater, and ties ranked before `target`.
   std::size_t better = 0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] > pt || (probs[i] == pt && i < target)) ++better;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i] > st || (scores[i] == st && i < target)) ++better;
     if (better >= k) return false;
   }
   return true;

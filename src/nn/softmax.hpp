@@ -22,6 +22,10 @@ class SoftmaxLayer {
   std::size_t input_dim() const { return w_.cols(); }
   std::size_t num_classes() const { return w_.rows(); }
 
+  /// out = W h + b, the logits. `out` is resized to num_classes(). Ranking
+  /// needs nothing more (in_top_k below).
+  void logits(std::span<const float> h, std::vector<float>& out) const;
+
   /// probs = softmax(W h + b). `probs` is resized to num_classes().
   void forward(std::span<const float> h, std::vector<float>& probs) const;
 
@@ -50,12 +54,17 @@ class SoftmaxLayer {
   Matrix grad_b_;
 };
 
-/// Indices of the k largest probabilities, descending. k is clamped to size.
-std::vector<std::size_t> top_k_indices(std::span<const float> probs,
+/// Indices of the k largest scores, descending (ties: lower index first).
+/// k is clamped to size.
+std::vector<std::size_t> top_k_indices(std::span<const float> scores,
                                        std::size_t k);
 
-/// True iff `target` is among the top-k classes of `probs` (the paper's S(k)
-/// membership test used by the time-series detection function F_t).
-bool in_top_k(std::span<const float> probs, std::size_t target, std::size_t k);
+/// True iff `target` is among the top-k classes of `scores` (the paper's
+/// S(k) membership test used by the time-series detection function F_t):
+/// fewer than k entries are greater than scores[target], or equal with a
+/// lower index. Softmax is monotone, so the verdict is taken on logits
+/// (DESIGN.md §5); a NaN score is never "greater".
+bool in_top_k(std::span<const float> scores, std::size_t target,
+              std::size_t k);
 
 }  // namespace mlad::nn

@@ -115,9 +115,11 @@ void StackedLstm::backward_sequence_batch(StackedBatchTape& tape,
   }
   std::span<Matrix> dh = dh_top;
   for (std::size_t li = layers_.size(); li-- > 0;) {
+    // Layer 0's input gradient would be a gradient w.r.t. the data: skip it.
     layers_[li].backward_sequence_batch(tape.inputs[li], dh, tape.layers[li],
                                         grads[3 * li], grads[3 * li + 1],
-                                        grads[3 * li + 2], pool);
+                                        grads[3 * li + 2], /*need_dx=*/li > 0,
+                                        pool);
     dh = tape.layers[li].dx;  // input grads = dh_out of the layer below
   }
 }
@@ -136,24 +138,28 @@ void StackedLstm::begin_stream_batch(std::size_t streams,
   }
 }
 
-const Matrix& StackedLstm::step_stream_batch(const Matrix& x,
+const Matrix& StackedLstm::step_stream_batch(const OneHotRows& x,
                                              StreamBatchState& sb,
                                              ThreadPool* pool) const {
   if (sb.layers.size() != layers_.size()) {
     throw std::invalid_argument("step_stream_batch: uninitialized state");
   }
-  const Matrix* in = &x;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     LstmBatchCache& cache = sb.layers[li];
-    layers_[li].cell().forward_batch(*in, sb.wT[li], sb.uT[li], cache, sb.a,
-                                     pool);
-    // The fresh h/c become the entering state of the next tick; after the
-    // swap they also double as the input block of the layer above.
+    const LstmCell& cell = layers_[li].cell();
+    if (li == 0) {
+      cell.forward_batch(x, sb.wT[0], sb.uT[0], cache, sb.a, pool);
+    } else {
+      // After the swap below, the layer beneath's h_prev holds its fresh
+      // output: this layer's input block.
+      cell.forward_batch(sb.layers[li - 1].h_prev, sb.wT[li], sb.uT[li],
+                         cache, sb.a, pool);
+    }
+    // The fresh h/c become the entering state of the next tick.
     std::swap(cache.h, cache.h_prev);
     std::swap(cache.c, cache.c_prev);
-    in = &cache.h_prev;
   }
-  return *in;
+  return sb.layers.back().h_prev;
 }
 
 void StackedLstm::shrink_stream_batch(std::size_t n,

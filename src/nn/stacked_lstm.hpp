@@ -108,11 +108,12 @@ class StackedLstm {
   /// again after any parameter update to refresh them).
   void begin_stream_batch(std::size_t streams, StreamBatchState& sb) const;
 
-  /// Advance every stream one timestep: x is (B×input_dim), B = current
-  /// stream count. Returns the top layer's (B×H_top) hidden block, valid
-  /// until the next call. `pool` only partitions kernel rows and never
-  /// changes results (§5).
-  const Matrix& step_stream_batch(const Matrix& x, StreamBatchState& sb,
+  /// Advance every stream one timestep: x holds B 0/1 rows of input_dim
+  /// columns as active ids, B = current stream count, so layer 0's input
+  /// product is a gather (DESIGN.md §2). Returns the top layer's (B×H_top)
+  /// hidden block, valid until the next call. `pool` only partitions kernel
+  /// rows and never changes results (§5).
+  const Matrix& step_stream_batch(const OneHotRows& x, StreamBatchState& sb,
                                   ThreadPool* pool = nullptr) const;
 
   /// Keep only the first n streams (rows) of the state.

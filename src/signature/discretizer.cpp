@@ -150,23 +150,44 @@ std::vector<std::size_t> Discretizer::cardinalities() const {
   return out;
 }
 
-void one_hot_encode(const DiscreteRow& row,
-                    std::span<const std::size_t> cardinalities,
-                    std::size_t extra_bits, std::vector<float>& out) {
+namespace {
+
+/// Calls set(column) for each feature's one-hot column, ascending.
+template <typename Set>
+void for_each_one_hot_column(const DiscreteRow& row,
+                             std::span<const std::size_t> cardinalities,
+                             const Set& set) {
   if (row.size() != cardinalities.size()) {
     throw std::invalid_argument("one_hot_encode: row/cardinality mismatch");
   }
-  std::size_t dim = extra_bits;
-  for (std::size_t c : cardinalities) dim += c;
-  out.assign(dim, 0.0f);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (row[i] >= cardinalities[i]) {
       throw std::out_of_range("one_hot_encode: id exceeds cardinality");
     }
-    out[offset + row[i]] = 1.0f;
+    set(offset + row[i]);
     offset += cardinalities[i];
   }
+}
+
+}  // namespace
+
+void one_hot_encode(const DiscreteRow& row,
+                    std::span<const std::size_t> cardinalities,
+                    std::size_t extra_bits, std::vector<float>& out) {
+  std::size_t dim = extra_bits;
+  for (std::size_t c : cardinalities) dim += c;
+  out.assign(dim, 0.0f);
+  for_each_one_hot_column(row, cardinalities,
+                          [&](std::size_t col) { out[col] = 1.0f; });
+}
+
+void append_one_hot_ids(const DiscreteRow& row,
+                        std::span<const std::size_t> cardinalities,
+                        std::vector<std::uint32_t>& ids) {
+  for_each_one_hot_column(row, cardinalities, [&](std::size_t col) {
+    ids.push_back(static_cast<std::uint32_t>(col));
+  });
 }
 
 }  // namespace mlad::sig

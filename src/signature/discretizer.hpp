@@ -95,4 +95,10 @@ void one_hot_encode(const DiscreteRow& row,
                     std::span<const std::size_t> cardinalities,
                     std::size_t extra_bits, std::vector<float>& out);
 
+/// The same encoding as column ids: append the index of each 1 that
+/// one_hot_encode would write to `ids`, ascending (one per feature).
+void append_one_hot_ids(const DiscreteRow& row,
+                        std::span<const std::size_t> cardinalities,
+                        std::vector<std::uint32_t>& ids);
+
 }  // namespace mlad::sig

@@ -1,9 +1,11 @@
 // Kernel backend parity + dispatch (DESIGN.md §7): every SIMD backend that
 // is compiled in and usable on this host must (a) agree with the scalar
 // reference within the documented tolerance on randomized shapes, including
-// ragged tails where M, N, K are not multiples of the vector width, (b) be
-// bit-identical across thread counts within itself, and (c) be selectable
-// through the MLAD_KERNEL_BACKEND environment override.
+// ragged tails where M, N, K are not multiples of the vector width — and,
+// for the FMA backends' matmuls and every backend's layer-0 gather, agree
+// bitwise with the per-element definition — (b) be bit-identical across
+// thread counts within itself, and (c) be selectable through the
+// MLAD_KERNEL_BACKEND environment override.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +128,154 @@ TEST(KernelBackends, MatmulParityVsScalar) {
       expect_close(out_tn, ref_tn, 1e-4, name + " matmul_tn_acc");
     }
   }
+}
+
+/// Per-element ascending-k fused reference: out(i,j) = fma(a(i,k), b(k,j),
+/// ·) for k = 0..K-1 — the accumulation every FMA backend promises.
+Matrix fma_reference_nn(const Matrix& a, const Matrix& b, Matrix out) {
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    for (std::size_t j = 0; j < out.cols(); ++j) {
+      float acc = out(i, j);
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        acc = std::fmaf(a(i, k), b(k, j), acc);
+      }
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// The same for out += aᵀ·b (a: K×M).
+Matrix fma_reference_tn(const Matrix& a, const Matrix& b, Matrix out) {
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    for (std::size_t j = 0; j < out.cols(); ++j) {
+      float acc = out(i, j);
+      for (std::size_t k = 0; k < a.rows(); ++k) {
+        acc = std::fmaf(a(k, i), b(k, j), acc);
+      }
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> fma_backends() {
+  std::vector<std::string> names;
+  for (const std::string& n : available_kernel_backends()) {
+    if (n == "avx2" || n == "avx512") names.push_back(n);
+  }
+  return names;
+}
+
+TEST(KernelBackends, RaggedMatmulMatchesFmaReferenceBitwise) {
+  // Every row-group size (1–3 leftover rows, full groups of four) against
+  // every column-tail shape: below, at and above one vector, the 32-column
+  // tile edge, and the serve model's 350-class output layer.
+  BackendGuard restore;
+  Rng rng(31);
+  const std::size_t widths[] = {1, 15, 16, 17, 31, 33, 350};
+  for (const std::string& name : fma_backends()) {
+    ASSERT_TRUE(select_kernel_backend(name));
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (const std::size_t n : widths) {
+        for (const std::size_t k : {5u, 64u}) {
+          const std::string what = name + " rows=" + std::to_string(rows) +
+                                   " N=" + std::to_string(n) +
+                                   " K=" + std::to_string(k);
+          const Matrix a = random_matrix(rows, k, rng, 0.3);
+          const Matrix b = random_matrix(k, n, rng);
+          const Matrix seed = random_matrix(rows, n, rng);
+          Matrix out = seed;
+          matmul_nn_acc(a, b, out);
+          expect_bitwise(out, fma_reference_nn(a, b, seed),
+                         what + " matmul_nn_acc");
+
+          const Matrix at = random_matrix(k, rows, rng, 0.3);
+          Matrix out_tn = seed;
+          matmul_tn_acc(at, b, out_tn);
+          expect_bitwise(out_tn, fma_reference_tn(at, b, seed),
+                         what + " matmul_tn_acc");
+        }
+      }
+    }
+  }
+}
+
+/// One-hot rows whose ids cross 4-wide k blocks and include the last
+/// column; row r drops a few ids so rows differ.
+OneHotRows crossing_ids(std::size_t rows, std::size_t cols) {
+  const std::uint32_t last = static_cast<std::uint32_t>(cols - 1);
+  const std::vector<std::uint32_t> pattern = {0, 3, 4, 5, 9, 12, 17,
+                                              50, 63, 64, last - 1, last};
+  OneHotRows x;
+  x.clear(cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      if ((i + r) % 3 != 2) x.ids.push_back(pattern[i]);
+    }
+    x.end_row();
+  }
+  return x;
+}
+
+Matrix dense_of(const OneHotRows& x) {
+  Matrix m(x.rows(), x.cols);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::uint32_t k = x.offsets[r]; k < x.offsets[r + 1]; ++k) {
+      m(r, x.ids[k]) = 1.0f;
+    }
+  }
+  return m;
+}
+
+TEST(KernelBackends, GatherIsBitwiseEqualOnEveryBackend) {
+  // The layer-0 gather does plain adds, so every backend must reproduce the
+  // scalar bits; on the FMA backends it must also equal the dense every-k
+  // product of the same 0/1 matrix (fma(1,w,acc) = acc+w, fma(0,w,acc) =
+  // acc), which is what keeps serve verdicts where they were.
+  BackendGuard restore;
+  Rng rng(37);
+  const std::vector<std::string> fma = fma_backends();
+  for (const std::size_t n : {5u, 16u, 37u, 256u, 350u}) {
+    for (const std::size_t rows : {1u, 3u, 8u, 9u}) {
+      const OneHotRows x = crossing_ids(rows, 110);
+      const Matrix b = random_matrix(110, n, rng);
+      const Matrix seed = random_matrix(rows, n, rng);
+      ASSERT_TRUE(select_kernel_backend("scalar"));
+      Matrix want = seed;
+      gather_rows_acc(x, b, want);
+      for (const std::string& name : available_kernel_backends()) {
+        const std::string what = name + " N=" + std::to_string(n) +
+                                 " rows=" + std::to_string(rows);
+        ASSERT_TRUE(select_kernel_backend(name));
+        Matrix got = seed;
+        gather_rows_acc(x, b, got);
+        expect_bitwise(got, want, what + " gather vs scalar");
+        if (std::find(fma.begin(), fma.end(), name) != fma.end()) {
+          Matrix dense = seed;
+          matmul_nn_acc(dense_of(x), b, dense);
+          expect_bitwise(got, dense, what + " gather vs dense one-hot");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, GatherRejectsMalformedRows) {
+  const Matrix b(4, 3);
+  Matrix out(1, 3);
+  OneHotRows x;
+  x.clear(4);
+  x.ids = {2, 1};  // not ascending
+  x.end_row();
+  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
+  x.clear(4);
+  x.ids = {4};  // out of range
+  x.end_row();
+  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
+  x.clear(3);  // width disagrees with b
+  x.end_row();
+  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
 }
 
 TEST(KernelBackends, LstmGateParityVsScalar) {
@@ -279,6 +429,14 @@ TEST(KernelBackends, BitIdenticalAcrossThreadCountsPerBackend) {
     matmul_nn(a, b, serial, nullptr);
     matmul_nn(a, b, threaded, &pool);
     expect_bitwise(serial, threaded, name + " matmul_nn thread invariance");
+
+    const OneHotRows x = crossing_ids(33, 110);
+    const Matrix gb = random_matrix(110, 23, rng);
+    Matrix gather_serial(33, 23), gather_threaded(33, 23);
+    gather_rows_acc(x, gb, gather_serial, nullptr);
+    gather_rows_acc(x, gb, gather_threaded, &pool);
+    expect_bitwise(gather_serial, gather_threaded,
+                   name + " gather thread invariance");
 
     const Matrix ga = random_matrix(17, 4 * 31, rng);
     const Matrix gc = random_matrix(17, 31, rng);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -60,6 +64,37 @@ TEST(Serialize, TruncatedStreamThrows) {
   const std::string full = buf.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_model(cut), std::runtime_error);
+}
+
+/// Overwrite the float at byte `offset` of a saved model and reload it.
+void expect_rejected_with(const std::string& saved, std::size_t offset,
+                          float value) {
+  std::string bytes = saved;
+  ASSERT_LE(offset + sizeof(float), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(float));
+  std::stringstream in(bytes);
+  try {
+    load_model(in);
+    FAIL() << "a non-finite parameter at byte " << offset << " loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "load_model: non-finite parameter");
+  }
+}
+
+TEST(Serialize, NonFiniteParameterThrows) {
+  // Under the top-k rank rule a NaN logit never ranks, so one NaN weight
+  // would silently switch the LSTM level off: loading must refuse it.
+  const SequenceModel model = make_model(66);
+  std::stringstream buf;
+  save_model(buf, model);
+  const std::string saved = buf.str();
+  // Header: magic, input_dim, num_classes, layer count, two hidden widths;
+  // then layer 0's w as rows, cols and its first float.
+  const std::size_t first_weight = 8 + 3 * 8 + 2 * 8 + 2 * 8;
+  expect_rejected_with(saved, first_weight, std::nanf(""));
+  // The output layer's last bias ends the stream.
+  expect_rejected_with(saved, saved.size() - sizeof(float),
+                       std::numeric_limits<float>::infinity());
 }
 
 TEST(Serialize, EmptyStreamThrows) {

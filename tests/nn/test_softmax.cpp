@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "nn/activations.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -87,6 +88,32 @@ TEST(TopK, InTopKConsistentWithIndices) {
       EXPECT_EQ(in_top_k(probs, t, k), expect) << "k=" << k << " t=" << t;
     }
   }
+}
+
+TEST(TopK, LogitTieRuleRanksEqualLogitsByIndex) {
+  // The serve verdict ranks logits: an entry outranks the target when it is
+  // greater, or equal with a lower index.
+  const std::vector<float> logits = {2.0f, 3.0f, 3.0f, -1.0f};
+  EXPECT_TRUE(in_top_k(logits, 1, 1));
+  EXPECT_FALSE(in_top_k(logits, 2, 1));  // tied with index 1, which wins
+  EXPECT_TRUE(in_top_k(logits, 2, 2));
+  EXPECT_FALSE(in_top_k(logits, 0, 2));
+  EXPECT_TRUE(in_top_k(logits, 0, 3));
+}
+
+TEST(TopK, LogitsDecideWhereSoftmaxRoundingTies) {
+  // Two distinct logits 1e-8 apart exponentiate to the same float, so on
+  // probabilities the tie goes to the lower index; on logits the larger
+  // logit wins. Logits order classes at least as exactly as probabilities.
+  const std::vector<float> logits = {0.0f, 1e-8f, -5.0f};
+  std::vector<float> probs = logits;
+  softmax_inplace(probs);
+  ASSERT_NE(logits[0], logits[1]);
+  ASSERT_EQ(probs[0], probs[1]);
+  EXPECT_FALSE(in_top_k(probs, 1, 1));
+  EXPECT_TRUE(in_top_k(probs, 0, 1));
+  EXPECT_TRUE(in_top_k(logits, 1, 1));
+  EXPECT_FALSE(in_top_k(logits, 0, 1));
 }
 
 TEST(TopK, EdgeCases) {
