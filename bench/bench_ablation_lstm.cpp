@@ -60,9 +60,11 @@ int main() {
       if (i) dims += "x";
       dims += std::to_string(shape[i]);
     }
+    const std::vector<double> val_curve =
+        detector.top_k_error_curve(val_disc, cfg.max_k);
     table.add_row({dims, std::to_string(detector.model().param_count()),
-                   fixed(seconds, 1), fixed(detector.top_k_error(val_disc, 1), 4),
-                   fixed(detector.top_k_error(val_disc, 4), 4),
+                   fixed(seconds, 1), fixed(val_curve[0], 4),
+                   fixed(val_curve[3], 4),
                    std::to_string(detector.choose_k(val_disc))});
   }
   std::printf("%s", table.str().c_str());

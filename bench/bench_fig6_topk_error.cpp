@@ -71,10 +71,8 @@ int main() {
     Stopwatch sw;
     detector.train(train_disc, rng);
     v.seconds = sw.elapsed_seconds();
-    for (std::size_t k = 1; k <= max_k; ++k) {
-      v.train_curve.push_back(detector.top_k_error(train_disc, k));
-      v.val_curve.push_back(detector.top_k_error(val_disc, k));
-    }
+    v.train_curve = detector.top_k_error_curve(train_disc, max_k);
+    v.val_curve = detector.top_k_error_curve(val_disc, max_k);
     v.chosen_k = detector.choose_k(val_disc);
   }
 

@@ -355,14 +355,13 @@ std::vector<double> TimeSeriesDetector::train_sharded(
   return epoch_losses;
 }
 
-double TimeSeriesDetector::top_k_error(
-    std::span<const DiscreteFragment> fragments, std::size_t k) const {
+nn::TopKErrorCurve TimeSeriesDetector::rank_targets(
+    std::span<const DiscreteFragment> fragments, std::size_t max_k) const {
   // Streamed evaluation rather than encode_fragment: validation fragments
   // may legitimately contain signatures absent from the training database
   // (that's exactly the package-level validation error); such targets can
-  // never be inside S(k), so they count as guaranteed misses.
-  std::size_t misses = 0;
-  std::size_t total = 0;
+  // never be inside S(k), so they count as misses at every k.
+  nn::TopKErrorCurve curve(max_k);
   std::vector<float> x;
   std::vector<float> logits;
   for (const DiscreteFragment& df : fragments) {
@@ -372,22 +371,25 @@ double TimeSeriesDetector::top_k_error(
       sig::one_hot_encode(df[t], cardinalities_, /*extra_bits=*/1, x);
       model_.predict(state, x, logits);
       const auto id = db_->id_of(df[t + 1]);
-      if (!id || !nn::in_top_k(logits, *id, k)) ++misses;
-      ++total;
+      curve.add(logits, id ? *id : logits.size());
     }
   }
-  return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
+  return curve;
+}
+
+std::vector<double> TimeSeriesDetector::top_k_error_curve(
+    std::span<const DiscreteFragment> fragments, std::size_t max_k) const {
+  return rank_targets(fragments, max_k).errors();
+}
+
+double TimeSeriesDetector::top_k_error(
+    std::span<const DiscreteFragment> fragments, std::size_t k) const {
+  return rank_targets(fragments, k).error(k);
 }
 
 std::size_t TimeSeriesDetector::choose_k(
     std::span<const DiscreteFragment> validation) {
-  for (std::size_t k = 1; k <= config_.max_k; ++k) {
-    if (top_k_error(validation, k) < config_.theta) {
-      k_ = k;
-      return k_;
-    }
-  }
-  k_ = config_.max_k;
+  k_ = rank_targets(validation, config_.max_k).choose_k(config_.theta);
   return k_;
 }
 

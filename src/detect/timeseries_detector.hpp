@@ -21,6 +21,7 @@
 #include "detect/noise.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequence_model.hpp"
+#include "nn/softmax.hpp"
 #include "nn/trainer.hpp"
 #include "signature/discretizer.hpp"
 #include "signature/signature_db.hpp"
@@ -111,7 +112,12 @@ class TimeSeriesDetector {
   /// was deserialized with defaults. hidden_dims must match the model.
   void set_train_config(const TimeSeriesConfig& config);
 
-  /// Paper §V-B top-k error on (anomaly-free) fragments.
+  /// Paper §V-B top-k error on (anomaly-free) fragments for every
+  /// k = 1..max_k (index k-1), from one pass that ranks each target once.
+  std::vector<double> top_k_error_curve(
+      std::span<const DiscreteFragment> fragments, std::size_t max_k) const;
+
+  /// err_k alone, from the same single pass.
   double top_k_error(std::span<const DiscreteFragment> fragments,
                      std::size_t k) const;
 
@@ -175,6 +181,10 @@ class TimeSeriesDetector {
   const TimeSeriesConfig& config() const { return config_; }
 
  private:
+  /// Every next-package target of `fragments` ranked once, capped at max_k.
+  nn::TopKErrorCurve rank_targets(std::span<const DiscreteFragment> fragments,
+                                  std::size_t max_k) const;
+
   /// Encode a fragment into training inputs/targets, optionally noisy.
   nn::Fragment encode_fragment(const DiscreteFragment& frag, bool with_noise,
                                Rng* rng) const;

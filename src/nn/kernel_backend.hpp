@@ -49,6 +49,19 @@ struct KernelBackend {
                           float* out, std::size_t N, std::size_t rb,
                           std::size_t re);
 
+  /// The transpose of gather_rows_acc — the layer-0 weight gradient: for
+  /// each row r of `a` in [rb,re), ascending, add a(r, :) into out(ids[k], :)
+  /// for k in [offsets[r], offsets[r+1]), one plain float add per (row, id)
+  /// and no FMA, so every backend computes the same bits. On an FMA backend
+  /// those equal matmul_tn_rows of `a` and the dense 0/1 matrix, transposed:
+  /// fma(a,1,acc) = acc+a and fma(a,0,acc) = acc for finite a. Several rows
+  /// may add into one out row, so callers never split [rb,re) across
+  /// workers.
+  void (*scatter_rows_acc)(const std::uint32_t* ids,
+                           const std::uint32_t* offsets, const float* a,
+                           float* out, std::size_t N, std::size_t rb,
+                           std::size_t re);
+
   /// Fused LSTM gate activations + cell update over rows [rb,re). `a` is the
   /// B×4H pre-activation block in gate order [i,f,o,g]; all other buffers
   /// are B×H.

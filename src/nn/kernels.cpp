@@ -118,80 +118,92 @@ inline void for_row_blocks(std::size_t rows, ThreadPool* pool, F&& fn) {
   pool->parallel_chunks(0, rows, std::forward<F>(fn));
 }
 
-inline void check_nn(const Matrix& a, const Matrix& b, const char* who) {
-  if (a.cols() != b.rows()) {
+inline void check_nn(ConstRowsView a, const Matrix& b, const char* who) {
+  if (a.cols != b.rows()) {
     throw std::invalid_argument(std::string(who) + ": inner dim mismatch");
+  }
+}
+
+/// Every row's ids strictly ascending and below x.cols, offsets consistent.
+void check_one_hot(const OneHotRows& x, const std::string& who) {
+  if (x.offsets.empty() || x.offsets.back() != x.ids.size()) {
+    throw std::invalid_argument(who + ": malformed input rows");
+  }
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::uint32_t kb = x.offsets[r];
+    const std::uint32_t ke = x.offsets[r + 1];
+    if (ke < kb) throw std::invalid_argument(who + ": malformed input rows");
+    for (std::uint32_t k = kb; k < ke; ++k) {
+      if (x.ids[k] >= x.cols || (k > kb && x.ids[k] <= x.ids[k - 1])) {
+        throw std::invalid_argument(who +
+                                    ": ids out of range or not ascending");
+      }
+    }
   }
 }
 
 }  // namespace
 
-void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out,
+void matmul_nn(ConstRowsView a, const Matrix& b, Matrix& out,
                ThreadPool* pool) {
   check_nn(a, b, "matmul_nn");
-  out.resize(a.rows(), b.cols());
+  out.resize(a.rows, b.cols());
   const KernelBackend& be = kernel_backend();
-  for_row_blocks(a.rows(), pool, [&](std::size_t rb, std::size_t re) {
-    be.matmul_nn_rows(a.data(), b.data(), out.data(), a.cols(), b.cols(), rb,
-                      re);
+  for_row_blocks(a.rows, pool, [&](std::size_t rb, std::size_t re) {
+    be.matmul_nn_rows(a.data, b.data(), out.data(), a.cols, b.cols(), rb, re);
   });
 }
 
-void matmul_nn_acc(const Matrix& a, const Matrix& b, Matrix& out,
+void matmul_nn_acc(ConstRowsView a, const Matrix& b, RowsView out,
                    ThreadPool* pool) {
   check_nn(a, b, "matmul_nn_acc");
-  if (out.rows() != a.rows() || out.cols() != b.cols()) {
+  if (out.rows != a.rows || out.cols != b.cols()) {
     throw std::invalid_argument("matmul_nn_acc: output shape mismatch");
   }
   const KernelBackend& be = kernel_backend();
-  for_row_blocks(a.rows(), pool, [&](std::size_t rb, std::size_t re) {
-    be.matmul_nn_rows(a.data(), b.data(), out.data(), a.cols(), b.cols(), rb,
-                      re);
+  for_row_blocks(a.rows, pool, [&](std::size_t rb, std::size_t re) {
+    be.matmul_nn_rows(a.data, b.data(), out.data, a.cols, b.cols(), rb, re);
   });
 }
 
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
+void matmul_tn_acc(ConstRowsView a, ConstRowsView b, Matrix& out,
                    ThreadPool* pool) {
-  if (a.rows() != b.rows()) {
+  if (a.rows != b.rows) {
     throw std::invalid_argument("matmul_tn_acc: inner dim mismatch");
   }
-  if (out.rows() != a.cols() || out.cols() != b.cols()) {
+  if (out.rows() != a.cols || out.cols() != b.cols) {
     throw std::invalid_argument("matmul_tn_acc: output shape mismatch");
   }
   const KernelBackend& be = kernel_backend();
   for_row_blocks(out.rows(), pool, [&](std::size_t rb, std::size_t re) {
-    be.matmul_tn_rows(a.data(), b.data(), out.data(), a.rows(), a.cols(),
-                      b.cols(), rb, re);
+    be.matmul_tn_rows(a.data, b.data, out.data(), a.rows, a.cols, b.cols, rb,
+                      re);
   });
 }
 
 void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
                      ThreadPool* pool) {
-  if (x.cols != b.rows() || x.offsets.empty() ||
-      x.offsets.back() != x.ids.size()) {
+  if (x.cols != b.rows()) {
     throw std::invalid_argument("gather_rows_acc: malformed input rows");
   }
   if (out.rows() != x.rows() || out.cols() != b.cols()) {
     throw std::invalid_argument("gather_rows_acc: output shape mismatch");
   }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const std::uint32_t kb = x.offsets[r];
-    const std::uint32_t ke = x.offsets[r + 1];
-    if (ke < kb) {
-      throw std::invalid_argument("gather_rows_acc: malformed input rows");
-    }
-    for (std::uint32_t k = kb; k < ke; ++k) {
-      if (x.ids[k] >= x.cols || (k > kb && x.ids[k] <= x.ids[k - 1])) {
-        throw std::invalid_argument(
-            "gather_rows_acc: ids out of range or not ascending");
-      }
-    }
-  }
+  check_one_hot(x, "gather_rows_acc");
   const KernelBackend& be = kernel_backend();
   for_row_blocks(x.rows(), pool, [&](std::size_t rb, std::size_t re) {
     be.gather_rows_acc(x.ids.data(), x.offsets.data(), b.data(), out.data(),
                        b.cols(), rb, re);
   });
+}
+
+void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out) {
+  if (x.rows() != a.rows || out.rows() != x.cols || out.cols() != a.cols) {
+    throw std::invalid_argument("scatter_rows_acc: shape mismatch");
+  }
+  check_one_hot(x, "scatter_rows_acc");
+  kernel_backend().scatter_rows_acc(x.ids.data(), x.offsets.data(), a.data,
+                                    out.data(), a.cols, 0, a.rows);
 }
 
 namespace {
@@ -213,17 +225,44 @@ void reset_transpose_stats() {
   g_transpose_elements.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// op(out(j, i), a(i, j)) over every element, in 16×16 tiles: a tile's 16
+/// source rows and 16 destination rows stay cached, where a plain row loop
+/// strides through a whole destination column per source row.
+template <typename Op>
+void for_transposed_tiles(const Matrix& a, Matrix& out, Op op) {
+  constexpr std::size_t kTile = 16;
+  const std::size_t R = a.rows();
+  const std::size_t C = a.cols();
+  for (std::size_t i0 = 0; i0 < R; i0 += kTile) {
+    const std::size_t i1 = std::min(R, i0 + kTile);
+    for (std::size_t j0 = 0; j0 < C; j0 += kTile) {
+      const std::size_t j1 = std::min(C, j0 + kTile);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const float* a_row = a.data() + i * C;
+        float* out_col = out.data() + i;
+        for (std::size_t j = j0; j < j1; ++j) op(out_col[j * R], a_row[j]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void transpose(const Matrix& a, Matrix& out) {
   g_transpose_calls.fetch_add(1, std::memory_order_relaxed);
   g_transpose_elements.fetch_add(a.rows() * a.cols(),
                                  std::memory_order_relaxed);
   out.resize(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* a_row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out(j, i) = a_row[j];
-    }
+  for_transposed_tiles(a, out, [](float& o, float v) { o = v; });
+}
+
+void add_transposed(const Matrix& a, Matrix& out) {
+  if (out.rows() != a.cols() || out.cols() != a.rows()) {
+    throw std::invalid_argument("add_transposed: shape mismatch");
   }
+  for_transposed_tiles(a, out, [](float& o, float v) { o += v; });
 }
 
 void add_bias_rows(Matrix& m, const Matrix& bias) {
@@ -248,14 +287,14 @@ void broadcast_rows(const Matrix& bias, std::size_t rows, Matrix& m) {
   }
 }
 
-void col_sum_acc(const Matrix& a, Matrix& out_row) {
-  if (out_row.rows() != 1 || out_row.cols() != a.cols()) {
+void col_sum_acc(ConstRowsView a, Matrix& out_row) {
+  if (out_row.rows() != 1 || out_row.cols() != a.cols) {
     throw std::invalid_argument("col_sum_acc: output shape mismatch");
   }
   float* out = out_row.data();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float* row = a.data() + r * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) out[j] += row[j];
+  for (std::size_t r = 0; r < a.rows; ++r) {
+    const float* row = a.data + r * a.cols;
+    for (std::size_t j = 0; j < a.cols; ++j) out[j] += row[j];
   }
 }
 
@@ -267,12 +306,12 @@ void copy_top_rows(const Matrix& src, std::size_t n, Matrix& dst) {
   std::copy(src.data(), src.data() + n * src.cols(), dst.data());
 }
 
-void add_top_rows(Matrix& dst, const Matrix& src) {
-  if (src.rows() > dst.rows() || src.cols() != dst.cols()) {
+void add_top_rows(RowsView dst, const Matrix& src) {
+  if (src.rows() > dst.rows || src.cols() != dst.cols) {
     throw std::invalid_argument("add_top_rows: shape mismatch");
   }
   const std::size_t n = src.rows() * src.cols();
-  float* d = dst.data();
+  float* d = dst.data;
   const float* s = src.data();
   for (std::size_t idx = 0; idx < n; ++idx) d[idx] += s[idx];
 }
@@ -295,12 +334,12 @@ void swap_rows(Matrix& m, std::size_t a, std::size_t b) {
   std::swap_ranges(ra, ra + m.cols(), rb);
 }
 
-void lstm_gates_forward(const Matrix& a, const Matrix& c_prev, Matrix& i,
+void lstm_gates_forward(ConstRowsView a, ConstRowsView c_prev, Matrix& i,
                         Matrix& f, Matrix& o, Matrix& g, Matrix& c,
                         Matrix& tanh_c, Matrix& h, ThreadPool* pool) {
-  const std::size_t B = a.rows();
-  const std::size_t H = c_prev.cols();
-  if (a.cols() != 4 * H || c_prev.rows() != B) {
+  const std::size_t B = a.rows;
+  const std::size_t H = c_prev.cols;
+  if (a.cols != 4 * H || c_prev.rows != B) {
     throw std::invalid_argument("lstm_gates_forward: shape mismatch");
   }
   i.resize(B, H);
@@ -312,31 +351,31 @@ void lstm_gates_forward(const Matrix& a, const Matrix& c_prev, Matrix& i,
   h.resize(B, H);
   const KernelBackend& be = kernel_backend();
   for_row_blocks(B, pool, [&](std::size_t rb, std::size_t re) {
-    be.gates_forward_rows(a.data(), c_prev.data(), i.data(), f.data(),
+    be.gates_forward_rows(a.data, c_prev.data, i.data(), f.data(),
                           o.data(), g.data(), c.data(), tanh_c.data(),
                           h.data(), H, rb, re);
   });
 }
 
 void lstm_gates_backward(const Matrix& i, const Matrix& f, const Matrix& o,
-                         const Matrix& g, const Matrix& c_prev,
-                         const Matrix& tanh_c, const Matrix& dh,
-                         const Matrix& dc_in, Matrix& da, Matrix& dc_prev,
+                         const Matrix& g, ConstRowsView c_prev,
+                         const Matrix& tanh_c, ConstRowsView dh,
+                         const Matrix& dc_in, RowsView da, Matrix& dc_prev,
                          ThreadPool* pool) {
   const std::size_t B = i.rows();
   const std::size_t H = i.cols();
-  if (dh.rows() != B || dh.cols() != H || dc_in.rows() > B ||
+  if (dh.rows != B || dh.cols != H || c_prev.rows != B || c_prev.cols != H ||
+      da.rows != B || da.cols != 4 * H || dc_in.rows() > B ||
       (!dc_in.empty() && dc_in.cols() != H)) {
     throw std::invalid_argument("lstm_gates_backward: shape mismatch");
   }
-  da.resize(B, 4 * H);
   dc_prev.resize(B, H);
   const std::size_t carry_rows = dc_in.rows();
   const KernelBackend& be = kernel_backend();
   for_row_blocks(B, pool, [&](std::size_t rb, std::size_t re) {
     be.gates_backward_rows(i.data(), f.data(), o.data(), g.data(),
-                           c_prev.data(), tanh_c.data(), dh.data(),
-                           dc_in.data(), da.data(), dc_prev.data(), H,
+                           c_prev.data, tanh_c.data(), dh.data,
+                           dc_in.data(), da.data, dc_prev.data(), H,
                            carry_rows, rb, re);
   });
 }

@@ -31,16 +31,18 @@
 namespace mlad::nn {
 
 /// out = a · b (a: M×K, b: K×N). `out` is resized and overwritten.
-void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out,
+void matmul_nn(ConstRowsView a, const Matrix& b, Matrix& out,
                ThreadPool* pool = nullptr);
 
 /// out += a · b. `out` must already be M×N.
-void matmul_nn_acc(const Matrix& a, const Matrix& b, Matrix& out,
+void matmul_nn_acc(ConstRowsView a, const Matrix& b, RowsView out,
                    ThreadPool* pool = nullptr);
 
 /// out += aᵀ · b (a: K×M, b: K×N, out: M×N) — the gradient-accumulation
-/// product (grad_W += dAᵀ · X).
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
+/// product (grad_W += dAᵀ · X). Per out element the k order is ascending,
+/// so on the FMA backends one call over stacked rows equals the sequence
+/// of calls over its row blocks bitwise (DESIGN.md §4).
+void matmul_tn_acc(ConstRowsView a, ConstRowsView b, Matrix& out,
                    ThreadPool* pool = nullptr);
 
 /// out += x · b for 0/1 rows x (x.cols == b.rows(), out: x.rows()×b.cols()):
@@ -50,8 +52,20 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
 void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
                      ThreadPool* pool = nullptr);
 
-/// out = aᵀ (resized). Used to cache transposed weights once per minibatch.
+/// out += xᵀ · a for 0/1 rows x (x.rows() == a.rows, out: x.cols × a.cols):
+/// row r of a is added into out at each of its ids, rows ascending, with
+/// plain float adds — the transposed layer-0 weight gradient (DESIGN.md
+/// §4, §7). Bitwise the same on every backend; on the FMA backends also the
+/// transpose of matmul_tn_acc(a, dense x). Throws like gather_rows_acc.
+void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out);
+
+/// out = aᵀ (resized), copied in 16×16 tiles — an exact copy. Used to cache
+/// transposed weights once per optimizer step (DESIGN.md §11).
 void transpose(const Matrix& a, Matrix& out);
+
+/// out += aᵀ (out must be a.cols() × a.rows()), same tiles; not counted by
+/// transpose_stats (it moves gradients, not weights).
+void add_transposed(const Matrix& a, Matrix& out);
 
 /// Cumulative process-wide transpose() counters, maintained with relaxed
 /// atomics (negligible overhead; safe under concurrent lanes). Benchmarks
@@ -76,14 +90,14 @@ void add_bias_rows(Matrix& m, const Matrix& bias);
 /// m is resized to rows×bias.cols() and every row is set to bias (1×C).
 void broadcast_rows(const Matrix& bias, std::size_t rows, Matrix& m);
 
-/// out_row (1×a.cols()) += column sums of a, summed in row order.
-void col_sum_acc(const Matrix& a, Matrix& out_row);
+/// out_row (1×a.cols) += column sums of a, summed in row order.
+void col_sum_acc(ConstRowsView a, Matrix& out_row);
 
 /// dst = the first n rows of src (resized to n×src.cols()).
 void copy_top_rows(const Matrix& src, std::size_t n, Matrix& dst);
 
-/// dst.row(r) += src.row(r) for r < src.rows(); src.rows() <= dst.rows().
-void add_top_rows(Matrix& dst, const Matrix& src);
+/// dst.row(r) += src.row(r) for r < src.rows(); src.rows() <= dst.rows.
+void add_top_rows(RowsView dst, const Matrix& src);
 
 /// Numerically-stabilized softmax over every row of m, in place — the
 /// training loss's; inference ranks on logits (DESIGN.md §5). Runs on the
@@ -100,7 +114,7 @@ void swap_rows(Matrix& m, std::size_t a, std::size_t b);
 /// `a` holds the B×4H pre-activations in gate order [i, f, o, g]; `c_prev`
 /// is B×H. Writes the sigmoid/tanh gate activations and the new cell /
 /// hidden state into the B×H outputs (all resized).
-void lstm_gates_forward(const Matrix& a, const Matrix& c_prev, Matrix& i,
+void lstm_gates_forward(ConstRowsView a, ConstRowsView c_prev, Matrix& i,
                         Matrix& f, Matrix& o, Matrix& g, Matrix& c,
                         Matrix& tanh_c, Matrix& h, ThreadPool* pool = nullptr);
 
@@ -109,11 +123,13 @@ void lstm_gates_forward(const Matrix& a, const Matrix& c_prev, Matrix& i,
 /// Inputs are the cached gate activations, `dh` = ∂L/∂h_t (B×H) and `dc_in`
 /// = the recurrent ∂L/∂c_t from step t+1, which may have FEWER rows than B
 /// (sequences that already ended contribute zero). Writes the pre-activation
-/// gradient `da` (B×4H, gate order [i,f,o,g]) and ∂L/∂c_{t-1} (B×H).
+/// gradient into `da` (B×4H, gate order [i,f,o,g]; the caller sizes it —
+/// usually one step's rows of a whole-window buffer) and ∂L/∂c_{t-1} into
+/// dc_prev (resized to B×H).
 void lstm_gates_backward(const Matrix& i, const Matrix& f, const Matrix& o,
-                         const Matrix& g, const Matrix& c_prev,
-                         const Matrix& tanh_c, const Matrix& dh,
-                         const Matrix& dc_in, Matrix& da, Matrix& dc_prev,
+                         const Matrix& g, ConstRowsView c_prev,
+                         const Matrix& tanh_c, ConstRowsView dh,
+                         const Matrix& dc_in, RowsView da, Matrix& dc_prev,
                          ThreadPool* pool = nullptr);
 
 }  // namespace mlad::nn

@@ -231,6 +231,35 @@ void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
   }
 }
 
+/// a rows × the 0/1 incidence, transposed: each (row, id) adds the a row
+/// into the out row in 32-column blocks of four ymm, the last N % 32
+/// columns as 8-lane steps, the final one masked — one plain add per
+/// element, rows ascending: the scalar definition's bits.
+void scatter_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                      const float* a, float* out, std::size_t N,
+                      std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    const float* ar = a + r * N;
+    for (std::uint32_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      float* o = out + std::size_t{ids[k]} * N;
+      std::size_t j = 0;
+      for (; j + 32 <= N; j += 32) {
+        for (std::size_t v = 0; v < 32; v += 8) {
+          const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(o + j + v),
+                                           _mm256_loadu_ps(ar + j + v));
+          _mm256_storeu_ps(o + j + v, sum);
+        }
+      }
+      for (; j < N; j += 8) {
+        const __m256i m = lane_mask(N - j);
+        _mm256_maskstore_ps(o + j, m,
+                            _mm256_add_ps(_mm256_maskload_ps(o + j, m),
+                                          _mm256_maskload_ps(ar + j, m)));
+      }
+    }
+  }
+}
+
 // ---- fused gate kernels ----------------------------------------------------
 
 // Ragged tails (H % 8 columns) run the shared scalar bodies
@@ -462,7 +491,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx2Backend = {
-    "avx2", nn_rows, tn_rows, gather_rows_acc, gates_forward_rows,
+    "avx2", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
+    gates_forward_rows,
     gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 

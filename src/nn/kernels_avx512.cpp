@@ -248,6 +248,37 @@ void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
   }
 }
 
+/// a rows × the 0/1 incidence, transposed: each (row, id) adds the a row
+/// into the out row in 64-column blocks of four zmm, the last N % 64
+/// columns as 16-lane steps, the final one masked — one plain add per
+/// element, rows ascending: the scalar definition's bits.
+void scatter_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                      const float* a, float* out, std::size_t N,
+                      std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    const float* ar = a + r * N;
+    for (std::uint32_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      float* o = out + std::size_t{ids[k]} * N;
+      std::size_t j = 0;
+      for (; j + 64 <= N; j += 64) {
+        for (std::size_t v = 0; v < 64; v += 16) {
+          const __m512 sum = _mm512_add_ps(_mm512_loadu_ps(o + j + v),
+                                           _mm512_loadu_ps(ar + j + v));
+          _mm512_storeu_ps(o + j + v, sum);
+        }
+      }
+      for (; j < N; j += 16) {
+        const __mmask16 m =
+            N - j >= 16 ? __mmask16{0xffff}
+                        : static_cast<__mmask16>((1u << (N - j)) - 1u);
+        _mm512_mask_storeu_ps(o + j, m,
+                              _mm512_add_ps(_mm512_maskz_loadu_ps(m, o + j),
+                                            _mm512_maskz_loadu_ps(m, ar + j)));
+      }
+    }
+  }
+}
+
 // ---- fused gate kernels ----------------------------------------------------
 
 // Ragged tails (H % 16 columns) run the shared scalar bodies
@@ -468,7 +499,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx512Backend = {
-    "avx512", nn_rows, tn_rows, gather_rows_acc, gates_forward_rows,
+    "avx512", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
+    gates_forward_rows,
     gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 

@@ -163,6 +163,12 @@ void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
   scalar_kernel_backend().gather_rows_acc(ids, offsets, b, out, N, rb, re);
 }
 
+void scatter_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                      const float* a, float* out, std::size_t N,
+                      std::size_t rb, std::size_t re) {
+  scalar_kernel_backend().scatter_rows_acc(ids, offsets, a, out, N, rb, re);
+}
+
 void gates_forward_rows(const float* a, const float* c_prev, float* i,
                         float* f, float* o, float* g, float* c, float* tanh_c,
                         float* h, std::size_t H, std::size_t rb,
@@ -301,7 +307,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kNeonBackend = {
-    "neon", nn_rows, tn_rows, gather_rows_acc, gates_forward_rows,
+    "neon", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
+    gates_forward_rows,
     gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 

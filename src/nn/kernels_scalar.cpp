@@ -97,6 +97,21 @@ void gather_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
   }
 }
 
+/// a rows × the 0/1 incidence, transposed: per out element one plain add
+/// per contributing row, rows ascending — the definition every backend must
+/// match bitwise.
+void scatter_rows_acc(const std::uint32_t* ids, const std::uint32_t* offsets,
+                      const float* a, float* out, std::size_t N,
+                      std::size_t rb, std::size_t re) {
+  for (std::size_t r = rb; r < re; ++r) {
+    const float* a_row = a + r * N;
+    for (std::uint32_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      float* out_row = out + std::size_t{ids[k]} * N;
+      for (std::size_t j = 0; j < N; ++j) out_row[j] += a_row[j];
+    }
+  }
+}
+
 void gates_forward_rows(const float* a, const float* c_prev, float* i,
                         float* f, float* o, float* g, float* c, float* tanh_c,
                         float* h, std::size_t H, std::size_t rb,
@@ -155,9 +170,9 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kScalarBackend = {
-    "scalar",           nn_rows,       tn_rows,
-    gather_rows_acc,    gates_forward_rows, gates_backward_rows,
-    softmax_rows_,      sigdb_lookup_rows_,
+    "scalar",         nn_rows,          tn_rows,
+    gather_rows_acc,  scatter_rows_acc, gates_forward_rows,
+    gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
 };
 
 }  // namespace

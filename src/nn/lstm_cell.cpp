@@ -1,5 +1,6 @@
 #include "nn/lstm_cell.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -41,17 +42,30 @@ void LstmCell::init_params(Rng& rng) {
 void LstmCell::forward(std::span<const float> x, std::span<const float> h_prev,
                        std::span<const float> c_prev,
                        LstmStepCache& cache) const {
+  cache.x.assign(x.begin(), x.end());
+  cache.h_prev.assign(h_prev.begin(), h_prev.end());
+  cache.c_prev.assign(c_prev.begin(), c_prev.end());
+  gates(x, h_prev, c_prev, cache);
+}
+
+void LstmCell::step(std::span<const float> x, std::span<float> h,
+                    std::span<float> c, LstmStepCache& scratch) const {
+  gates(x, h, c, scratch);
+  std::copy(scratch.h.begin(), scratch.h.end(), h.begin());
+  std::copy(scratch.c.begin(), scratch.c.end(), c.begin());
+}
+
+void LstmCell::gates(std::span<const float> x, std::span<const float> h_prev,
+                     std::span<const float> c_prev,
+                     LstmStepCache& cache) const {
   if (x.size() != input_dim_ || h_prev.size() != hidden_dim_ ||
       c_prev.size() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward: dim mismatch");
   }
   const std::size_t h = hidden_dim_;
-  cache.x.assign(x.begin(), x.end());
-  cache.h_prev.assign(h_prev.begin(), h_prev.end());
-  cache.c_prev.assign(c_prev.begin(), c_prev.end());
-
   // Pre-activations: a = W x + U h_prev + b, over all four gates at once.
-  std::vector<float> a(b_.row(0).begin(), b_.row(0).end());
+  std::vector<float>& a = cache.a;
+  a.assign(b_.row(0).begin(), b_.row(0).end());
   gemv_add(w_, x, a);
   gemv_add(u_, h_prev, a);
 
@@ -113,70 +127,95 @@ void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
   gemv_transposed_add(u_, da, dh_prev);
 }
 
-void LstmCell::check_forward_batch(std::size_t rows, std::size_t cols,
-                                   const Matrix& wT, const Matrix& uT,
+void LstmCell::check_forward_batch(std::size_t rows,
                                    const LstmBatchCache& cache) const {
-  if (cols != input_dim_ || cache.h_prev.rows() != rows ||
-      cache.h_prev.cols() != hidden_dim_ || cache.c_prev.rows() != rows ||
-      cache.c_prev.cols() != hidden_dim_) {
+  if (cache.h_prev.rows() != rows || cache.h_prev.cols() != hidden_dim_ ||
+      cache.c_prev.rows() != rows || cache.c_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: dim mismatch");
-  }
-  if (wT.rows() != input_dim_ || wT.cols() != 4 * hidden_dim_ ||
-      uT.rows() != hidden_dim_ || uT.cols() != 4 * hidden_dim_) {
-    throw std::invalid_argument("LstmCell::forward_batch: stale transposes");
   }
 }
 
-void LstmCell::finish_forward_batch(const Matrix& uT, LstmBatchCache& cache,
-                                    Matrix& a_scratch,
-                                    ThreadPool* pool) const {
-  matmul_nn_acc(cache.h_prev, uT, a_scratch, pool);
-  lstm_gates_forward(a_scratch, cache.c_prev, cache.i, cache.f, cache.o,
-                     cache.g, cache.c, cache.tanh_c, cache.h, pool);
+void LstmCell::check_input(std::size_t cols, const Matrix& wT) const {
+  if (cols != input_dim_) {
+    throw std::invalid_argument("LstmCell::input_product: dim mismatch");
+  }
+  if (wT.rows() != input_dim_ || wT.cols() != 4 * hidden_dim_) {
+    throw std::invalid_argument("LstmCell::input_product: stale transposes");
+  }
 }
 
 void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
                              const Matrix& uT, LstmBatchCache& cache,
                              Matrix& a_scratch, ThreadPool* pool) const {
-  check_forward_batch(x.rows(), x.cols(), wT, uT, cache);
+  check_forward_batch(x.rows(), cache);
   // A = 1·bᵀ + X Wᵀ + H_prev Uᵀ, all four gates at once.
-  broadcast_rows(b_, x.rows(), a_scratch);
-  matmul_nn_acc(x, wT, a_scratch, pool);
-  finish_forward_batch(uT, cache, a_scratch, pool);
+  input_product(x, wT, a_scratch, pool);
+  step_forward(cache.h_prev, cache.c_prev, uT, a_scratch, cache, pool);
 }
 
 void LstmCell::forward_batch(const OneHotRows& x, const Matrix& wT,
                              const Matrix& uT, LstmBatchCache& cache,
                              Matrix& a_scratch, ThreadPool* pool) const {
-  check_forward_batch(x.rows(), x.cols, wT, uT, cache);
-  // X Wᵀ of a 0/1 X is the ascending sum of the Wᵀ rows it selects.
-  broadcast_rows(b_, x.rows(), a_scratch);
-  gather_rows_acc(x, wT, a_scratch, pool);
-  finish_forward_batch(uT, cache, a_scratch, pool);
+  check_forward_batch(x.rows(), cache);
+  input_product(x, wT, a_scratch, pool);
+  step_forward(cache.h_prev, cache.c_prev, uT, a_scratch, cache, pool);
 }
 
-void LstmCell::backward_batch(const Matrix& x, const LstmBatchCache& cache,
-                              const Matrix& dh, const Matrix& dc_in,
-                              Matrix* dx, Matrix& dh_prev, Matrix& dc_prev,
-                              Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
-                              Matrix& da_scratch, ThreadPool* pool) const {
-  const std::size_t B = x.rows();
-  if (dh.rows() != B || dh.cols() != hidden_dim_ ||
-      cache.i.rows() != B) {
-    throw std::invalid_argument("LstmCell::backward_batch: dim mismatch");
+void LstmCell::input_product(const Matrix& x, const Matrix& wT, Matrix& a,
+                             ThreadPool* pool) const {
+  check_input(x.cols(), wT);
+  broadcast_rows(b_, x.rows(), a);
+  matmul_nn_acc(x, wT, a, pool);
+}
+
+void LstmCell::input_product(const OneHotRows& x, const Matrix& wT,
+                             Matrix& a, ThreadPool* pool) const {
+  check_input(x.cols, wT);
+  // X Wᵀ of a 0/1 X is the ascending sum of the Wᵀ rows it selects.
+  broadcast_rows(b_, x.rows(), a);
+  gather_rows_acc(x, wT, a, pool);
+}
+
+void LstmCell::step_forward(ConstRowsView h_prev, ConstRowsView c_prev,
+                            const Matrix& uT, RowsView a,
+                            LstmBatchCache& out, ThreadPool* pool) const {
+  if (uT.rows() != hidden_dim_ || uT.cols() != 4 * hidden_dim_) {
+    throw std::invalid_argument("LstmCell::step_forward: stale transposes");
   }
-  lstm_gates_backward(cache.i, cache.f, cache.o, cache.g, cache.c_prev,
-                      cache.tanh_c, dh, dc_in, da_scratch, dc_prev, pool);
+  matmul_nn_acc(h_prev, uT, a, pool);
+  lstm_gates_forward(a, c_prev, out.i, out.f, out.o, out.g, out.c,
+                     out.tanh_c, out.h, pool);
+}
 
-  // Parameter gradients: grad_W += dAᵀ X, grad_U += dAᵀ H_prev,
-  // grad_b += column sums of dA (row order fixed ⇒ deterministic).
-  matmul_tn_acc(da_scratch, x, grad_w, pool);
-  matmul_tn_acc(da_scratch, cache.h_prev, grad_u, pool);
-  col_sum_acc(da_scratch, grad_b);
+void LstmCell::step_backward(const LstmBatchCache& step, ConstRowsView c_prev,
+                             ConstRowsView dh, const Matrix& dc_in,
+                             RowsView da, Matrix& dc_prev, Matrix* dh_prev,
+                             ThreadPool* pool) const {
+  lstm_gates_backward(step.i, step.f, step.o, step.g, c_prev, step.tanh_c,
+                      dh, dc_in, da, dc_prev, pool);
+  if (dh_prev != nullptr) matmul_nn(da, u_, *dh_prev, pool);
+}
 
-  // Input gradients: dX = dA W, dH_prev = dA U.
-  if (dx != nullptr) matmul_nn(da_scratch, w_, *dx, pool);
-  matmul_nn(da_scratch, u_, dh_prev, pool);
+void LstmCell::weight_grads(const Matrix& da, ConstRowsView h_prev,
+                            const Matrix& x, Matrix& grad_w, Matrix& grad_u,
+                            Matrix& grad_b, ThreadPool* pool) const {
+  col_sum_acc(da, grad_b);
+  matmul_tn_acc(da, h_prev, grad_u, pool);
+  matmul_tn_acc(da, x, grad_w, pool);
+}
+
+void LstmCell::weight_grads(const Matrix& da, ConstRowsView h_prev,
+                            const OneHotRows& x, Matrix& grad_w,
+                            Matrix& grad_u, Matrix& grad_b,
+                            Matrix& grad_wT_scratch, ThreadPool* pool) const {
+  col_sum_acc(da, grad_b);
+  matmul_tn_acc(da, h_prev, grad_u, pool);
+  // dAᵀ X for 0/1 X: each dA row lands in the transposed gradient's rows
+  // at its ids. Summed from +0 and added once, the result equals grad_w's
+  // own chain whenever grad_w enters zeroed (ModelGrads lanes do).
+  grad_wT_scratch.resize(input_dim_, 4 * hidden_dim_);
+  scatter_rows_acc(x, da, grad_wT_scratch);
+  add_transposed(grad_wT_scratch, grad_w);
 }
 
 void LstmCell::zero_grads() {

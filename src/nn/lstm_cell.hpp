@@ -22,11 +22,14 @@
 
 namespace mlad::nn {
 
-/// Per-timestep activations cached by the forward pass for BPTT.
+/// Per-timestep activations cached by the forward pass for BPTT — and the
+/// reusable scratch of the streaming step(), which leaves x/h_prev/c_prev
+/// untouched.
 struct LstmStepCache {
   std::vector<float> x;       ///< input at this step (I)
   std::vector<float> h_prev;  ///< hidden state entering the step (H)
   std::vector<float> c_prev;  ///< cell state entering the step (H)
+  std::vector<float> a;       ///< pre-activations W x + U h_prev + b (4H)
   std::vector<float> i, f, o, g;  ///< gate activations (H each)
   std::vector<float> c;       ///< new cell state (H)
   std::vector<float> tanh_c;  ///< τ(c_t) (H)
@@ -35,9 +38,10 @@ struct LstmStepCache {
 
 /// Batched analogue of LstmStepCache: one timestep of B sequences, each
 /// buffer a (B × dim) matrix. The input x is NOT copied here — the batched
-/// tape (lstm_layer.hpp) already owns the per-step input matrices.
+/// tape (lstm_layer.hpp) keeps the whole window's input once.
 struct LstmBatchCache {
-  Matrix h_prev;  ///< B×H state entering the step (filled by the caller)
+  Matrix h_prev;  ///< B×H state entering the step (inference; the training
+                  ///< tape reads the previous step's h instead)
   Matrix c_prev;  ///< B×H
   Matrix i, f, o, g;  ///< gate activations, B×H each
   Matrix c;       ///< new cell state
@@ -61,6 +65,12 @@ class LstmCell {
   void forward(std::span<const float> x, std::span<const float> h_prev,
                std::span<const float> c_prev, LstmStepCache& cache) const;
 
+  /// Streaming step (inference): advance (h, c) in place by one input with
+  /// forward()'s arithmetic, keeping only the gates in `scratch` — no
+  /// BPTT copies, and no allocation once `scratch` is warm.
+  void step(std::span<const float> x, std::span<float> h, std::span<float> c,
+            LstmStepCache& scratch) const;
+
   /// Back-propagate one timestep.
   ///
   /// `dh` is ∂L/∂h_t (including recurrent contribution), `dc_in` is the
@@ -72,36 +82,69 @@ class LstmCell {
 
   // ---- Batched entry points (DESIGN.md §4) -------------------------------
   //
-  // These process one timestep of B sequences as (B × dim) matrices through
-  // the kernels in kernels.hpp. They are const: gradients go to caller-owned
-  // buffers so independent micro-batches can run concurrently over one cell.
+  // These process B sequences as (B × dim) matrices through the kernels in
+  // kernels.hpp. They are const: gradients go to caller-owned buffers so
+  // independent micro-batches can run concurrently over one cell. Training
+  // splits a step into its input half, run once over every step of a window
+  // batch (input_product, weight_grads), and its recurrent half, run per
+  // step (step_forward, step_backward).
 
-  /// Batched one-timestep forward. The caller fills cache.h_prev /
-  /// cache.c_prev (B×H) with the entering state; x is B×I. `wT` / `uT` are
-  /// transposes of w() / u() cached by the caller (refresh after each
-  /// optimizer step); `a_scratch` holds the B×4H pre-activations.
+  /// Batched one-timestep forward (inference). The caller fills
+  /// cache.h_prev / cache.c_prev (B×H) with the entering state; x is B×I.
+  /// `wT` / `uT` are transposes of w() / u() cached by the caller (refresh
+  /// after each optimizer step); `a_scratch` holds the B×4H
+  /// pre-activations.
   void forward_batch(const Matrix& x, const Matrix& wT, const Matrix& uT,
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
 
   /// The same step for a 0/1 input given as active ids (the one-hot layer-0
-  /// input of inference): X Wᵀ becomes a gather of Wᵀ rows.
+  /// input): X Wᵀ becomes a gather of Wᵀ rows.
   void forward_batch(const OneHotRows& x, const Matrix& wT, const Matrix& uT,
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
 
-  /// Batched one-timestep backward. `dh` is ∂L/∂h_t (B×H, recurrent part
-  /// included); `dc_in` is the recurrent ∂L/∂c_t from step t+1 and may have
-  /// fewer rows than B (ended sequences contribute zero) or be empty.
-  /// Parameter gradients accumulate into grad_w/grad_u/grad_b (shaped like
-  /// w()/u()/b()); dh_prev and dc_prev (B×H) are overwritten, and so is
-  /// *dx (B×I) unless dx is null (the bottom layer's input gradient has no
-  /// consumer).
-  void backward_batch(const Matrix& x, const LstmBatchCache& cache,
-                      const Matrix& dh, const Matrix& dc_in, Matrix* dx,
-                      Matrix& dh_prev, Matrix& dc_prev, Matrix& grad_w,
-                      Matrix& grad_u, Matrix& grad_b, Matrix& da_scratch,
-                      ThreadPool* pool = nullptr) const;
+  /// a = 1·bᵀ + X Wᵀ (resized to x's rows × 4H): the input half of the
+  /// pre-activations, for any number of stacked rows. 0/1 rows gather Wᵀ
+  /// rows in ascending id order — bitwise the dense product on the FMA
+  /// backends (DESIGN.md §2).
+  void input_product(const Matrix& x, const Matrix& wT, Matrix& a,
+                     ThreadPool* pool = nullptr) const;
+  void input_product(const OneHotRows& x, const Matrix& wT, Matrix& a,
+                     ThreadPool* pool = nullptr) const;
+
+  /// The recurrent half of one step: a += H_prev Uᵀ, then the gates into
+  /// `out`'s i/f/o/g/c/tanh_c/h (resized to B×H). `a` (B×4H) holds the
+  /// step's input half, usually rows of a whole-window input_product.
+  void step_forward(ConstRowsView h_prev, ConstRowsView c_prev,
+                    const Matrix& uT, RowsView a, LstmBatchCache& out,
+                    ThreadPool* pool = nullptr) const;
+
+  /// Back-propagate one step through the gates. `dh` is ∂L/∂h_t (B×H,
+  /// recurrent part included); `dc_in` is the recurrent ∂L/∂c_t from step
+  /// t+1 and may have fewer rows than B (ended sequences contribute zero)
+  /// or be empty. Writes the gate gradient into `da` (B×4H, caller-sized),
+  /// ∂L/∂c_{t-1} into dc_prev and, unless dh_prev is null (the first step
+  /// has no predecessor), ∂L/∂h_{t-1} = dA U into *dh_prev.
+  void step_backward(const LstmBatchCache& step, ConstRowsView c_prev,
+                     ConstRowsView dh, const Matrix& dc_in, RowsView da,
+                     Matrix& dc_prev, Matrix* dh_prev,
+                     ThreadPool* pool = nullptr) const;
+
+  /// Parameter gradients of a whole window batch from its stacked gate
+  /// gradients `da` (N×4H) and the matching stacked rows of the entering
+  /// state `h_prev` (N×H) and input `x` (N×I): grad_b += column sums of
+  /// dA, grad_U += dAᵀ H_prev, grad_W += dAᵀ X. Row order is the
+  /// accumulation order. 0/1 rows scatter dA rows into `grad_wT_scratch`
+  /// (I×4H, the transposed gradient, zeroed here), which is then added
+  /// into grad_w.
+  void weight_grads(const Matrix& da, ConstRowsView h_prev, const Matrix& x,
+                    Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
+                    ThreadPool* pool = nullptr) const;
+  void weight_grads(const Matrix& da, ConstRowsView h_prev,
+                    const OneHotRows& x, Matrix& grad_w, Matrix& grad_u,
+                    Matrix& grad_b, Matrix& grad_wT_scratch,
+                    ThreadPool* pool = nullptr) const;
 
   void zero_grads();
 
@@ -120,13 +163,12 @@ class LstmCell {
   std::size_t param_count() const { return w_.size() + u_.size() + b_.size(); }
 
  private:
-  void check_forward_batch(std::size_t rows, std::size_t cols,
-                           const Matrix& wT, const Matrix& uT,
+  /// forward()/step() body: pre-activations and gates into `cache`.
+  void gates(std::span<const float> x, std::span<const float> h_prev,
+             std::span<const float> c_prev, LstmStepCache& cache) const;
+  void check_forward_batch(std::size_t rows,
                            const LstmBatchCache& cache) const;
-  /// A += H_prev Uᵀ, then the gates — the part of forward_batch after the
-  /// input product.
-  void finish_forward_batch(const Matrix& uT, LstmBatchCache& cache,
-                            Matrix& a_scratch, ThreadPool* pool) const;
+  void check_input(std::size_t cols, const Matrix& wT) const;
 
   std::size_t input_dim_;
   std::size_t hidden_dim_;

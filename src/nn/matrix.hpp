@@ -15,6 +15,34 @@
 
 namespace mlad::nn {
 
+class Matrix;
+
+/// Consecutive rows of a row-major float matrix, by pointer: a whole Matrix,
+/// or one timestep's rows of a stacked training tape (DESIGN.md §4). Non-
+/// owning — valid while the Matrix it points into is neither resized nor
+/// destroyed. The kernels take these so a per-step loop can work in place
+/// on slices of whole-window buffers.
+struct ConstRowsView {
+  const float* data;
+  std::size_t rows;
+  std::size_t cols;
+
+  ConstRowsView(const float* d, std::size_t r, std::size_t c)
+      : data(d), rows(r), cols(c) {}
+  ConstRowsView(const Matrix& m);  // NOLINT: a Matrix is a view of itself
+};
+
+struct RowsView {
+  float* data;
+  std::size_t rows;
+  std::size_t cols;
+
+  RowsView(float* d, std::size_t r, std::size_t c)
+      : data(d), rows(r), cols(c) {}
+  RowsView(Matrix& m);  // NOLINT: a Matrix is a view of itself
+  operator ConstRowsView() const { return {data, rows, cols}; }
+};
+
 /// Row-major dense matrix. A row vector is a Matrix with rows()==1.
 class Matrix {
  public:
@@ -49,6 +77,11 @@ class Matrix {
     assert(r < rows_);
     return {data_.data() + r * cols_, cols_};
   }
+
+  /// Rows [first, first + count) as a view; throws std::out_of_range past
+  /// the end.
+  RowsView block(std::size_t first, std::size_t count);
+  ConstRowsView block(std::size_t first, std::size_t count) const;
 
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
   void resize(std::size_t rows, std::size_t cols, float fill = 0.0f) {
@@ -96,10 +129,16 @@ class Matrix {
   std::vector<float> data_;
 };
 
+inline ConstRowsView::ConstRowsView(const Matrix& m)
+    : data(m.data()), rows(m.rows()), cols(m.cols()) {}
+inline RowsView::RowsView(Matrix& m)
+    : data(m.data()), rows(m.rows()), cols(m.cols()) {}
+
 /// A batch of 0/1 rows stored as each row's active column ids: row r is
 /// ids[offsets[r] .. offsets[r+1]), strictly ascending. The layer-0 input of
-/// batched inference (one id per discretized feature plus the noisy bit),
-/// whose product with a weight matrix is a row gather (DESIGN.md §2).
+/// batched inference and training (one id per discretized feature plus the
+/// noisy bit), whose product with a weight matrix is a row gather and whose
+/// weight gradient is a row scatter (DESIGN.md §2).
 struct OneHotRows {
   std::size_t cols = 0;                   ///< width of the dense equivalent
   std::vector<std::uint32_t> ids;         ///< active columns, row after row
@@ -114,6 +153,11 @@ struct OneHotRows {
   }
   /// Close the row whose ids were appended since the last end_row().
   void end_row() { offsets.push_back(static_cast<std::uint32_t>(ids.size())); }
+  /// Append a dense 0/1 row as its ids; throws std::invalid_argument on a
+  /// width mismatch or any value other than 0 and 1.
+  void append_dense(std::span<const float> row);
+  /// Append a copy of row r of `other` (same width).
+  void append_row(const OneHotRows& other, std::size_t r);
 };
 
 /// out = a * b. Shapes must agree; `out` is resized.
@@ -126,7 +170,9 @@ void matmul_transposed_b(const Matrix& a, const Matrix& b, Matrix& out);
 void matmul_transposed_a(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// y += W * x where x and y are row vectors (1×n); i.e. y += x * Wᵀ.
-/// This is the LSTM gate primitive: W is (out_dim × in_dim).
+/// This is the LSTM gate primitive: W is (out_dim × in_dim). Each y[i]
+/// adds one ascending-j dot product; exact-zero x[j] are skipped, which is
+/// bitwise the dense loop for finite W.
 void gemv_add(const Matrix& w, std::span<const float> x, std::span<float> y);
 
 /// accumulate outer product: grad_w += gᵀ x  (g: 1×out, x: 1×in, w: out×in).

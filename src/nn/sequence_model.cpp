@@ -109,61 +109,58 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
   if (ws.order.empty()) return 0.0;
   const std::size_t T = windows[ws.order.front()].steps();
 
-  // Per-step input matrices: xs[t] stacks the step-t input of every window
-  // still active at t.
-  ws.xs.resize(T);
+  // Stack every step's rows in forward order: step t holds the step-t
+  // input and target of every window still active at t.
+  ws.step_rows.resize(T);
+  ws.x.clear(config_.input_dim);
+  ws.targets.clear();
   std::size_t active = ws.order.size();
   for (std::size_t t = 0; t < T; ++t) {
     while (active > 0 && windows[ws.order[active - 1]].steps() <= t) --active;
-    Matrix& x = ws.xs[t];
-    x.resize(active, config_.input_dim);
+    ws.step_rows[t] = active;
     for (std::size_t r = 0; r < active; ++r) {
-      const auto& in = windows[ws.order[r]].inputs[t];
-      if (in.size() != config_.input_dim) {
+      const WindowRef& w = windows[ws.order[r]];
+      if (w.inputs[t].size() != config_.input_dim) {
         throw std::invalid_argument("train_window_batch: input dim mismatch");
       }
-      std::copy(in.begin(), in.end(), x.data() + r * x.cols());
+      if (w.targets[t] >= config_.num_classes) {
+        throw std::invalid_argument("train_window_batch: target out of range");
+      }
+      ws.x.append_dense(w.inputs[t]);
+      ws.targets.push_back(w.targets[t]);
     }
   }
 
   if (tcache != nullptr) {
-    lstm_.forward_sequence_batch(ws.xs, ws.tape, pool, tcache->wT,
-                                 tcache->uT);
+    lstm_.forward_sequence_batch(ws.x, ws.step_rows, ws.tape, pool,
+                                 tcache->wT, tcache->uT);
   } else {
-    lstm_.forward_sequence_batch(ws.xs, ws.tape, pool);
+    lstm_.forward_sequence_batch(ws.x, ws.step_rows, ws.tape, pool);
   }
 
-  // Softmax + fused cross-entropy over each step's active rows; ws.probs
-  // becomes dlogits in place (probs - onehot).
+  // Softmax + fused cross-entropy over the stacked rows of every step;
+  // ws.probs becomes dlogits in place (probs - onehot).
   if (tcache == nullptr) transpose(softmax_.w(), ws.softmax_wT);
   const Matrix& softmax_wT =
       tcache != nullptr ? tcache->softmax_wT : ws.softmax_wT;
   Matrix& grad_w_sm = grads.g[slot_count - 2];
   Matrix& grad_b_sm = grads.g[slot_count - 1];
-  const auto& top_steps = ws.tape.layers.back().steps;
-  ws.dh_top.resize(T);
+  const Matrix& h = ws.tape.layers.back().h;
+  broadcast_rows(softmax_.b(), h.rows(), ws.probs);
+  matmul_nn_acc(h, softmax_wT, ws.probs, pool);
+  softmax_rows(ws.probs, pool);
   double loss = 0.0;
-  for (std::size_t t = 0; t < T; ++t) {
-    const Matrix& h = top_steps[t].h;
-    broadcast_rows(softmax_.b(), h.rows(), ws.probs);
-    matmul_nn_acc(h, softmax_wT, ws.probs, pool);
-    softmax_rows(ws.probs, pool);
-    for (std::size_t r = 0; r < h.rows(); ++r) {
-      const std::size_t target = windows[ws.order[r]].targets[t];
-      if (target >= config_.num_classes) {
-        throw std::invalid_argument("train_window_batch: target out of range");
-      }
-      const double p =
-          std::max(static_cast<double>(ws.probs(r, target)), 1e-12);
-      loss += -std::log(p);
-      ws.probs(r, target) -= 1.0f;
-    }
-    matmul_tn_acc(ws.probs, h, grad_w_sm, pool);
-    col_sum_acc(ws.probs, grad_b_sm);
-    matmul_nn(ws.probs, softmax_.w(), ws.dh_top[t], pool);
+  for (std::size_t r = 0; r < h.rows(); ++r) {
+    const std::size_t target = ws.targets[r];
+    const double p = std::max(static_cast<double>(ws.probs(r, target)), 1e-12);
+    loss += -std::log(p);
+    ws.probs(r, target) -= 1.0f;
   }
+  matmul_tn_acc(ws.probs, h, grad_w_sm, pool);
+  col_sum_acc(ws.probs, grad_b_sm);
+  matmul_nn(ws.probs, softmax_.w(), ws.dh_top, pool);
 
-  lstm_.backward_sequence_batch(ws.tape, ws.dh_top,
+  lstm_.backward_sequence_batch(ws.x, ws.tape, ws.dh_top,
                                 std::span(grads.g).first(slot_count - 2),
                                 pool);
   return loss;

@@ -49,11 +49,14 @@ struct ModelGrads {
 
 /// Scratch for one batched forward+backward pass (train_window_batch);
 /// reusing it across minibatches makes the steady state allocation-free.
+/// Every step's rows are stacked in forward order (StepLayout).
 struct BatchWorkspace {
   StackedBatchTape tape;
-  std::vector<Matrix> xs;         ///< [t] layer-0 inputs, B_t × input_dim
-  std::vector<Matrix> dh_top;     ///< [t] ∂L/∂(top h_t)
-  Matrix probs;                   ///< B_t × C softmax scratch (then dlogits)
+  OneHotRows x;                       ///< N layer-0 input rows, as ids
+  std::vector<std::size_t> targets;   ///< N next-signature targets
+  std::vector<std::size_t> step_rows; ///< B_t, windows active at step t
+  Matrix probs;                   ///< N × C softmax scratch (then dlogits)
+  Matrix dh_top;                  ///< N × H_top ∂L/∂(top h)
   Matrix softmax_wT;              ///< H_top × C cached transpose
   std::vector<std::size_t> order; ///< windows sorted longest-first
 };
@@ -89,8 +92,11 @@ class SequenceModel {
   double train_fragment(std::span<const std::vector<float>> xs,
                         std::span<const std::size_t> targets);
 
-  /// Batched forward + BPTT over up to a micro-batch of windows, processed
-  /// as (B × dim) matrices per timestep (DESIGN.md §4). The model is const:
+  /// Batched forward + BPTT over up to a micro-batch of windows (DESIGN.md
+  /// §4): only the recurrent products run per timestep; the input and
+  /// output layers and the weight gradients run once over the stacked rows
+  /// of every step. Layer-0 inputs must be 0/1 (they are used as ids;
+  /// throws std::invalid_argument otherwise). The model is const:
   /// gradients accumulate into `grads` (zeroed by the caller), so several
   /// micro-batches can run concurrently. Returns the summed CE loss.
   /// Matches train_fragment's math to float-rounding (parity-tested).

@@ -86,14 +86,49 @@ bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k) {
   if (target >= scores.size() || k == 0) return false;
   if (k >= scores.size()) return true;
+  return top_k_rank(scores, target, k) < k;
+}
+
+std::size_t top_k_rank(std::span<const float> scores, std::size_t target,
+                       std::size_t cap) {
   const float st = scores[target];
   // Count entries strictly greater, and ties ranked before `target`.
   std::size_t better = 0;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
+  for (std::size_t i = 0; i < scores.size() && better < cap; ++i) {
     if (scores[i] > st || (scores[i] == st && i < target)) ++better;
-    if (better >= k) return false;
   }
-  return true;
+  return better;
+}
+
+TopKErrorCurve::TopKErrorCurve(std::size_t max_k)
+    : rank_count_(max_k + 1, 0) {}
+
+void TopKErrorCurve::add(std::span<const float> scores, std::size_t target) {
+  const std::size_t cap = max_k();
+  ++rank_count_[target < scores.size() ? top_k_rank(scores, target, cap)
+                                       : cap];
+  ++total_;
+}
+
+double TopKErrorCurve::error(std::size_t k) const {
+  if (k > max_k()) throw std::out_of_range("TopKErrorCurve: k beyond max_k");
+  if (total_ == 0) return 0.0;
+  std::size_t misses = 0;
+  for (std::size_t r = k; r < rank_count_.size(); ++r) misses += rank_count_[r];
+  return static_cast<double>(misses) / static_cast<double>(total_);
+}
+
+std::vector<double> TopKErrorCurve::errors() const {
+  std::vector<double> curve;
+  for (std::size_t k = 1; k <= max_k(); ++k) curve.push_back(error(k));
+  return curve;
+}
+
+std::size_t TopKErrorCurve::choose_k(double theta) const {
+  for (std::size_t k = 1; k <= max_k(); ++k) {
+    if (error(k) < theta) return k;
+  }
+  return max_k();
 }
 
 }  // namespace mlad::nn

@@ -67,4 +67,41 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k);
 
+/// The count in_top_k makes for `target` (< scores.size()) — entries greater
+/// than scores[target], or equal with a lower index — stopped at `cap`:
+/// in_top_k(scores, target, k) == (top_k_rank(scores, target, cap) < k) for
+/// every k ≤ cap.
+std::size_t top_k_rank(std::span<const float> scores, std::size_t target,
+                       std::size_t cap);
+
+/// The paper's top-k error err_k (§V-B) for every k = 1..max_k from ONE
+/// pass: add() ranks each target once, capped at max_k, and the whole curve
+/// is read off the rank histogram — exactly the per-k miss counts of
+/// in_top_k, without one pass per k.
+class TopKErrorCurve {
+ public:
+  explicit TopKErrorCurve(std::size_t max_k);
+
+  /// One prediction. A target outside `scores` (e.g. a signature missing
+  /// from the database, passed as scores.size()) misses at every k.
+  void add(std::span<const float> scores, std::size_t target);
+
+  std::size_t max_k() const { return rank_count_.size() - 1; }
+  std::size_t total() const { return total_; }
+
+  /// err_k = misses / total for k ≤ max_k (k = 0 misses everything); 0
+  /// when nothing was added.
+  double error(std::size_t k) const;
+  /// err_1 .. err_max_k (index k-1).
+  std::vector<double> errors() const;
+  /// The paper's rule: the minimal k with err_k < theta, or max_k if none.
+  std::size_t choose_k(double theta) const;
+
+ private:
+  /// [r] = targets of rank r for r < max_k; [max_k] = every other target
+  /// (rank ≥ max_k, or missing).
+  std::vector<std::size_t> rank_count_;
+  std::size_t total_ = 0;
+};
+
 }  // namespace mlad::nn

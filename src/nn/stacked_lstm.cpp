@@ -44,9 +44,7 @@ std::span<const float> StackedLstm::step(std::span<const float> x,
   }
   std::span<const float> in = x;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    layers_[li].cell().forward(in, state.h[li], state.c[li], scratch);
-    state.h[li] = scratch.h;
-    state.c[li] = scratch.c;
+    layers_[li].cell().step(in, state.h[li], state.c[li], scratch);
     in = state.h[li];
   }
   return in;
@@ -77,50 +75,57 @@ void StackedLstm::backward_sequence(const StackedLstmCache& cache,
   }
 }
 
-void StackedLstm::forward_sequence_batch(std::span<const Matrix> xs,
-                                         StackedBatchTape& tape,
-                                         ThreadPool* pool,
-                                         std::span<const Matrix> wT,
-                                         std::span<const Matrix> uT) const {
-  const std::size_t T = xs.size();
+void StackedLstm::forward_sequence_batch(
+    const OneHotRows& x, std::span<const std::size_t> step_rows,
+    StackedBatchTape& tape, ThreadPool* pool, std::span<const Matrix> wT,
+    std::span<const Matrix> uT) const {
   if ((!wT.empty() && wT.size() != layers_.size()) ||
       (!uT.empty() && uT.size() != layers_.size())) {
     throw std::invalid_argument(
         "forward_sequence_batch: transpose cache size mismatch");
   }
+  tape.layout.assign(step_rows);
   tape.layers.resize(layers_.size());
-  tape.inputs.resize(layers_.size());
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    auto& in = tape.inputs[li];
-    in.resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      // Layer 0 reads the caller's encoded inputs (which must stay alive
-      // through the matching backward pass); layer l reads layer l-1's
-      // hidden outputs, already sized B_t.
-      in[t] = li == 0 ? &xs[t] : &tape.layers[li - 1].steps[t].h;
+    const Matrix* w = wT.empty() ? nullptr : &wT[li];
+    const Matrix* u = uT.empty() ? nullptr : &uT[li];
+    // Layer 0 reads the caller's 0/1 rows (which must stay alive through
+    // the matching backward pass); layer l reads layer l-1's outputs.
+    if (li == 0) {
+      layers_[0].forward_sequence_batch(x, tape.layout, tape.layers[0], pool,
+                                        w, u);
+    } else {
+      layers_[li].forward_sequence_batch(tape.layers[li - 1].h, tape.layout,
+                                         tape.layers[li], pool, w, u);
     }
-    layers_[li].forward_sequence_batch(in, tape.layers[li], pool,
-                                       wT.empty() ? nullptr : &wT[li],
-                                       uT.empty() ? nullptr : &uT[li]);
   }
 }
 
-void StackedLstm::backward_sequence_batch(StackedBatchTape& tape,
-                                          std::span<Matrix> dh_top,
+void StackedLstm::backward_sequence_batch(const OneHotRows& x,
+                                          StackedBatchTape& tape,
+                                          Matrix& dh_top,
                                           std::span<Matrix> grads,
                                           ThreadPool* pool) const {
   if (tape.layers.size() != layers_.size() ||
       grads.size() != 3 * layers_.size()) {
     throw std::invalid_argument("backward_sequence_batch: bad tape/grads");
   }
-  std::span<Matrix> dh = dh_top;
+  Matrix* dh = &dh_top;
+  bool dh_backward_order = false;  // the output layer works in forward order
   for (std::size_t li = layers_.size(); li-- > 0;) {
-    // Layer 0's input gradient would be a gradient w.r.t. the data: skip it.
-    layers_[li].backward_sequence_batch(tape.inputs[li], dh, tape.layers[li],
-                                        grads[3 * li], grads[3 * li + 1],
-                                        grads[3 * li + 2], /*need_dx=*/li > 0,
-                                        pool);
-    dh = tape.layers[li].dx;  // input grads = dh_out of the layer below
+    Matrix* g = &grads[3 * li];
+    if (li == 0) {
+      layers_[0].backward_sequence_batch(x, tape.layout, *dh,
+                                         dh_backward_order, tape.layers[0],
+                                         g[0], g[1], g[2], pool);
+    } else {
+      layers_[li].backward_sequence_batch(
+          tape.layers[li - 1].h, tape.layout, *dh, dh_backward_order,
+          tape.layers[li], g[0], g[1], g[2], pool);
+      // Input grads = dh_out of the layer below, stacked in backward order.
+      dh = &tape.layers[li].dx;
+      dh_backward_order = true;
+    }
   }
 }
 

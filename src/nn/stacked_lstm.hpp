@@ -28,10 +28,8 @@ struct StackedLstmCache {
 /// Batched BPTT tape across all layers (DESIGN.md §4); reused across
 /// minibatches so the steady state is allocation-free.
 struct StackedBatchTape {
+  StepLayout layout;                   ///< rows of every step, stacked
   std::vector<LayerBatchTape> layers;  ///< [layer]
-  /// Per-layer input pointers rebuilt each pass: inputs[0] aliases the
-  /// caller's xs, inputs[l>0][t] = &layers[l-1].steps[t].h.
-  std::vector<std::vector<const Matrix*>> inputs;
 };
 
 /// Rolling state + scratch for S concurrent inference streams advanced one
@@ -81,25 +79,28 @@ class StackedLstm {
 
   // ---- Batched entry points (DESIGN.md §4) -------------------------------
 
-  /// Batched training-time forward: xs[t] is the B_t × input_dim matrix of
-  /// sequences active at step t (B_t non-increasing). Top-layer outputs are
-  /// tape.layers.back().steps[t].h. Const — everything lands in the tape.
+  /// Batched training-time forward over a window batch: x holds the 0/1
+  /// input rows of every step stacked in forward order, step t holding the
+  /// step_rows[t] sequences still active (non-increasing). Top-layer
+  /// outputs are tape.layers.back().h, in the same order. Const —
+  /// everything lands in the tape.
   ///
   /// `wT`/`uT`, when non-empty, hold one caller-cached transpose of each
   /// layer's w/u (size == num_layers()); the per-call transposes are then
   /// skipped (DESIGN.md §11). Must match the current parameters exactly.
-  void forward_sequence_batch(std::span<const Matrix> xs,
+  void forward_sequence_batch(const OneHotRows& x,
+                              std::span<const std::size_t> step_rows,
                               StackedBatchTape& tape,
                               ThreadPool* pool = nullptr,
                               std::span<const Matrix> wT = {},
                               std::span<const Matrix> uT = {}) const;
 
-  /// Batched BPTT. `dh_top[t]` (B_t×H_top) is consumed/modified in place.
-  /// `grads` receives the parameter gradients, three matrices per layer in
-  /// (w, u, b) order — the LSTM prefix of SequenceModel::param_slots().
-  void backward_sequence_batch(StackedBatchTape& tape,
-                               std::span<Matrix> dh_top,
-                               std::span<Matrix> grads,
+  /// Batched BPTT for the same `x`. `dh_top` (N×H_top, forward order) is
+  /// consumed/modified in place. `grads` receives the parameter gradients,
+  /// three matrices per layer in (w, u, b) order — the LSTM prefix of
+  /// SequenceModel::param_slots().
+  void backward_sequence_batch(const OneHotRows& x, StackedBatchTape& tape,
+                               Matrix& dh_top, std::span<Matrix> grads,
                                ThreadPool* pool = nullptr) const;
 
   // ---- Batched streaming inference (multi-stream stepping) ---------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 
 #include "common/stopwatch.hpp"
 
@@ -218,25 +219,40 @@ double mean_loss(const SequenceModel& model,
   return steps ? loss / static_cast<double>(steps) : 0.0;
 }
 
-double top_k_error(const SequenceModel& model,
-                   std::span<const Fragment> fragments, std::size_t k) {
-  std::size_t misses = 0;
-  std::size_t total = 0;
+namespace {
+
+/// Every target of `fragments` ranked once against the model's streamed
+/// logits, capped at max_k.
+TopKErrorCurve rank_targets(const SequenceModel& model,
+                            std::span<const Fragment> fragments,
+                            std::size_t max_k) {
+  TopKErrorCurve curve(max_k);
+  std::vector<float> logits;
   for (const Fragment& frag : fragments) {
     if (frag.steps() == 0) continue;
-    misses += model.top_k_misses(frag.inputs, frag.targets, k);
-    total += frag.steps();
+    if (frag.inputs.size() != frag.targets.size()) {
+      throw std::invalid_argument("top_k_error: length mismatch");
+    }
+    SequenceModel::State state = model.make_state();
+    for (std::size_t t = 0; t < frag.steps(); ++t) {
+      model.predict(state, frag.inputs[t], logits);
+      curve.add(logits, frag.targets[t]);
+    }
   }
-  return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
+  return curve;
+}
+
+}  // namespace
+
+double top_k_error(const SequenceModel& model,
+                   std::span<const Fragment> fragments, std::size_t k) {
+  return rank_targets(model, fragments, k).error(k);
 }
 
 std::size_t choose_k(const SequenceModel& model,
                      std::span<const Fragment> fragments, double theta,
                      std::size_t max_k) {
-  for (std::size_t k = 1; k <= max_k; ++k) {
-    if (top_k_error(model, fragments, k) < theta) return k;
-  }
-  return max_k;
+  return rank_targets(model, fragments, max_k).choose_k(theta);
 }
 
 }  // namespace mlad::nn

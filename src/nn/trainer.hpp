@@ -133,7 +133,8 @@ double top_k_error(const SequenceModel& model,
                    std::span<const Fragment> fragments, std::size_t k);
 
 /// Paper §V-B: minimal k with err_k < θ on the validation fragments;
-/// returns `max_k` if none qualifies.
+/// returns `max_k` if none qualifies. One pass ranks every target
+/// (nn::TopKErrorCurve) instead of one pass per k.
 std::size_t choose_k(const SequenceModel& model,
                      std::span<const Fragment> fragments, double theta,
                      std::size_t max_k);

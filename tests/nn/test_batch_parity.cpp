@@ -4,12 +4,15 @@
 // trainer must be bit-identical across thread counts (DESIGN.md §5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/kernel_backend.hpp"
 #include "nn/kernels.hpp"
 #include "nn/lstm_cell.hpp"
 #include "nn/sequence_model.hpp"
@@ -17,12 +20,6 @@
 
 namespace mlad::nn {
 namespace {
-
-std::vector<float> random_vec(Rng& rng, std::size_t n, float scale = 1.0f) {
-  std::vector<float> v(n);
-  for (float& x : v) x = static_cast<float>(rng.uniform(-scale, scale));
-  return v;
-}
 
 Matrix random_matrix(Rng& rng, std::size_t r, std::size_t c) {
   Matrix m(r, c);
@@ -152,7 +149,14 @@ SequenceModelConfig small_config(std::size_t input_dim, std::size_t classes) {
   return cfg;
 }
 
-/// Windows of different lengths over random one-hot-ish inputs.
+/// A random 0/1 row — the batched trainer's layer-0 input contract.
+std::vector<float> random_multi_hot(Rng& rng, std::size_t n) {
+  std::vector<float> v(n);
+  for (float& x : v) x = rng.bernoulli(0.4) ? 1.0f : 0.0f;
+  return v;
+}
+
+/// Windows of different lengths over random multi-hot inputs.
 std::vector<Fragment> random_fragments(Rng& rng, std::size_t count,
                                        std::size_t input_dim,
                                        std::size_t classes) {
@@ -160,7 +164,7 @@ std::vector<Fragment> random_fragments(Rng& rng, std::size_t count,
   for (std::size_t f = 0; f < count; ++f) {
     const std::size_t steps = 1 + rng.index(9);
     for (std::size_t t = 0; t < steps; ++t) {
-      frags[f].inputs.push_back(random_vec(rng, input_dim));
+      frags[f].inputs.push_back(random_multi_hot(rng, input_dim));
       frags[f].targets.push_back(rng.index(classes));
     }
   }
@@ -224,6 +228,162 @@ TEST(BatchParity, WindowBatchIsBitIdenticalAcrossPools) {
       ASSERT_EQ(g1.g[k].data()[i], g2.g[k].data()[i]);
     }
   }
+}
+
+/// The per-step batched engine whole-window BPTT replaced (DESIGN.md §4):
+/// every product runs once per timestep on that step's B_t rows, layer 0
+/// as a dense 0/1 matmul. Returns the loss; gradients land in `grads`.
+double per_step_reference(const SequenceModel& model,
+                          const std::vector<Fragment>& frags,
+                          ModelGrads& grads) {
+  std::vector<std::size_t> order(frags.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return frags[a].steps() > frags[b].steps();
+  });
+  const std::size_t T = frags[order.front()].steps();
+  std::vector<std::size_t> rows(T, 0);
+  for (std::size_t f : order) {
+    for (std::size_t t = 0; t < frags[f].steps(); ++t) ++rows[t];
+  }
+  const std::size_t L = model.lstm().num_layers();
+  // in[l][t]: layer l's step-t input; steps[l][t]: its gate caches.
+  std::vector<std::vector<Matrix>> in(L + 1, std::vector<Matrix>(T));
+  std::vector<std::vector<LstmBatchCache>> steps(
+      L, std::vector<LstmBatchCache>(T));
+  for (std::size_t t = 0; t < T; ++t) {
+    in[0][t].resize(rows[t], model.input_dim());
+    for (std::size_t r = 0; r < rows[t]; ++r) {
+      const auto& x = frags[order[r]].inputs[t];
+      std::copy(x.begin(), x.end(), in[0][t].row(r).begin());
+    }
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    const LstmCell& cell = model.lstm().layer(l).cell();
+    const std::size_t H = cell.hidden_dim();
+    Matrix wT, uT, a;
+    transpose(cell.w(), wT);
+    transpose(cell.u(), uT);
+    for (std::size_t t = 0; t < T; ++t) {
+      LstmBatchCache& c = steps[l][t];
+      if (t == 0) {
+        c.h_prev.resize(rows[0], H);
+        c.c_prev.resize(rows[0], H);
+      } else {
+        copy_top_rows(steps[l][t - 1].h, rows[t], c.h_prev);
+        copy_top_rows(steps[l][t - 1].c, rows[t], c.c_prev);
+      }
+      broadcast_rows(cell.b(), rows[t], a);
+      matmul_nn_acc(in[l][t], wT, a);
+      matmul_nn_acc(c.h_prev, uT, a);
+      lstm_gates_forward(a, c.c_prev, c.i, c.f, c.o, c.g, c.c, c.tanh_c, c.h);
+      in[l + 1][t] = c.h;
+    }
+  }
+  const SoftmaxLayer& sm = model.output_layer();
+  Matrix smT, probs;
+  transpose(sm.w(), smT);
+  std::vector<Matrix> dh(T);
+  double loss = 0.0;
+  for (std::size_t t = 0; t < T; ++t) {
+    broadcast_rows(sm.b(), rows[t], probs);
+    matmul_nn_acc(in[L][t], smT, probs);
+    softmax_rows(probs);
+    for (std::size_t r = 0; r < rows[t]; ++r) {
+      const std::size_t target = frags[order[r]].targets[t];
+      loss += -std::log(std::max(static_cast<double>(probs(r, target)), 1e-12));
+      probs(r, target) -= 1.0f;
+    }
+    matmul_tn_acc(probs, in[L][t], grads.g[3 * L]);
+    col_sum_acc(probs, grads.g[3 * L + 1]);
+    matmul_nn(probs, sm.w(), dh[t]);
+  }
+  for (std::size_t l = L; l-- > 0;) {
+    const LstmCell& cell = model.lstm().layer(l).cell();
+    Matrix da, dh_carry, dc_carry, dh_prev, dc_prev;
+    const Matrix empty;
+    for (std::size_t t = T; t-- > 0;) {
+      const LstmBatchCache& c = steps[l][t];
+      if (t + 1 < T) add_top_rows(dh[t], dh_carry);
+      da.resize(rows[t], 4 * cell.hidden_dim());
+      lstm_gates_backward(c.i, c.f, c.o, c.g, c.c_prev, c.tanh_c, dh[t],
+                          t + 1 < T ? dc_carry : empty, da, dc_prev);
+      matmul_tn_acc(da, in[l][t], grads.g[3 * l]);
+      matmul_tn_acc(da, c.h_prev, grads.g[3 * l + 1]);
+      col_sum_acc(da, grads.g[3 * l + 2]);
+      if (l > 0) matmul_nn(da, cell.w(), dh[t]);  // dh_out of layer l-1
+      matmul_nn(da, cell.u(), dh_prev);
+      std::swap(dh_carry, dh_prev);
+      std::swap(dc_carry, dc_prev);
+    }
+  }
+  return loss;
+}
+
+TEST(BatchParity, WholeWindowBpttMatchesPerStepReferenceBitwise) {
+  // Stacking keeps every element's FMA chain, so on the FMA backends the
+  // whole-window engine must reproduce the per-step engine bit for bit —
+  // with three layers, ragged window lengths and multi-hot layer-0 rows.
+  Rng rng(35);
+  SequenceModelConfig cfg;
+  cfg.input_dim = 19;
+  cfg.num_classes = 7;
+  cfg.hidden_dims = {9, 16, 5};
+  SequenceModel model(cfg);
+  model.init_params(rng);
+  const auto frags = random_fragments(rng, 7, cfg.input_dim, cfg.num_classes);
+  std::vector<WindowRef> windows;
+  for (const Fragment& f : frags) windows.push_back({f.inputs, f.targets});
+  for (const std::string& name : available_kernel_backends()) {
+    if (name != "avx2" && name != "avx512") continue;
+    ASSERT_TRUE(select_kernel_backend(name));
+    ModelGrads want = model.make_grads();
+    const double want_loss = per_step_reference(model, frags, want);
+    ModelGrads got = model.make_grads();
+    BatchWorkspace ws;
+    EXPECT_EQ(model.train_window_batch(windows, got, ws), want_loss) << name;
+    for (std::size_t k = 0; k < got.g.size(); ++k) {
+      for (std::size_t i = 0; i < got.g[k].size(); ++i) {
+        ASSERT_EQ(got.g[k].data()[i], want.g[k].data()[i])
+            << name << " slot " << k << " element " << i;
+      }
+    }
+  }
+  select_kernel_backend_from_env();
+}
+
+TEST(BatchParity, WindowBatchRejectsNonBinaryInputs) {
+  // train_window_batch feeds layer 0 as ids (DESIGN.md §4): a value other
+  // than 0/1 cannot be represented and must be refused, not rounded.
+  Rng rng(33);
+  SequenceModel model(small_config(3, 2));
+  model.init_params(rng);
+  const std::vector<std::vector<float>> inputs = {{0.0f, 1.0f, 0.0f},
+                                                  {0.0f, 0.5f, 1.0f}};
+  const std::vector<std::size_t> targets = {1, 0};
+  const WindowRef window{inputs, targets};
+  ModelGrads grads = model.make_grads();
+  BatchWorkspace ws;
+  EXPECT_THROW(model.train_window_batch(std::span(&window, 1), grads, ws),
+               std::invalid_argument);
+}
+
+TEST(BatchKernels, OneHotRowsFromDense) {
+  OneHotRows x;
+  x.clear(4);
+  x.append_dense(std::vector<float>{1.0f, 0.0f, -0.0f, 1.0f});
+  x.append_dense(std::vector<float>{0.0f, 0.0f, 0.0f, 0.0f});
+  ASSERT_EQ(x.rows(), 2u);
+  EXPECT_EQ(x.ids, (std::vector<std::uint32_t>{0, 3}));
+  OneHotRows y;
+  y.clear(4);
+  y.append_row(x, 1);
+  y.append_row(x, 0);
+  EXPECT_EQ(y.offsets, (std::vector<std::uint32_t>{0, 0, 2}));
+  EXPECT_THROW(x.append_dense(std::vector<float>{1.0f, 2.0f, 0.0f, 0.0f}),
+               std::invalid_argument);
+  EXPECT_THROW(x.append_dense(std::vector<float>{1.0f}),
+               std::invalid_argument);
 }
 
 // ---- trainer-level determinism ---------------------------------------------

@@ -278,6 +278,151 @@ TEST(KernelBackends, GatherRejectsMalformedRows) {
   EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
 }
 
+/// The scatter's per-element definition: out(id, j) = seed(id, j) plus
+/// a(r, j) for every row r holding id, rows ascending, one plain add each.
+Matrix scatter_reference(const OneHotRows& x, const Matrix& a,
+                         const Matrix& seed) {
+  Matrix out = seed;
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::uint32_t k = x.offsets[r]; k < x.offsets[r + 1]; ++k) {
+      for (std::size_t j = 0; j < a.cols(); ++j) out(x.ids[k], j) += a(r, j);
+    }
+  }
+  return out;
+}
+
+TEST(KernelBackends, ScatterIsBitwiseEqualOnEveryBackend) {
+  // The layer-0 weight gradient: plain adds, so every backend must give the
+  // per-element definition's bits; on the FMA backends they must also be
+  // the dense product dAᵀ·X it replaces in training, transposed (fma(a,1,
+  // acc) = acc+a, fma(a,0,acc) = acc), which keeps trained models where
+  // they were.
+  BackendGuard restore;
+  Rng rng(41);
+  const std::vector<std::string> fma = fma_backends();
+  for (const std::size_t n : {5u, 16u, 37u, 64u, 256u}) {
+    for (const std::size_t rows : {1u, 3u, 8u, 9u, 40u}) {
+      const OneHotRows x = crossing_ids(rows, 110);
+      const Matrix a = random_matrix(rows, n, rng, 0.2);
+      for (const bool zero_seed : {true, false}) {
+        const Matrix seed =
+            zero_seed ? Matrix(110, n) : random_matrix(110, n, rng);
+        const Matrix want = scatter_reference(x, a, seed);
+        for (const std::string& name : available_kernel_backends()) {
+          const std::string what = name + " N=" + std::to_string(n) +
+                                   " rows=" + std::to_string(rows);
+          ASSERT_TRUE(select_kernel_backend(name));
+          Matrix got = seed;
+          scatter_rows_acc(x, a, got);
+          expect_bitwise(got, want, what + " scatter vs definition");
+          if (std::find(fma.begin(), fma.end(), name) != fma.end()) {
+            Matrix dense;
+            transpose(seed, dense);
+            matmul_tn_acc(a, dense_of(x), dense);
+            Matrix dense_t;
+            transpose(dense, dense_t);
+            expect_bitwise(got, dense_t, what + " scatter vs dense dAᵀX");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, ScatterRejectsMalformedRows) {
+  const Matrix a(1, 3);
+  Matrix out(4, 3);
+  OneHotRows x;
+  x.clear(4);
+  x.ids = {2, 1};  // not ascending
+  x.end_row();
+  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
+  x.clear(4);
+  x.ids = {1, 1};  // repeated
+  x.end_row();
+  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
+  x.clear(4);
+  x.ids = {4};  // out of range
+  x.end_row();
+  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
+  x.clear(3);  // width disagrees with out
+  x.end_row();
+  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
+  x.clear(4);  // two rows against one row of a
+  x.end_row();
+  x.end_row();
+  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
+}
+
+TEST(KernelBackends, StackedProductsEqualPerStepCallsBitwise) {
+  // Whole-window BPTT (DESIGN.md §4) runs one product over the stacked
+  // rows of every step where the per-step loop ran one per step. The
+  // gradient product matmul_tn_acc sums over rows, so it must be bitwise
+  // the sequence of per-block calls on the FMA backends (ascending k, one
+  // FMA per k, the accumulator stored between calls); the row-independent
+  // matmul_nn_acc must be on every backend.
+  BackendGuard restore;
+  Rng rng(43);
+  const std::size_t blocks[] = {8, 8, 7, 5, 5, 2, 1, 1};  // B_t, sorted
+  std::size_t total = 0;
+  for (std::size_t b : blocks) total += b;
+  for (const std::size_t m : {3u, 16u, 64u}) {
+    for (const std::size_t n : {7u, 64u, 111u}) {
+      const Matrix a = random_matrix(total, m, rng, 0.1);
+      const Matrix b = random_matrix(total, n, rng, 0.1);
+      const Matrix w = random_matrix(n, m, rng);
+      const Matrix seed_tn = random_matrix(m, n, rng);
+      const Matrix seed_nn = random_matrix(total, m, rng);
+      for (const std::string& name : available_kernel_backends()) {
+        const std::string what =
+            name + " M=" + std::to_string(m) + " N=" + std::to_string(n);
+        ASSERT_TRUE(select_kernel_backend(name));
+        Matrix stepwise_tn = seed_tn;
+        Matrix stepwise_nn = seed_nn;
+        std::size_t at = 0;
+        for (std::size_t rows : blocks) {
+          matmul_tn_acc(a.block(at, rows), b.block(at, rows), stepwise_tn);
+          matmul_nn_acc(b.block(at, rows), w, stepwise_nn.block(at, rows));
+          at += rows;
+        }
+        Matrix stacked_nn = seed_nn;
+        matmul_nn_acc(b, w, stacked_nn);
+        expect_bitwise(stacked_nn, stepwise_nn, what + " stacked matmul_nn");
+        if (name == "avx2" || name == "avx512") {
+          Matrix stacked_tn = seed_tn;
+          matmul_tn_acc(a, b, stacked_tn);
+          expect_bitwise(stacked_tn, stepwise_tn,
+                         what + " stacked matmul_tn");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, TiledTransposeIsExact) {
+  Rng rng(47);
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {1, 40}, {17, 33}, {16, 16}, {256, 111}, {5, 300}}) {
+    const Matrix a = random_matrix(rows, cols, rng);
+    Matrix t;
+    transpose(a, t);
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    Matrix sum = random_matrix(cols, rows, rng);
+    const Matrix before = sum;
+    add_transposed(a, sum);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        ASSERT_EQ(t(j, i), a(i, j));
+        ASSERT_EQ(sum(j, i), before(j, i) + a(i, j));
+      }
+    }
+  }
+  Matrix wrong(3, 3);
+  EXPECT_THROW(add_transposed(Matrix(2, 3), wrong), std::invalid_argument);
+}
+
 TEST(KernelBackends, LstmGateParityVsScalar) {
   BackendGuard restore;
   Rng rng(7);
@@ -309,7 +454,7 @@ TEST(KernelBackends, LstmGateParityVsScalar) {
         // of rows to exercise the ended-sequence path.
         const Matrix dh = random_matrix(B, H, rng);
         const Matrix dc_in = random_matrix(B > 1 ? B - 1 : 0, H, rng);
-        Matrix rda, rdc, oda, odc;
+        Matrix rda(B, 4 * H), rdc, oda(B, 4 * H), odc;
         ASSERT_TRUE(select_kernel_backend("scalar"));
         lstm_gates_backward(ri, rf, ro, rg, c_prev, rt, dh, dc_in, rda, rdc);
         ASSERT_TRUE(select_kernel_backend(name));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace mlad::nn {
@@ -96,6 +98,48 @@ TEST(Matrix, GemvAddComputesWxPlusY) {
   gemv_add(w, x, y);
   EXPECT_FLOAT_EQ(y[0], 1 + 3 + 10);
   EXPECT_FLOAT_EQ(y[1], 1 + 4 - 5);
+}
+
+TEST(Matrix, GemvAddSkipsZerosBitwise) {
+  // gemv_add computes eight rows' chains side by side and skips exact-zero
+  // inputs; every y[i] must still be the one-row dense loop's bits — with
+  // zero and -0.0 inputs, -0.0 weights, and row counts around the 8-row
+  // block.
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  const auto value = [&] {
+    switch (next() % 6) {
+      case 0: return 0.0f;
+      case 1: return -0.0f;
+      case 2: return 1.0f;
+      default: return static_cast<float>(next() % 2001) / 1000.0f - 1.0f;
+    }
+  };
+  for (const std::size_t rows : {1u, 7u, 8u, 9u, 16u, 23u}) {
+    for (const std::size_t cols : {1u, 5u, 64u, 111u}) {
+      Matrix w(rows, cols);
+      for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = value();
+      std::vector<float> x(cols);
+      for (float& v : x) v = value();
+      std::vector<float> y(rows);
+      for (float& v : y) v = value();
+      std::vector<float> want = y;
+      for (std::size_t i = 0; i < rows; ++i) {
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < cols; ++j) acc += w(i, j) * x[j];
+        want[i] += acc;
+      }
+      gemv_add(w, x, y);
+      for (std::size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "rows=" << rows << " cols=" << cols << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Matrix, GemvTransposedAddIsAdjoint) {

@@ -123,5 +123,54 @@ TEST(TopK, EdgeCases) {
   EXPECT_TRUE(in_top_k(probs, 1, 2));    // k == size
 }
 
+TEST(TopK, OnePassCurveEqualsPerKInTopK) {
+  // The one-pass curve must reproduce the brute-force per-k miss counts of
+  // in_top_k exactly: with ties (scores drawn from a few values), targets
+  // missing from the scores (id == size), and k up to and beyond |S|.
+  Rng rng(19);
+  const std::size_t classes = 9;
+  std::vector<std::vector<float>> rows;
+  std::vector<std::size_t> targets;
+  for (int n = 0; n < 400; ++n) {
+    std::vector<float> scores(classes);
+    for (float& v : scores) v = static_cast<float>(rng.index(4)) - 1.5f;
+    rows.push_back(std::move(scores));
+    targets.push_back(rng.index(classes + 1));  // == classes: missing id
+  }
+  for (const std::size_t max_k : {0u, 1u, 3u, 9u, 12u}) {
+    TopKErrorCurve curve(max_k);
+    for (std::size_t n = 0; n < rows.size(); ++n) curve.add(rows[n], targets[n]);
+    ASSERT_EQ(curve.total(), rows.size());
+    const std::vector<double> errors = curve.errors();
+    ASSERT_EQ(errors.size(), max_k);
+    std::size_t brute_choice = 0;  // 0: no k qualified yet
+    for (std::size_t k = 0; k <= max_k; ++k) {
+      std::size_t misses = 0;
+      for (std::size_t n = 0; n < rows.size(); ++n) {
+        if (!in_top_k(rows[n], targets[n], k)) ++misses;
+      }
+      const double want =
+          static_cast<double>(misses) / static_cast<double>(rows.size());
+      EXPECT_EQ(curve.error(k), want) << "max_k=" << max_k << " k=" << k;
+      if (k > 0) {
+        EXPECT_EQ(errors[k - 1], want);
+      }
+      if (k > 0 && brute_choice == 0 && want < 0.5) brute_choice = k;
+    }
+    EXPECT_EQ(curve.choose_k(0.5), brute_choice == 0 ? max_k : brute_choice)
+        << "max_k=" << max_k;
+  }
+  EXPECT_EQ(TopKErrorCurve(4).error(2), 0.0);  // nothing added
+  EXPECT_THROW(TopKErrorCurve(2).error(3), std::out_of_range);
+}
+
+TEST(TopK, RankIsInTopKCount) {
+  const std::vector<float> scores = {0.5f, 2.0f, 0.5f, 1.0f, 0.5f};
+  // Greater: 2.0, 1.0; equal with a lower index: scores[0].
+  EXPECT_EQ(top_k_rank(scores, 2, 10), 3u);
+  EXPECT_EQ(top_k_rank(scores, 2, 2), 2u);  // capped
+  EXPECT_EQ(top_k_rank(scores, 1, 10), 0u);
+}
+
 }  // namespace
 }  // namespace mlad::nn

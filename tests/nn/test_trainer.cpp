@@ -93,6 +93,30 @@ TEST(Trainer, ChooseKMinimal) {
   EXPECT_EQ(choose_k(model, frags, 0.05, 4), 1u);
 }
 
+TEST(Trainer, TopKErrorMatchesPerKMisses) {
+  // top_k_error and choose_k rank every target once; each err_k must equal
+  // the brute-force per-k pass through SequenceModel::top_k_misses.
+  SequenceModel model = make_model(5, 15);
+  std::vector<Fragment> frags = {cyclic(5, 23, 0), cyclic(5, 9, 2)};
+  Adam opt(1e-2);
+  TrainerConfig cfg;
+  cfg.epochs = 3;
+  Rng rng(16);
+  train(model, frags, opt, cfg, rng);
+  frags[1].targets[3] = 5;  // an id the model cannot score: always a miss
+  std::size_t brute_k = 0;  // minimal k with err_k < 0.3, 0 if none
+  for (std::size_t k = 1; k <= 7; ++k) {
+    std::size_t misses = 0;
+    for (const Fragment& f : frags) {
+      misses += model.top_k_misses(f.inputs, f.targets, k);
+    }
+    const double err = static_cast<double>(misses) / 32.0;
+    EXPECT_EQ(top_k_error(model, frags, k), err) << "k=" << k;
+    if (brute_k == 0 && err < 0.3) brute_k = k;
+  }
+  EXPECT_EQ(choose_k(model, frags, 0.3, 7), brute_k == 0 ? 7 : brute_k);
+}
+
 TEST(Trainer, ChooseKFallsBackToMax) {
   SequenceModel model = make_model(4, 11);  // untrained
   std::vector<Fragment> frags = {cyclic(4, 40, 0)};
