@@ -5,7 +5,8 @@
 // (smaller capture, smaller LSTM, fewer epochs) so the full bench suite
 // finishes in minutes. `MLAD_SCALE=paper` switches to the paper's settings
 // (2×256 LSTM, 50 epochs, full-size capture); intermediate `MLAD_SCALE=big`
-// is a compromise. EXPERIMENTS.md records results at the default scale.
+// is a compromise. Each harness prints its results to stdout; no results
+// file is committed for them.
 #pragma once
 
 #include <cstdio>

@@ -178,6 +178,57 @@ void BM_KernelMatmulNN(benchmark::State& state, const std::string& backend) {
   nn::select_kernel_backend_from_env();
 }
 
+/// The matmul shapes the serve tick and whole-window training run on the
+/// bench model (hidden 64, |S| ≈ 300, batch 8, 20-step windows), the ones
+/// the AVX-512 tile shape was chosen on (DESIGN.md §7). Args: M, K, N and
+/// 1 for out += aᵀ·b (a: K×M), 0 for out += a·b.
+void BM_KernelMatmulShapes(benchmark::State& state,
+                           const std::string& backend) {
+  nn::select_kernel_backend(backend);
+  const auto M = static_cast<std::size_t>(state.range(0));
+  const auto K = static_cast<std::size_t>(state.range(1));
+  const auto N = static_cast<std::size_t>(state.range(2));
+  const bool tn = state.range(3) != 0;
+  Rng rng(5);
+  nn::Matrix a(tn ? K : M, tn ? M : K), b(K, N), out(M, N);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (auto _ : state) {
+    if (tn) {
+      nn::matmul_tn_acc(a, b, out);
+    } else {
+      nn::matmul_nn_acc(a, b, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(M * K * N));  // FLOPs
+  nn::select_kernel_backend_from_env();
+}
+
+void register_matmul_shapes(const std::string& backend) {
+  auto* bm = benchmark::RegisterBenchmark(
+      ("BM_KernelMatmulShapes/" + backend).c_str(), BM_KernelMatmulShapes,
+      backend);
+  bm->ArgNames({"M", "K", "N", "tn"});
+  // Serve ticks: H·Uᵀ (N = 4H) and the output logits, 5–8 and 64 rows.
+  for (const std::int64_t m : {5, 7, 8, 64}) {
+    bm->Args({m, 64, 256, 0});
+    bm->Args({m, 64, 300, 0});
+  }
+  // Training: per-step dA·U, stacked-window products and their gradients.
+  bm->Args({8, 256, 64, 0});
+  bm->Args({160, 64, 256, 0});
+  bm->Args({160, 300, 64, 0});
+  bm->Args({300, 160, 64, 1});
+  bm->Args({256, 160, 64, 1});
+}
+
 void BM_KernelLstmGates(benchmark::State& state, const std::string& backend) {
   nn::select_kernel_backend(backend);
   Rng rng(5);
@@ -263,6 +314,7 @@ int main(int argc, char** argv) {
                                  BM_KernelMatmulNN, backend);
     benchmark::RegisterBenchmark(("BM_KernelLstmGates/" + backend).c_str(),
                                  BM_KernelLstmGates, backend);
+    register_matmul_shapes(backend);
   }
 
   std::vector<char*> raw;

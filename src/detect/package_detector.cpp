@@ -56,7 +56,7 @@ void PackageLevelDetector::classify_batch(
   scratch.ids.resize(n);
   scratch.in_bloom.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out[i].discrete = discretizer_.transform(rows[i]);
+    discretizer_.transform_into(rows[i], out[i].discrete);
     scratch.keys[i] = database_.generator().pack(out[i].discrete);
   }
   const std::span<const std::uint64_t> keys{scratch.keys};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "signature/discretizer.hpp"
@@ -67,7 +68,9 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
       x_ids_.ids.push_back(static_cast<std::uint32_t>(x_ids_.cols - 1));
     }
     x_ids_.end_row();
-    if (packages != nullptr) (*packages)[s] = std::move(pv);
+    // Swap rather than move, so both vectors keep a discrete-row buffer
+    // and the next tick's classify_batch allocates nothing.
+    if (packages != nullptr) std::swap((*packages)[s], pv);
   }
 
   // One batched LSTM step per layer + the output layer's logits; row s of

@@ -133,6 +133,8 @@ FrameDecoder::FrameDecoder(std::size_t crc_window)
     : crc_errors_(std::max<std::size_t>(crc_window, 1), false) {}
 
 void FrameDecoder::push_crc(bool error) {
+  crc_error_count_ -= crc_errors_[crc_pos_] ? 1 : 0;
+  crc_error_count_ += error ? 1 : 0;
   crc_errors_[crc_pos_] = error;
   crc_pos_ = (crc_pos_ + 1) % crc_errors_.size();
   crc_seen_ = std::min(crc_seen_ + 1, crc_errors_.size());
@@ -140,9 +142,8 @@ void FrameDecoder::push_crc(bool error) {
 
 double FrameDecoder::current_crc_rate() const {
   if (crc_seen_ == 0) return 0.0;
-  std::size_t errors = 0;
-  for (bool e : crc_errors_) errors += e ? 1 : 0;
-  return static_cast<double>(errors) / static_cast<double>(crc_errors_.size());
+  return static_cast<double>(crc_error_count_) /
+         static_cast<double>(crc_errors_.size());
 }
 
 void FrameDecoder::apply_registers(const ModbusFrame& frame, Package& p) {
@@ -208,10 +209,11 @@ FrameDecoder::Decoded FrameDecoder::next(const RawFrame& frame) {
   if (!frame.bytes.empty()) p.address = frame.bytes[0];
   if (frame.bytes.size() > 1) p.function = frame.bytes[1];
 
-  const std::optional<ModbusFrame> decoded =
-      decode_frame(frame.bytes, frame.is_response);
-  if (decoded) {
-    apply_registers(*decoded, p);
+  // The CRC verdict above is decode_frame's first check; pass it through
+  // instead of recomputing it.
+  if (crc_ok &&
+      decode_checked_frame(frame.bytes, frame.is_response, scratch_)) {
+    apply_registers(scratch_, p);
     out.decode_ok = true;
   }
   return out;

@@ -78,8 +78,11 @@ class FrameDecoder {
   void apply_registers(const ModbusFrame& frame, Package& package);
 
   std::vector<bool> crc_errors_;
+  std::size_t crc_error_count_ = 0;  ///< set entries of crc_errors_
   std::size_t crc_pos_ = 0;
   std::size_t crc_seen_ = 0;
+  /// Decode target reused across frames (its register buffer stays warm).
+  ModbusFrame scratch_;
   /// Last control block seen on the wire (write command payload), echoed
   /// into subsequent response packages like the testbed logger does.
   Package last_state_;

@@ -19,7 +19,14 @@ std::span<const std::string_view> raw_column_names() {
 }
 
 sig::RawRow to_raw_row(const Package& pkg, double time_interval) {
-  sig::RawRow row(kRawColumnCount);
+  sig::RawRow row;
+  to_raw_row_into(pkg, time_interval, row);
+  return row;
+}
+
+void to_raw_row_into(const Package& pkg, double time_interval,
+                     sig::RawRow& row) {
+  row.resize(kRawColumnCount);
   row[kColAddress] = pkg.address;
   row[kColCrcRate] = pkg.crc_rate;
   row[kColFunction] = pkg.function;
@@ -37,7 +44,6 @@ sig::RawRow to_raw_row(const Package& pkg, double time_interval) {
   row[kColPressure] = pkg.pressure_measurement;
   row[kColCommandResponse] = pkg.command_response;
   row[kColTimeInterval] = time_interval;
-  return row;
 }
 
 std::vector<sig::RawRow> to_raw_rows(std::span<const Package> packages) {

@@ -84,6 +84,10 @@ std::span<const std::string_view> raw_column_names();
 /// Convert one package to a raw row; `time_interval` is the gap to the
 /// previous package (0 for the first of a capture).
 sig::RawRow to_raw_row(const Package& pkg, double time_interval);
+/// to_raw_row into a caller-owned row, reusing its capacity (the serve
+/// engine recycles its pending rows through this).
+void to_raw_row_into(const Package& pkg, double time_interval,
+                     sig::RawRow& row);
 
 /// Convert a package stream. A package's annotated `time_interval` wins;
 /// otherwise the gap to the preceding package in `packages` is used

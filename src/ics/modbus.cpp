@@ -53,31 +53,40 @@ bool frame_crc_ok(std::span<const std::uint8_t> bytes) {
 
 std::optional<ModbusFrame> decode_frame(std::span<const std::uint8_t> bytes,
                                         bool is_response) {
-  if (!frame_crc_ok(bytes)) return std::nullopt;
   ModbusFrame f;
-  f.is_response = is_response;
-  f.address = bytes[0];
-  f.function = bytes[1];
+  if (!frame_crc_ok(bytes) || !decode_checked_frame(bytes, is_response, f)) {
+    return std::nullopt;
+  }
+  return f;
+}
+
+bool decode_checked_frame(std::span<const std::uint8_t> bytes,
+                          bool is_response, ModbusFrame& out) {
+  out.is_response = is_response;
+  out.address = bytes[0];
+  out.function = bytes[1];
+  out.start_register = 0;
+  out.registers.clear();
   const auto body = bytes.subspan(2, bytes.size() - 4);
   if (is_response) {
-    if (body.empty()) return std::nullopt;
+    if (body.empty()) return false;
     const std::size_t count = body[0];
-    if (count % 2 != 0 || body.size() != count + 1) return std::nullopt;
+    if (count % 2 != 0 || body.size() != count + 1) return false;
     for (std::size_t i = 1; i + 1 < body.size(); i += 2) {
-      f.registers.push_back(
+      out.registers.push_back(
           static_cast<std::uint16_t>((body[i] << 8) | body[i + 1]));
     }
   } else {
-    if (body.size() < 4) return std::nullopt;
-    f.start_register = static_cast<std::uint16_t>((body[0] << 8) | body[1]);
+    if (body.size() < 4) return false;
+    out.start_register = static_cast<std::uint16_t>((body[0] << 8) | body[1]);
     const std::size_t words = static_cast<std::size_t>((body[2] << 8) | body[3]);
-    if (body.size() != 4 + words * 2) return std::nullopt;
+    if (body.size() != 4 + words * 2) return false;
     for (std::size_t i = 4; i + 1 < body.size(); i += 2) {
-      f.registers.push_back(
+      out.registers.push_back(
           static_cast<std::uint16_t>((body[i] << 8) | body[i + 1]));
     }
   }
-  return f;
+  return true;
 }
 
 void flip_bits(std::span<std::uint8_t> bytes, unsigned nbits,

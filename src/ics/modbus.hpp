@@ -49,6 +49,13 @@ std::optional<ModbusFrame> decode_frame(std::span<const std::uint8_t> bytes,
 /// Validate only the trailing CRC of a raw frame.
 bool frame_crc_ok(std::span<const std::uint8_t> bytes);
 
+/// decode_frame's shape checks for a frame whose CRC the caller already
+/// verified (frame_crc_ok(bytes) must hold): fills `out`, reusing its
+/// register capacity, and returns false on a malformed body (`out` is then
+/// unspecified). FrameDecoder checks each frame's CRC once through this.
+bool decode_checked_frame(std::span<const std::uint8_t> bytes,
+                          bool is_response, ModbusFrame& out);
+
 /// Corrupt `bytes` in place by flipping `nbits` pseudo-random bits seeded by
 /// `seed` (used by the channel-noise model that produces nonzero crc rate).
 void flip_bits(std::span<std::uint8_t> bytes, unsigned nbits,

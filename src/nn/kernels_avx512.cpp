@@ -110,19 +110,18 @@ inline __m512 tanh16(__m512 x) {
 // output element's bit pattern is independent of which loop shape a
 // partition routed it through, so the §5 contract holds within this backend.
 
-/// Register-blocked micro-kernel: R ≤ 4 consecutive output rows (row r at
-/// out + r·N) × a 64-column tile, 4R zmm accumulators held across the whole
-/// K loop, so every loaded b row chunk is reused R times and up to 16
-/// independent FMA chains hide the FMA latency. The last N % 64 columns
-/// run as 16-lane steps, the final one masked. `a_at(k, r)` must return
+/// Register-blocked micro-kernel: R ≤ 8 consecutive output rows (row r at
+/// out + r·N) × a 16V-column tile, R·V zmm accumulators held across the
+/// whole K loop, so every loaded b row chunk is reused R times and up to 24
+/// independent FMA chains hide the FMA latency. The last N % 16V columns run
+/// as 16-lane steps, the final one masked. `a_at(k, r)` must return
 /// a(row r, k); neither the row group nor the column step changes any
 /// element's k-summation order, so determinism is untouched. Kept out of
 /// line so the k loop gets the general registers to itself (inlined, the
 /// AVX2 twin spilled its a-row and b pointers).
-template <std::size_t R, typename AccessA>
+template <std::size_t R, std::size_t V, typename AccessA>
 [[gnu::noinline]] void micro_tile(const AccessA& a_at, const float* b,
                                   float* out, std::size_t K, std::size_t N) {
-  constexpr std::size_t V = 4;  // zmm per row of the main tile
   std::size_t j = 0;
   for (; j + 16 * V <= N; j += 16 * V) {
     __m512 acc[R][V];
@@ -169,13 +168,33 @@ template <std::size_t R, typename AccessA>
   }
 }
 
-/// Rows [rb,re) in groups of four, then the 1–3 leftover rows as one
-/// smaller group: group(std::integral_constant<size_t, R>, first_row).
+/// One row group's tile width, by N alone (DESIGN.md §7): 8×48 tiles win
+/// on the wide products (the gates' N = 4H, the output layer's N = C), but
+/// at N = 64 their 16-column tail pass loses to two 8×32 tiles.
+template <std::size_t R, typename AccessA>
+void row_group_tile(const AccessA& a_at, const float* b, float* out,
+                    std::size_t K, std::size_t N) {
+  if (N >= 128) {
+    micro_tile<R, 3>(a_at, b, out, K, N);
+  } else {
+    micro_tile<R, 2>(a_at, b, out, K, N);
+  }
+}
+
+/// Rows [rb,re) in groups of eight, then the 1–7 leftover rows as one
+/// smaller group: group(std::integral_constant<size_t, R>, first_row). A
+/// tick of up to eight streams is one group, so it reads b once.
 template <typename Group>
 inline void row_groups(std::size_t rb, std::size_t re, const Group& group) {
   std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) group(std::integral_constant<std::size_t, 4>{}, i);
+  for (; i + 8 <= re; i += 8) {
+    group(std::integral_constant<std::size_t, 8>{}, i);
+  }
   switch (re - i) {
+    case 7: group(std::integral_constant<std::size_t, 7>{}, i); break;
+    case 6: group(std::integral_constant<std::size_t, 6>{}, i); break;
+    case 5: group(std::integral_constant<std::size_t, 5>{}, i); break;
+    case 4: group(std::integral_constant<std::size_t, 4>{}, i); break;
     case 3: group(std::integral_constant<std::size_t, 3>{}, i); break;
     case 2: group(std::integral_constant<std::size_t, 2>{}, i); break;
     case 1: group(std::integral_constant<std::size_t, 1>{}, i); break;
@@ -187,7 +206,7 @@ void nn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t N, std::size_t rb, std::size_t re) {
   row_groups(rb, re, [&](auto rows, std::size_t i) {
     const float* a0 = a + i * K;
-    micro_tile<decltype(rows)::value>(
+    row_group_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
         out + i * N, K, N);
   });
@@ -199,7 +218,7 @@ void tn_rows(const float* a, const float* b, float* out, std::size_t K,
     // Out rows are columns of a: the group's a-values of one k sit
     // contiguously at a[k*M + i ..].
     const float* a_col = a + i;
-    micro_tile<decltype(rows)::value>(
+    row_group_tile<decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
         out + i * N, K, N);
   });

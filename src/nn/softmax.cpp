@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -89,15 +90,37 @@ bool in_top_k(std::span<const float> scores, std::size_t target,
   return top_k_rank(scores, target, k) < k;
 }
 
+namespace {
+
+/// Number of p[0..n) satisfying `pred`. The 32-bit lane counters vectorize
+/// twice as wide as size_t ones; chunking keeps them from wrapping.
+template <typename Pred>
+std::size_t count_where(const float* p, std::size_t n, const Pred& pred) {
+  constexpr std::size_t kChunk = std::size_t{1} << 31;
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < n; b += kChunk) {
+    const std::size_t e = std::min(n, b + kChunk);
+    std::uint32_t count = 0;
+    for (std::size_t i = b; i < e; ++i) count += pred(p[i]) ? 1u : 0u;
+    total += count;
+  }
+  return total;
+}
+
+}  // namespace
+
 std::size_t top_k_rank(std::span<const float> scores, std::size_t target,
                        std::size_t cap) {
   const float st = scores[target];
-  // Count entries strictly greater, and ties ranked before `target`.
-  std::size_t better = 0;
-  for (std::size_t i = 0; i < scores.size() && better < cap; ++i) {
-    if (scores[i] > st || (scores[i] == st && i < target)) ++better;
-  }
-  return better;
+  // A full count with no early exit, so both loops vectorize: ties (and
+  // -0 == +0) count only before `target`, and a NaN on either side of a
+  // comparison never counts. Capping afterwards returns exactly what a loop
+  // stopping at `cap` would.
+  const std::size_t better =
+      count_where(scores.data(), target, [st](float v) { return v >= st; }) +
+      count_where(scores.data() + target + 1, scores.size() - target - 1,
+                  [st](float v) { return v > st; });
+  return std::min(better, cap);
 }
 
 TopKErrorCurve::TopKErrorCurve(std::size_t max_k)

@@ -68,7 +68,8 @@ bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k);
 
 /// The count in_top_k makes for `target` (< scores.size()) — entries greater
-/// than scores[target], or equal with a lower index — stopped at `cap`:
+/// than scores[target], or equal with a lower index — capped at `cap` (a
+/// full, branch-free count; DESIGN.md §5):
 /// in_top_k(scores, target, k) == (top_k_rank(scores, target, cap) < k) for
 /// every k ≤ cap.
 std::size_t top_k_rank(std::span<const float> scores, std::size_t target,

@@ -1,6 +1,9 @@
 #include "serve/alarm_sink.hpp"
 
+#include <charconv>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -13,7 +16,67 @@ const char* stage_name(const detect::CombinedVerdict& v) {
   return v.package_level ? "bloom" : "lstm";
 }
 
+/// Appends text and numbers to a caller-sized buffer with std::to_chars:
+/// the bytes printf's %s, %u/%llu and %.6f would write, without parsing a
+/// format string or touching the locale.
+class LineWriter {
+ public:
+  explicit LineWriter(char* buf) : begin_(buf), p_(buf) {}
+  void text(std::string_view s) {
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
+  }
+  void uint(std::uint64_t v) { p_ = std::to_chars(p_, p_ + 20, v).ptr; }
+  /// Fixed notation, 6 decimals; a finite double needs at most 309 integer
+  /// digits, the sign and ".dddddd".
+  void fixed6(double v) {
+    p_ = std::to_chars(p_, p_ + 320, v, std::chars_format::fixed, 6).ptr;
+  }
+  std::size_t size() const { return static_cast<std::size_t>(p_ - begin_); }
+
+ private:
+  char* begin_;
+  char* p_;
+};
+
+/// The text before each of the eight alarm fields, and after the last.
+constexpr std::string_view kJsonlGlue[9] = {
+    "{\"link\": ",      ", \"seq\": ",      ", \"time\": ",
+    ", \"stage\": \"",  "\", \"address\": ", ", \"function\": ",
+    ", \"length\": ",   ", \"decode_ok\": ", "}\n"};
+constexpr std::string_view kCsvGlue[9] = {"",  ",", ",", ",", ",",
+                                          ",", ",", ",", "\n"};
+
 }  // namespace
+
+std::size_t format_alarm_line(const AlarmEvent& e, AlarmLineFormat format,
+                              char* buf) {
+  const bool jsonl = format == AlarmLineFormat::kJsonl;
+  const std::string_view* glue = jsonl ? kJsonlGlue : kCsvGlue;
+  LineWriter w(buf);
+  w.text(glue[0]);
+  w.uint(e.link);
+  w.text(glue[1]);
+  w.uint(e.seq);
+  w.text(glue[2]);
+  w.fixed6(e.time);
+  w.text(glue[3]);
+  w.text(stage_name(e.verdict));
+  w.text(glue[4]);
+  w.uint(e.address);
+  w.text(glue[5]);
+  w.uint(e.function);
+  w.text(glue[6]);
+  w.uint(e.length);
+  w.text(glue[7]);
+  if (jsonl) {
+    w.text(e.decode_ok ? "true" : "false");
+  } else {
+    w.text(e.decode_ok ? "1" : "0");
+  }
+  w.text(glue[8]);
+  return w.size();
+}
 
 ConsoleAlarmSink::ConsoleAlarmSink(std::FILE* out, std::size_t max_lines,
                                    bool show_link)
@@ -59,39 +122,35 @@ JsonlAlarmSink::JsonlAlarmSink(const std::string& path) : out_(path) {
 }
 
 void JsonlAlarmSink::on_alarm(const AlarmEvent& e) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "{\"link\": %u, \"seq\": %llu, \"time\": %.6f, "
-                "\"stage\": \"%s\", \"address\": %u, \"function\": %u, "
-                "\"length\": %u, \"decode_ok\": %s}",
-                e.link, static_cast<unsigned long long>(e.seq), e.time,
-                stage_name(e.verdict), static_cast<unsigned>(e.address),
-                static_cast<unsigned>(e.function),
-                static_cast<unsigned>(e.length),
-                e.decode_ok ? "true" : "false");
-  out_ << line << '\n';
+  char line[kMaxAlarmLine];
+  out_.write(line, static_cast<std::streamsize>(
+                       format_alarm_line(e, AlarmLineFormat::kJsonl, line)));
   ++written_;
 }
 
 void JsonlAlarmSink::on_model_swap(std::uint64_t version, std::uint64_t tick) {
   char line[96];
-  std::snprintf(line, sizeof(line),
-                "{\"type\": \"swap\", \"version\": %llu, \"tick\": %llu}",
-                static_cast<unsigned long long>(version),
-                static_cast<unsigned long long>(tick));
-  out_ << line << '\n';
+  LineWriter w(line);
+  w.text("{\"type\": \"swap\", \"version\": ");
+  w.uint(version);
+  w.text(", \"tick\": ");
+  w.uint(tick);
+  w.text("}\n");
+  out_.write(line, static_cast<std::streamsize>(w.size()));
 }
 
 void JsonlAlarmSink::on_rollback(std::uint64_t from, std::uint64_t to,
                                  std::uint64_t tick) {
   char line[128];
-  std::snprintf(line, sizeof(line),
-                "{\"type\": \"rollback\", \"from\": %llu, \"to\": %llu, "
-                "\"tick\": %llu}",
-                static_cast<unsigned long long>(from),
-                static_cast<unsigned long long>(to),
-                static_cast<unsigned long long>(tick));
-  out_ << line << '\n';
+  LineWriter w(line);
+  w.text("{\"type\": \"rollback\", \"from\": ");
+  w.uint(from);
+  w.text(", \"to\": ");
+  w.uint(to);
+  w.text(", \"tick\": ");
+  w.uint(tick);
+  w.text("}\n");
+  out_.write(line, static_cast<std::streamsize>(w.size()));
 }
 
 void JsonlAlarmSink::flush() { out_.flush(); }
@@ -104,13 +163,9 @@ CsvAlarmSink::CsvAlarmSink(const std::string& path) : out_(path) {
 }
 
 void CsvAlarmSink::on_alarm(const AlarmEvent& e) {
-  char line[160];
-  std::snprintf(line, sizeof(line), "%u,%llu,%.6f,%s,%u,%u,%u,%d", e.link,
-                static_cast<unsigned long long>(e.seq), e.time,
-                stage_name(e.verdict), static_cast<unsigned>(e.address),
-                static_cast<unsigned>(e.function),
-                static_cast<unsigned>(e.length), e.decode_ok ? 1 : 0);
-  out_ << line << '\n';
+  char line[kMaxAlarmLine];
+  out_.write(line, static_cast<std::streamsize>(
+                       format_alarm_line(e, AlarmLineFormat::kCsv, line)));
   ++written_;
 }
 

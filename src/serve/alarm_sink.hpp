@@ -31,6 +31,23 @@ struct AlarmEvent {
   bool decode_ok = true;      ///< frame passed CRC + shape checks
 };
 
+/// The two audit-file line formats: JSONL
+///   {"link": 3, "seq": 7, "time": 12.500000, "stage": "lstm", "address": 4,
+///    "function": 16, "length": 19, "decode_ok": true}
+/// and the CSV row "3,7,12.500000,lstm,4,16,19,1".
+enum class AlarmLineFormat { kJsonl, kCsv };
+
+/// Room for the longest line format_alarm_line writes: a time of any
+/// magnitude in fixed notation plus every other field at its widest.
+inline constexpr std::size_t kMaxAlarmLine = 512;
+
+/// Formats `e` as one audit-file line, '\n' included, into `buf` (at least
+/// kMaxAlarmLine bytes) and returns its length. std::to_chars writes the
+/// bytes the historical snprintf format wrote ("%.6f" for time, "nan",
+/// "-inf" and all), allocation- and locale-free.
+std::size_t format_alarm_line(const AlarmEvent& e, AlarmLineFormat format,
+                              char* buf);
+
 class AlarmSink {
  public:
   virtual ~AlarmSink() = default;
@@ -78,6 +95,7 @@ class ConsoleAlarmSink final : public AlarmSink {
 };
 
 /// One JSON object per alarm per line — the machine-readable audit trail.
+/// Each line goes out in one write of format_alarm_line's bytes.
 class JsonlAlarmSink final : public AlarmSink {
  public:
   explicit JsonlAlarmSink(const std::string& path);
@@ -97,7 +115,7 @@ class JsonlAlarmSink final : public AlarmSink {
   std::size_t written_ = 0;
 };
 
-/// Header + one row per alarm.
+/// Header + one row per alarm (format_alarm_line's CSV form).
 class CsvAlarmSink final : public AlarmSink {
  public:
   explicit CsvAlarmSink(const std::string& path);

@@ -123,18 +123,31 @@ void MonitorEngine::ingest(const ics::LinkMux::Demuxed& demuxed,
   }
 
   const ics::Package& p = demuxed.decoded.package;
-  Pending pending;
-  pending.row = ics::to_raw_row(p, demuxed.interval);
+  Pending& pending = link.queue.push_back();
+  ics::to_raw_row_into(p, demuxed.interval, pending.row);
   pending.time = p.time;
   pending.address = p.address;
   pending.function = p.function;
   pending.length = static_cast<std::uint16_t>(frame_len);
   pending.decode_ok = demuxed.decoded.decode_ok;
   pending.enqueue_ns = enqueue_ns;
-  link.queue.push_back(std::move(pending));
   stats_.peak_pending =
       std::max<std::uint64_t>(stats_.peak_pending, link.queue.size());
   maybe_tick();
+}
+
+MonitorEngine::Pending& MonitorEngine::PendingQueue::push_back() {
+  if (size_ == slots_.size()) {
+    std::vector<Pending> grown(std::max<std::size_t>(4, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  Pending& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
+  ++size_;
+  return slot;
 }
 
 void MonitorEngine::join(ics::LinkId id, Link& link) {

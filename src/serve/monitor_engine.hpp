@@ -228,9 +228,31 @@ class MonitorEngine {
     std::uint64_t enqueue_ns = 0;
   };
 
+  /// A link's FIFO of pending packages: a ring whose slots keep their row
+  /// buffers, so a push refills a popped slot's RawRow in place
+  /// (ics::to_raw_row_into) and a warm engine allocates nothing per frame.
+  /// Grows by doubling, never shrinks.
+  class PendingQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Pending& front() const { return slots_[head_]; }
+    /// Appends a slot and returns it; the caller overwrites every field.
+    Pending& push_back();
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+
+   private:
+    std::vector<Pending> slots_;  ///< power-of-two size (or empty)
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Link {
     std::size_t slot = kNoSlot;  ///< batch row while active
-    std::deque<Pending> queue;
+    PendingQueue queue;
     bool closed = false;
     bool parked = false;  ///< out of the gate, state preserved for rejoin
     std::uint64_t parked_since = 0;  ///< tick count at park time

@@ -23,35 +23,6 @@ std::vector<double> gather(std::span<const double> raw,
 
 }  // namespace
 
-std::uint16_t FittedFeature::transform(std::span<const double> raw) const {
-  switch (spec.kind) {
-    case FeatureKind::kDiscrete: {
-      const double v = raw[spec.source_columns.at(0)];
-      const auto it =
-          std::lower_bound(observed_values.begin(), observed_values.end(), v);
-      if (it != observed_values.end() && *it == v) {
-        return static_cast<std::uint16_t>(it - observed_values.begin());
-      }
-      return out_of_range_id();
-    }
-    case FeatureKind::kKmeans: {
-      const std::vector<double> point = gather(raw, spec.source_columns);
-      const std::size_t id = kmeans_assign_or_oor(*kmeans, point);
-      return static_cast<std::uint16_t>(id);  // OOR == centroids.size()
-    }
-    case FeatureKind::kInterval: {
-      const double v = raw[spec.source_columns.at(0)];
-      if (v < lo || v > hi) return out_of_range_id();
-      const std::size_t bins = cardinality - 1;
-      const double width = (hi - lo) / static_cast<double>(bins);
-      if (width <= 0.0) return 0;
-      auto b = static_cast<std::size_t>((v - lo) / width);
-      return static_cast<std::uint16_t>(std::min(b, bins - 1));
-    }
-  }
-  throw std::logic_error("FittedFeature::transform: bad kind");
-}
-
 Discretizer Discretizer::fit(std::span<const RawRow> rows,
                              std::span<const FeatureSpec> specs, Rng& rng) {
   if (rows.empty()) throw std::invalid_argument("Discretizer::fit: no rows");
@@ -110,6 +81,7 @@ Discretizer Discretizer::fit(std::span<const RawRow> rows,
     }
     d.features_.push_back(std::move(f));
   }
+  d.build_tables();
   return d;
 }
 
@@ -119,14 +91,149 @@ Discretizer Discretizer::from_features(std::vector<FittedFeature> features) {
   }
   Discretizer d;
   d.features_ = std::move(features);
+  d.build_tables();
   return d;
+}
+
+void Discretizer::build_tables() {
+  centroid_tables_.assign(features_.size(), {});
+  min_row_width_ = 0;
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    const FittedFeature& f = features_[i];
+    const std::vector<std::size_t>& cols = f.spec.source_columns;
+    if (cols.empty()) {
+      throw std::invalid_argument("Discretizer: feature '" + f.spec.name +
+                                  "' has no source column");
+    }
+    for (std::size_t c : cols) min_row_width_ = std::max(min_row_width_, c + 1);
+    switch (f.spec.kind) {
+      case FeatureKind::kDiscrete:
+        // transform_feature counts the values below v, which is lower_bound's
+        // index only over a strictly ascending (so NaN-free) list.
+        for (std::size_t j = 1; j < f.observed_values.size(); ++j) {
+          if (!(f.observed_values[j - 1] < f.observed_values[j])) {
+            throw std::invalid_argument(
+                "Discretizer: discrete feature '" + f.spec.name +
+                "' values are not strictly ascending");
+          }
+        }
+        break;
+      case FeatureKind::kKmeans: {
+        if (!f.kmeans || f.kmeans->centroids.empty() ||
+            f.kmeans->max_radius.size() != f.kmeans->centroids.size()) {
+          throw std::invalid_argument("Discretizer: k-means feature '" +
+                                      f.spec.name + "' has no usable model");
+        }
+        const std::vector<std::vector<double>>& centroids = f.kmeans->centroids;
+        const std::size_t clusters = centroids.size();
+        std::vector<double>& table = centroid_tables_[i];
+        table.resize(cols.size() * clusters);
+        for (std::size_t c = 0; c < clusters; ++c) {
+          if (centroids[c].size() != cols.size()) {
+            throw std::invalid_argument("Discretizer: k-means feature '" +
+                                        f.spec.name +
+                                        "' centroid dimension mismatch");
+          }
+          for (std::size_t d = 0; d < cols.size(); ++d) {
+            table[d * clusters + c] = centroids[c][d];
+          }
+        }
+        break;
+      }
+      case FeatureKind::kInterval:
+        break;
+      default:
+        throw std::invalid_argument("Discretizer: feature '" + f.spec.name +
+                                    "' has an unknown kind");
+    }
+  }
+}
+
+std::uint16_t Discretizer::transform_feature(
+    std::size_t i, std::span<const double> raw) const {
+  const FittedFeature& f = features_[i];
+  switch (f.spec.kind) {
+    case FeatureKind::kDiscrete: {
+      const double v = raw[f.spec.source_columns[0]];
+      const std::vector<double>& seen = f.observed_values;
+      // lower_bound's index as a branch-free count over the (few) sorted
+      // values, then the same exact-match check.
+      std::size_t below = 0;
+      for (const double s : seen) below += s < v ? 1 : 0;
+      if (below < seen.size() && seen[below] == v) {
+        return static_cast<std::uint16_t>(below);
+      }
+      return f.out_of_range_id();
+    }
+    case FeatureKind::kKmeans: {
+      // kmeans_assign_or_oor on the raw columns in place: every centroid's
+      // squared distance is summed over ascending dimensions exactly as
+      // squared_distance does, so the ids match bit for bit; the block of
+      // partial sums lives on the stack.
+      constexpr std::size_t kBlock = 32;
+      const std::vector<std::size_t>& cols = f.spec.source_columns;
+      const double* table = centroid_tables_[i].data();
+      const std::size_t clusters = f.kmeans->centroids.size();
+      double best = std::numeric_limits<double>::max();
+      std::size_t best_c = 0;
+      double d0 = 0.0;
+      for (std::size_t cb = 0; cb < clusters; cb += kBlock) {
+        const std::size_t n = std::min(kBlock, clusters - cb);
+        double acc[kBlock];
+        std::fill_n(acc, n, 0.0);
+        for (std::size_t d = 0; d < cols.size(); ++d) {
+          const double p = raw[cols[d]];
+          const double* t = table + d * clusters + cb;
+          for (std::size_t c = 0; c < n; ++c) {
+            const double diff = p - t[c];
+            acc[c] += diff * diff;
+          }
+        }
+        if (cb == 0) d0 = acc[0];
+        for (std::size_t c = 0; c < n; ++c) {
+          if (acc[c] < best) {
+            best = acc[c];
+            best_c = cb + c;
+          }
+        }
+      }
+      // With no distance below DBL_MAX (NaN input) kmeans_assign falls back
+      // to centroid 0, whose distance then decides.
+      const double dist = std::sqrt(best_c == 0 ? d0 : best);
+      // A zero radius (singleton cluster) still admits exact matches.
+      if (dist > f.kmeans->max_radius[best_c] && dist > 0.0) {
+        return static_cast<std::uint16_t>(clusters);  // OOR
+      }
+      return static_cast<std::uint16_t>(best_c);
+    }
+    case FeatureKind::kInterval: {
+      const double v = raw[f.spec.source_columns[0]];
+      if (v < f.lo || v > f.hi) return f.out_of_range_id();
+      const std::size_t bins = f.cardinality - 1;
+      const double width = (f.hi - f.lo) / static_cast<double>(bins);
+      if (width <= 0.0) return 0;
+      auto b = static_cast<std::size_t>((v - f.lo) / width);
+      return static_cast<std::uint16_t>(std::min(b, bins - 1));
+    }
+  }
+  throw std::logic_error("Discretizer: bad feature kind");
 }
 
 DiscreteRow Discretizer::transform(std::span<const double> raw) const {
   DiscreteRow out;
-  out.reserve(features_.size());
-  for (const auto& f : features_) out.push_back(f.transform(raw));
+  transform_into(raw, out);
   return out;
+}
+
+void Discretizer::transform_into(std::span<const double> raw,
+                                 DiscreteRow& out) const {
+  if (raw.size() < min_row_width_) {
+    throw std::out_of_range("Discretizer: source column out of range");
+  }
+  out.resize(features_.size());
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    out[i] = transform_feature(i, raw);
+  }
 }
 
 std::vector<DiscreteRow> Discretizer::transform_all(

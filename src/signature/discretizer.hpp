@@ -55,9 +55,7 @@ struct FittedFeature {
   double lo = 0.0;
   double hi = 0.0;
 
-  /// Discretize the relevant columns of `raw`; the last id (cardinality-1)
-  /// is the out-of-range value.
-  std::uint16_t transform(std::span<const double> raw) const;
+  /// The last id (cardinality-1) is the out-of-range value.
   std::uint16_t out_of_range_id() const {
     return static_cast<std::uint16_t>(cardinality - 1);
   }
@@ -74,6 +72,10 @@ class Discretizer {
   static Discretizer from_features(std::vector<FittedFeature> features);
 
   DiscreteRow transform(std::span<const double> raw) const;
+  /// transform() into a caller-owned row, reusing its capacity: the serve
+  /// tick's path, allocation-free once warm. Throws std::out_of_range when
+  /// `raw` is shorter than a feature's source column.
+  void transform_into(std::span<const double> raw, DiscreteRow& out) const;
   std::vector<DiscreteRow> transform_all(std::span<const RawRow> rows) const;
 
   std::size_t feature_count() const { return features_.size(); }
@@ -86,7 +88,19 @@ class Discretizer {
   std::vector<std::size_t> cardinalities() const;
 
  private:
+  /// Rebuild the serve-path tables below from features_ (fit and
+  /// from_features both end here).
+  void build_tables();
+  std::uint16_t transform_feature(std::size_t i,
+                                  std::span<const double> raw) const;
+
   std::vector<FittedFeature> features_;
+  /// Per feature: for kKmeans, the centroids dimension-major (coordinate d
+  /// of centroid c at [d * clusters + c]) so one pass over the dimensions
+  /// scores every centroid with unit stride; empty for the other kinds.
+  std::vector<std::vector<double>> centroid_tables_;
+  /// 1 + the largest source column of any feature.
+  std::size_t min_row_width_ = 0;
 };
 
 /// One-hot encode a discrete row into `out` (resized to one_hot_dim +

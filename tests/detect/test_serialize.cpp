@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "detect/pipeline.hpp"
@@ -71,9 +73,21 @@ TEST_F(SerializeFixture, RoundTripPreservesDiscretizer) {
   const auto& back = loaded->package_level().discretizer();
   ASSERT_EQ(back.feature_count(), orig.feature_count());
   EXPECT_EQ(back.cardinalities(), orig.cardinalities());
-  const auto rows = ics::to_raw_rows(framework->split.test);
-  for (std::size_t i = 0; i < std::min<std::size_t>(rows.size(), 200); ++i) {
-    EXPECT_EQ(back.transform(rows[i]), orig.transform(rows[i]));
+  auto rows = ics::to_raw_rows(framework->split.test);
+  rows.resize(std::min<std::size_t>(rows.size(), 200));
+  // Loading rebuilds the centroid tables: the serve path's transform_into
+  // must agree too, out-of-range and NaN inputs included.
+  for (std::size_t i = 0; i < 40 && i < rows.size(); ++i) {
+    sig::RawRow bad = rows[i];
+    bad[i % bad.size()] = i % 2 == 0 ? std::nan("") : 1e9;
+    rows.push_back(std::move(bad));
+  }
+  sig::DiscreteRow reused;
+  for (const sig::RawRow& raw : rows) {
+    const sig::DiscreteRow want = orig.transform(raw);
+    EXPECT_EQ(back.transform(raw), want);
+    back.transform_into(raw, reused);
+    EXPECT_EQ(reused, want);
   }
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
 #include <sstream>
 
+#include "ics/crc16.hpp"
 #include "ics/simulator.hpp"
 
 namespace mlad::ics {
@@ -151,6 +154,110 @@ TEST(Capture, CrcRateRollsOverWindow) {
     decoder.next(f);
   }
   EXPECT_DOUBLE_EQ(decoder.current_crc_rate(), 0.0);
+}
+
+/// FrameDecoder::next as it was before it checked each CRC once: a full
+/// window recount, a second CRC check inside decode_frame and a fresh
+/// ModbusFrame per frame — the oracle for the decoder's outputs.
+class ReferenceDecoder {
+ public:
+  explicit ReferenceDecoder(std::size_t window) : window_(window) {}
+
+  FrameDecoder::Decoded next(const RawFrame& frame) {
+    FrameDecoder::Decoded out;
+    Package& p = out.package;
+    p.time = frame.timestamp;
+    p.length = static_cast<std::uint16_t>(frame.bytes.size());
+    p.command_response = frame.is_response ? 0 : 1;
+    errors_.push_back(!frame_crc_ok(frame.bytes));
+    if (errors_.size() > window_) errors_.pop_front();
+    std::size_t errors = 0;
+    for (bool e : errors_) errors += e ? 1 : 0;
+    p.crc_rate = static_cast<double>(errors) / static_cast<double>(window_);
+    if (!frame.bytes.empty()) p.address = frame.bytes[0];
+    if (frame.bytes.size() > 1) p.function = frame.bytes[1];
+    const std::optional<ModbusFrame> f =
+        decode_frame(frame.bytes, frame.is_response);
+    if (!f) return out;
+    out.decode_ok = true;
+    const bool write =
+        f->function ==
+        static_cast<std::uint8_t>(FunctionCode::kWriteMultipleRegisters);
+    if (!f->is_response && write && f->registers.size() == 7) {
+      p.setpoint = f->registers[0] / 100.0;
+      p.pid.gain = f->registers[1] / 100.0;
+      p.pid.reset_rate = f->registers[2] / 10.0;
+      p.pid.dead_band = f->registers[3] / 100.0;
+      p.pid.cycle_time = f->registers[4] / 1000.0;
+      p.pid.rate = f->registers[5] / 1000.0;
+      const std::uint16_t packed = f->registers[6];
+      p.system_mode = static_cast<SystemMode>((packed >> 8) & 0x03);
+      p.control_scheme = static_cast<ControlScheme>((packed >> 4) & 0x01);
+      p.pump = (packed >> 1) & 0x01;
+      p.solenoid = packed & 0x01;
+      last_ = p;
+    } else if (f->is_response) {
+      p.setpoint = last_.setpoint;
+      p.pid = last_.pid;
+      p.system_mode = last_.system_mode;
+      p.control_scheme = last_.control_scheme;
+      p.pump = last_.pump;
+      p.solenoid = last_.solenoid;
+      if (f->registers.size() == 1) {
+        p.pressure_measurement = f->registers[0] / 100.0;
+        last_.pressure_measurement = p.pressure_measurement;
+      } else {
+        p.pressure_measurement = last_.pressure_measurement;
+      }
+    } else {
+      p.system_mode = SystemMode::kOff;
+      p.control_scheme = ControlScheme::kPump;
+    }
+    return out;
+  }
+
+ private:
+  std::size_t window_;
+  std::deque<bool> errors_;
+  Package last_;
+};
+
+TEST(Capture, DecoderMatchesTheTwoCrcCheckReference) {
+  // Attack traffic plus heavy channel noise, and every 7th frame's CRC or
+  // body broken by hand: crc_rate, decode_ok and every Table-I field must
+  // equal the reference on every frame.
+  SimulatorConfig cfg;
+  cfg.cycles = 600;
+  cfg.attacks_enabled = true;
+  cfg.frame_corruption_prob = 0.05;
+  cfg.seed = 17;
+  const std::vector<Package> pkgs = GasPipelineSimulator(cfg).run().packages;
+  for (const std::size_t window : {1u, 10u, 50u}) {
+    FrameDecoder decoder(window);
+    ReferenceDecoder reference(window);
+    std::size_t failures = 0;
+    for (std::size_t i = 0; i < pkgs.size(); ++i) {
+      RawFrame f = package_to_frame(pkgs[i]);
+      if (i % 7 == 3) f.bytes[f.bytes.size() - 1] ^= 0x01;  // CRC only
+      if (i % 7 == 5 && f.bytes.size() > 4) {
+        // Drop a body byte and re-seal the CRC: a well-formed CRC over a
+        // malformed body.
+        f.bytes.erase(f.bytes.begin() + 2);
+        f.bytes.resize(f.bytes.size() - 2);
+        const std::uint16_t crc = crc16_modbus(f.bytes);
+        f.bytes.push_back(static_cast<std::uint8_t>(crc & 0xFF));
+        f.bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
+      }
+      const FrameDecoder::Decoded got = decoder.next(f);
+      const FrameDecoder::Decoded want = reference.next(f);
+      ASSERT_EQ(got.decode_ok, want.decode_ok) << "frame " << i;
+      ASSERT_EQ(got.package.time, want.package.time) << "frame " << i;
+      ASSERT_EQ(to_raw_row(got.package, 0.0), to_raw_row(want.package, 0.0))
+          << "frame " << i << " window " << window;
+      failures += got.decode_ok ? 0 : 1;
+    }
+    EXPECT_GT(failures, pkgs.size() / 7);  // both breakages were exercised
+  }
 }
 
 TEST(Capture, EndToEndWirePathFeedsDetector) {

@@ -167,16 +167,64 @@ std::vector<std::string> fma_backends() {
   return names;
 }
 
-TEST(KernelBackends, RaggedMatmulMatchesFmaReferenceBitwise) {
-  // Every row-group size (1–3 leftover rows, full groups of four) against
-  // every column-tail shape: below, at and above one vector, the 32-column
-  // tile edge, and the serve model's 350-class output layer.
+/// The scalar backend's per-element order (kernels_scalar.cpp): 4-way k
+/// blocks anchored at k = 0, each added as (a0·b0 + a1·b1) + (a2·b2 + a3·b3),
+/// then the K % 4 leftover ks one by one. Zero a-values are skipped: whole
+/// all-zero blocks in nn (`skip_zero_blocks`), single leftover ks in both.
+template <typename AtA>
+float scalar_order_element(const AtA& a_at, const Matrix& b, std::size_t K,
+                           std::size_t j, float acc, bool skip_zero_blocks) {
+  const std::size_t K4 = K - K % 4;
+  for (std::size_t k = 0; k < K4; k += 4) {
+    const float a0 = a_at(k), a1 = a_at(k + 1), a2 = a_at(k + 2),
+                a3 = a_at(k + 3);
+    if (skip_zero_blocks && a0 == 0.0f && a1 == 0.0f && a2 == 0.0f &&
+        a3 == 0.0f) {
+      continue;
+    }
+    acc += (a0 * b(k, j) + a1 * b(k + 1, j)) +
+           (a2 * b(k + 2, j) + a3 * b(k + 3, j));
+  }
+  for (std::size_t k = K4; k < K; ++k) {
+    if (a_at(k) != 0.0f) acc += a_at(k) * b(k, j);
+  }
+  return acc;
+}
+
+/// out += a·b (a: M×K, nn) or out += aᵀ·b (a: K×M, tn) by the reference of
+/// the selected backend: ascending fused k for avx2/avx512, the block
+/// order above for scalar.
+Matrix backend_reference(const std::string& backend, bool tn, const Matrix& a,
+                         const Matrix& b, Matrix out) {
+  if (backend == "scalar") {
+    for (std::size_t i = 0; i < out.rows(); ++i) {
+      for (std::size_t j = 0; j < out.cols(); ++j) {
+        out(i, j) = tn ? scalar_order_element(
+                             [&](std::size_t k) { return a(k, i); }, b,
+                             a.rows(), j, out(i, j), /*skip_zero_blocks=*/false)
+                       : scalar_order_element(
+                             [&](std::size_t k) { return a(i, k); }, b,
+                             a.cols(), j, out(i, j), /*skip_zero_blocks=*/true);
+      }
+    }
+    return out;
+  }
+  return tn ? fma_reference_tn(a, b, std::move(out))
+            : fma_reference_nn(a, b, std::move(out));
+}
+
+TEST(KernelBackends, MatmulMatchesItsReferenceBitwiseOnEveryBackend) {
+  // Every row-group size of the tiles — 1..7 leftover rows, full groups of
+  // eight (AVX-512) or four, and both together — against every column-tail
+  // shape: below, at and above one vector and the 32-/48-/64-column tile
+  // edges, the gates' 4H = 256 and the serve model's 350-class output.
   BackendGuard restore;
   Rng rng(31);
-  const std::size_t widths[] = {1, 15, 16, 17, 31, 33, 350};
-  for (const std::string& name : fma_backends()) {
+  const std::size_t widths[] = {1,  15, 16, 17, 31, 32,  33, 47,
+                                48, 49, 63, 64, 65, 256, 350};
+  for (const std::string& name : available_kernel_backends()) {
     ASSERT_TRUE(select_kernel_backend(name));
-    for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (std::size_t rows = 1; rows <= 17; ++rows) {
       for (const std::size_t n : widths) {
         for (const std::size_t k : {5u, 64u}) {
           const std::string what = name + " rows=" + std::to_string(rows) +
@@ -187,13 +235,13 @@ TEST(KernelBackends, RaggedMatmulMatchesFmaReferenceBitwise) {
           const Matrix seed = random_matrix(rows, n, rng);
           Matrix out = seed;
           matmul_nn_acc(a, b, out);
-          expect_bitwise(out, fma_reference_nn(a, b, seed),
+          expect_bitwise(out, backend_reference(name, false, a, b, seed),
                          what + " matmul_nn_acc");
 
           const Matrix at = random_matrix(k, rows, rng, 0.3);
           Matrix out_tn = seed;
           matmul_tn_acc(at, b, out_tn);
-          expect_bitwise(out_tn, fma_reference_tn(at, b, seed),
+          expect_bitwise(out_tn, backend_reference(name, true, at, b, seed),
                          what + " matmul_tn_acc");
         }
       }

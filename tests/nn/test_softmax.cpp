@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -164,12 +166,67 @@ TEST(TopK, OnePassCurveEqualsPerKInTopK) {
   EXPECT_THROW(TopKErrorCurve(2).error(3), std::out_of_range);
 }
 
+/// The early-exit loop top_k_rank ran before it became a full count.
+std::size_t early_exit_rank(std::span<const float> scores, std::size_t target,
+                            std::size_t cap) {
+  const float st = scores[target];
+  std::size_t better = 0;
+  for (std::size_t i = 0; i < scores.size() && better < cap; ++i) {
+    if (scores[i] > st || (scores[i] == st && i < target)) ++better;
+  }
+  return better;
+}
+
+bool early_exit_in_top_k(std::span<const float> scores, std::size_t target,
+                         std::size_t k) {
+  if (target >= scores.size() || k == 0) return false;
+  if (k >= scores.size()) return true;
+  return early_exit_rank(scores, target, k) < k;
+}
+
+TEST(TopK, BranchFreeRankEqualsEarlyExitLoop) {
+  // Scores from a small pool so ties fall before and after the target, with
+  // NaN (either sign), ±0 and ±inf mixed in; lengths cross the vector
+  // widths; every cap from 0 to past the length.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {-1.5f, -0.5f, 0.0f, -0.0f, 0.5f, 1.5f, 1.5f,
+                        nan,   -nan,  inf,  -inf,  2.0f, 0.5f};
+  Rng rng(77);
+  for (int n = 0; n < 3000; ++n) {
+    const std::size_t size = 1 + rng.index(40);
+    std::vector<float> scores(size);
+    for (float& v : scores) {
+      v = rng.bernoulli(0.7) ? pool[rng.index(std::size(pool))]
+                             : static_cast<float>(rng.normal());
+    }
+    const std::size_t target = rng.index(size);
+    if (n % 5 == 0) scores[target] = nan;  // a NaN target is never beaten
+    for (std::size_t cap = 0; cap <= size + 2; ++cap) {
+      ASSERT_EQ(top_k_rank(scores, target, cap),
+                early_exit_rank(scores, target, cap))
+          << "n=" << n << " target=" << target << " cap=" << cap;
+      ASSERT_EQ(in_top_k(scores, target, cap),
+                early_exit_in_top_k(scores, target, cap))
+          << "n=" << n << " target=" << target << " k=" << cap;
+    }
+  }
+}
+
 TEST(TopK, RankIsInTopKCount) {
   const std::vector<float> scores = {0.5f, 2.0f, 0.5f, 1.0f, 0.5f};
   // Greater: 2.0, 1.0; equal with a lower index: scores[0].
   EXPECT_EQ(top_k_rank(scores, 2, 10), 3u);
   EXPECT_EQ(top_k_rank(scores, 2, 2), 2u);  // capped
   EXPECT_EQ(top_k_rank(scores, 1, 10), 0u);
+  // +0 == -0 ties count only before the target; NaNs never count, and a
+  // NaN target is beaten by nothing.
+  const std::vector<float> zeros = {0.0f, -0.0f, 0.0f, -0.0f, 0.0f};
+  EXPECT_EQ(top_k_rank(zeros, 3, 10), 3u);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> with_nan = {nan, 1.0f, nan, 0.5f};
+  EXPECT_EQ(top_k_rank(with_nan, 3, 10), 1u);
+  EXPECT_EQ(top_k_rank(with_nan, 0, 10), 0u);
 }
 
 }  // namespace

@@ -8,8 +8,14 @@
 // (d) Thread count changes nothing but wall time.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "detect/pipeline.hpp"
@@ -18,6 +24,91 @@
 #include "ics/link_mux.hpp"
 #include "ics/simulator.hpp"
 #include "serve/monitor_engine.hpp"
+
+// Heap-allocation counter for the warm-engine test: every form of operator
+// new in this binary goes through here, and counts while `g_counting` is
+// set. All of them (and every delete) are replaced together, so no
+// allocation is paired with another allocator's free.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) ++g_allocations;
+  if (n == 0) n = 1;
+  return align <= alignof(std::max_align_t)
+             ? std::malloc(n)
+             : std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+void* counted_alloc_or_throw(std::size_t n, std::size_t align) {
+  if (void* p = counted_alloc(n, align)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+// Out of line, so gcc does not pair an inlined free() with a `new` call
+// site and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mlad::serve {
 namespace {
@@ -414,6 +505,40 @@ TEST(MonitorEngine, CloseAfterRetiresAStalledLinkToAFreshStream) {
   EXPECT_NEAR(static_cast<double>(tail_alarms),
               static_cast<double>(fresh_tail.size()), slack)
       << "post-close alarm volume diverged from a fresh stream's";
+}
+
+TEST(MonitorEngine, WarmEngineAllocatesNothingPerFrameOrAlarm) {
+  // Once every link has joined and its queue slots, row buffers and the
+  // batch state have grown, decode → queue → tick → JSONL alarm runs
+  // allocation-free. The links take strict turns, so queue depths stay
+  // flat and no new high-water mark can legitimately grow a ring.
+  const auto& f = fixture();
+  const detect::CombinedDetector& det = *f.framework.detector;
+  std::size_t shortest = f.captures[0].size();
+  for (const ics::Capture& c : f.captures) {
+    shortest = std::min(shortest, c.size());
+  }
+  const std::string path = ::testing::TempDir() + "warm_engine.jsonl";
+  JsonlAlarmSink sink(path);
+  MonitorEngine engine(det, &sink);
+  const auto push_round = [&](std::size_t i) {
+    for (std::size_t l = 0; l < f.captures.size(); ++l) {
+      engine.push(static_cast<ics::LinkId>(l), f.captures[l][i]);
+    }
+  };
+  const std::size_t warm = 50;
+  for (std::size_t i = 0; i < warm; ++i) push_round(i);
+  const std::uint64_t alarms_before = engine.stats().alarms;
+  g_allocations = 0;
+  g_counting = true;
+  for (std::size_t i = warm; i < shortest; ++i) push_round(i);
+  g_counting = false;
+  EXPECT_EQ(engine.active_links(), f.captures.size());
+  EXPECT_GT(engine.stats().alarms, alarms_before);  // the sink was exercised
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "over " << (shortest - warm) * f.captures.size() << " frames";
+  engine.finish();
+  std::remove(path.c_str());
 }
 
 TEST(MonitorEngine, StatsAddUp) {
