@@ -142,7 +142,7 @@ LinkScale bench_links(const detect::CombinedDetector& detector,
       engine.replay(part);
       const double secs = sw.elapsed_seconds();
       run.critical_path_s = std::max(run.critical_path_s, secs);
-      total_us += engine.stats().classify_us;
+      total_us += static_cast<double>(engine.stats().classify_ns) * 1e-3;
     }
     run.cpu_us_per_package =
         scale.packages > 0 ? total_us / static_cast<double>(scale.packages)

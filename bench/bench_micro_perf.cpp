@@ -157,7 +157,7 @@ BENCHMARK(BM_CombinedClassify);
 
 // ---- kernel backends (DESIGN.md §7) ---------------------------------------
 // Registered at runtime (main) once per backend usable on this host, so the
-// same binary reports scalar vs AVX2/NEON side by side.
+// same binary reports scalar vs AVX2/AVX-512 side by side.
 
 void BM_KernelMatmulNN(benchmark::State& state, const std::string& backend) {
   nn::select_kernel_backend(backend);

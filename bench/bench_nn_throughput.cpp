@@ -467,7 +467,7 @@ std::vector<ServeRun> bench_serve(const detect::CombinedDetector& detector) {
     };
     // N sequential monitors: each link's packages through its own
     // classify_and_consume stream. Decoding stays off the clock, as it
-    // does for the engine's classify_us.
+    // does for the engine's classify_ns.
     const auto sequential_us_per_package = [&] {
       double us = 0.0;
       std::size_t packages = 0;
@@ -544,14 +544,14 @@ struct AdaptRun {
   double off_us = 0.0;       ///< µs/package, adaptation disabled
   double on_us = 0.0;        ///< µs/package, adaptation on (same wire)
   double overhead_pct = 0.0; ///< tick-path cost of adaptation
-  // classify_us deliberately excludes boundary waits and (on a 1-core
+  // classify_ns deliberately excludes boundary waits and (on a 1-core
   // host) the idle-priority trainer's own CPU, so the end-to-end replay
   // wall time and the measured boundary-wait total are reported alongside
   // — a slow training round cannot hide from these.
   double wall_off_s = 0.0;   ///< whole replay(), adaptation disabled
   double wall_on_s = 0.0;    ///< whole replay(), adaptation on
   double wall_overhead_pct = 0.0;
-  double boundary_wait_s = 0.0;  ///< EngineStats::adapt_us total
+  double boundary_wait_s = 0.0;  ///< EngineStats::adapt_ns total
   std::uint64_t swaps = 0;
   std::uint64_t windows_harvested = 0;
   std::uint64_t rounds = 0;
@@ -666,7 +666,7 @@ AdaptRun bench_adapt(const detect::CombinedDetector& detector,
       run.wall_off_s > 0
           ? 100.0 * (run.wall_on_s - run.wall_off_s) / run.wall_off_s
           : 0.0;
-  run.boundary_wait_s = engine.stats().adapt_us * 1e-6;
+  run.boundary_wait_s = static_cast<double>(engine.stats().adapt_ns) * 1e-9;
   run.swaps = engine.stats().model_swaps;
   run.adapted_lstm_fp = engine.stats().timeseries_level_alarms;
   run.adapted_bloom_fp = engine.stats().package_level_alarms;

@@ -46,14 +46,6 @@ CpuFeatures detect() {
   return f;
 }
 
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-
-CpuFeatures detect() {
-  CpuFeatures f;
-  f.neon = true;  // Advanced SIMD is architectural on aarch64.
-  return f;
-}
-
 #else
 
 CpuFeatures detect() { return {}; }
@@ -81,7 +73,6 @@ std::string cpu_feature_summary() {
   if (f.avx512f) add("avx512f");
   if (f.avx512bw) add("avx512bw");
   if (f.avx512vl) add("avx512vl");
-  if (f.neon) add("neon");
   if (s.empty()) s = "baseline";
   return s;
 }

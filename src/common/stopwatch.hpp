@@ -3,6 +3,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace mlad {
 
@@ -18,6 +19,12 @@ class Stopwatch {
 
   double elapsed_ms() const { return elapsed_seconds() * 1e3; }
   double elapsed_us() const { return elapsed_seconds() * 1e6; }
+  std::uint64_t elapsed_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

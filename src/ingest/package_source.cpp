@@ -2,31 +2,7 @@
 
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace mlad::ingest {
-
-void SourceHealthMetrics::bind(obs::MetricsRegistry& registry) {
-  malformed = &registry.counter("source_malformed_total");
-  truncated = &registry.counter("source_truncated_total");
-  connections = &registry.counter("source_connections_total");
-  reconnects = &registry.counter("source_reconnects_total");
-  duplicates_discarded =
-      &registry.counter("source_duplicates_discarded_total");
-  records_lost = &registry.counter("source_records_lost_total");
-  faults_injected = &registry.counter("source_faults_injected_total");
-}
-
-void SourceHealthMetrics::publish(const SourceHealth& health) {
-  if (malformed == nullptr) return;  // unbound: telemetry off
-  malformed->set(health.malformed);
-  truncated->set(health.truncated);
-  connections->set(health.connections);
-  reconnects->set(health.reconnects);
-  duplicates_discarded->set(health.duplicates_discarded);
-  records_lost->set(health.records_lost);
-  faults_injected->set(health.faults_injected);
-}
 
 CaptureSource::CaptureSource(std::vector<ics::LinkFrame> wire)
     : wire_(std::move(wire)) {}

@@ -11,16 +11,13 @@
 // the same wire are bit-identical end to end.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ics/link_mux.hpp"
-
-namespace mlad::obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace mlad::obs
+#include "obs/stat_fields.hpp"
 
 namespace mlad::ingest {
 
@@ -37,22 +34,27 @@ struct SourceHealth {
   std::uint64_t faults_injected = 0;       ///< FaultySource decorations
 };
 
-/// Registry mirror of a SourceHealth struct (DESIGN.md §14): bind()
-/// registers one `source_*_total` counter per field, publish() stores the
-/// current totals (relaxed, callable from the pump thread at any cadence).
-/// Unbound instances ignore publish(), so callers need no telemetry guard.
-struct SourceHealthMetrics {
-  obs::Counter* malformed = nullptr;
-  obs::Counter* truncated = nullptr;
-  obs::Counter* connections = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* duplicates_discarded = nullptr;
-  obs::Counter* records_lost = nullptr;
-  obs::Counter* faults_injected = nullptr;
-
-  void bind(obs::MetricsRegistry& registry);
-  void publish(const SourceHealth& health);
-};
+/// SourceHealth's one field table (DESIGN.md §14): one `source_*_total`
+/// counter per field, summed across owners.
+inline constexpr std::array<obs::StatField<SourceHealth>, 7>
+    kSourceHealthFields{{
+        {"source_malformed_total", &SourceHealth::malformed,
+         obs::Merge::kSum},
+        {"source_truncated_total", &SourceHealth::truncated,
+         obs::Merge::kSum},
+        {"source_connections_total", &SourceHealth::connections,
+         obs::Merge::kSum},
+        {"source_reconnects_total", &SourceHealth::reconnects,
+         obs::Merge::kSum},
+        {"source_duplicates_discarded_total",
+         &SourceHealth::duplicates_discarded, obs::Merge::kSum},
+        {"source_records_lost_total", &SourceHealth::records_lost,
+         obs::Merge::kSum},
+        {"source_faults_injected_total", &SourceHealth::faults_injected,
+         obs::Merge::kSum},
+    }};
+static_assert(obs::covers_every_field(kSourceHealthFields),
+              "every SourceHealth field needs a kSourceHealthFields entry");
 
 class PackageSource {
  public:

@@ -87,17 +87,6 @@ struct KernelBackend {
   /// partition or of B — so row partitioning stays bitwise-safe.
   void (*softmax_rows)(float* m, std::size_t C, std::size_t rb,
                        std::size_t re);
-
-  /// Batched Eytzinger key search over queries [qb,qe) for the mmap-backed
-  /// signature index (DESIGN.md §13). Query q searches the 1-indexed block
-  /// nodes[node_begin[q] .. node_begin[q]+node_count[q]] for keys[q];
-  /// out_pos[q] = the key's 1-based Eytzinger position, 0 when absent.
-  /// Exact integer search — every backend must agree bitwise.
-  void (*sigdb_lookup_rows)(const std::uint64_t* nodes,
-                            const std::uint64_t* node_begin,
-                            const std::uint64_t* node_count,
-                            const std::uint64_t* keys, std::uint32_t* out_pos,
-                            std::size_t qb, std::size_t qe);
 };
 
 /// The portable reference backend — always available, bit-identical to the
@@ -114,11 +103,8 @@ const KernelBackend* avx2_kernel_backend();
 /// dispatcher's job (cpu_features()).
 const KernelBackend* avx512_kernel_backend();
 
-/// NEON backend, or nullptr when not compiled for an ARM target.
-const KernelBackend* neon_kernel_backend();
-
 /// The active backend. First use selects from MLAD_KERNEL_BACKEND
-/// (scalar|avx2|avx512|neon) when set and usable, otherwise the best backend
+/// (scalar|avx2|avx512) when set and usable, otherwise the best backend
 /// both compiled in and supported by the host CPU.
 const KernelBackend& kernel_backend();
 

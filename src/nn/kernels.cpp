@@ -34,16 +34,9 @@ const KernelBackend* usable_avx512() {
   return (f.avx512f && f.avx512bw && f.avx512vl) ? b : nullptr;
 }
 
-const KernelBackend* usable_neon() {
-  const KernelBackend* b = neon_kernel_backend();
-  if (b == nullptr) return nullptr;
-  return cpu_features().neon ? b : nullptr;
-}
-
 const KernelBackend* best_backend() {
   if (const KernelBackend* b = usable_avx512()) return b;
   if (const KernelBackend* b = usable_avx2()) return b;
-  if (const KernelBackend* b = usable_neon()) return b;
   return &scalar_kernel_backend();
 }
 
@@ -51,7 +44,6 @@ const KernelBackend* backend_by_name(const std::string& name) {
   if (name == "scalar") return &scalar_kernel_backend();
   if (name == "avx2") return usable_avx2();
   if (name == "avx512") return usable_avx512();
-  if (name == "neon") return usable_neon();
   return nullptr;
 }
 
@@ -65,7 +57,6 @@ std::vector<std::string> available_kernel_backends() {
   // Worst to best: tests rely on names.front() being the scalar reference
   // and names.back() being what best_backend() falls back to.
   std::vector<std::string> names = {"scalar"};
-  if (usable_neon() != nullptr) names.emplace_back("neon");
   if (usable_avx2() != nullptr) names.emplace_back("avx2");
   if (usable_avx512() != nullptr) names.emplace_back("avx512");
   return names;

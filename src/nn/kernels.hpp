@@ -11,8 +11,8 @@
 // therefore bit-identical for any `pool` (including nullptr).
 //
 // The matmul and gate inner loops run on a pluggable SIMD backend
-// (kernel_backend.hpp): scalar (reference), AVX2+FMA, or NEON, selected once
-// by runtime cpuid dispatch and overridable via MLAD_KERNEL_BACKEND. The
+// (kernel_backend.hpp): scalar (reference), AVX2+FMA or AVX-512, selected
+// once by runtime cpuid dispatch and overridable via MLAD_KERNEL_BACKEND. The
 // determinism contract holds *per backend*; backends may differ from each
 // other within a documented tolerance (DESIGN.md §7).
 //

@@ -31,7 +31,6 @@
 #include <type_traits>
 
 #include "nn/kernels_scalar_tail.hpp"
-#include "nn/sigdb_lookup_common.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -39,7 +38,7 @@ namespace {
 // ---- vector transcendentals ------------------------------------------------
 
 /// Cephes-style polynomial exp, elementwise over 16 lanes (~1 ulp) — the
-/// same constants as the AVX2/NEON backends' 8/4-lane versions. Input is
+/// same constants as the AVX2 backend's 8-lane version. Input is
 /// clamped to the finite-float exponent range.
 inline __m512 exp16(__m512 x) {
   const __m512 hi = _mm512_set1_ps(88.3762626647949f);
@@ -449,78 +448,10 @@ void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
   }
 }
 
-/// Batched Eytzinger search, 8 queries per vector: lockstep descents via a
-/// masked 64-bit gather with native unsigned compares
-/// (_mm512_cmp*_epu64_mask) and opmask-predicated updates — no sign-flip
-/// tricks needed at this width. The trailing-ones fixup stays scalar. Exact
-/// integer search: bit-identical to the scalar backend.
-void sigdb_lookup_rows_(const std::uint64_t* nodes,
-                        const std::uint64_t* node_begin,
-                        const std::uint64_t* node_count,
-                        const std::uint64_t* keys, std::uint32_t* out_pos,
-                        std::size_t qb, std::size_t qe) {
-  // Level-synchronous schedule (same as the scalar reference): every sweep
-  // advances ALL still-active 8-lane groups of the chunk by one tree level,
-  // so up to kLanes gathered loads are outstanding at once — lockstep per
-  // group alone would cap the memory-level parallelism at 8. Lane state
-  // lives in small stack arrays (L1-resident); padding lanes get count 0 so
-  // they go inactive before the first gather.
-  constexpr std::size_t kLanes = 64;
-  const __m512i vone = _mm512_set1_epi64(1);
-  alignas(64) std::uint64_t idx[kLanes];
-  alignas(64) std::uint64_t beg[kLanes], cnt[kLanes], kk[kLanes];
-  for (std::size_t c = qb; c < qe; c += kLanes) {
-    const std::size_t m = qe - c < kLanes ? qe - c : kLanes;
-    const std::size_t mp = (m + 7) & ~std::size_t{7};
-    for (std::size_t j = 0; j < m; ++j) {
-      beg[j] = node_begin[c + j];
-      cnt[j] = node_count[c + j];
-      kk[j] = keys[c + j];
-      idx[j] = 1;
-    }
-    for (std::size_t j = m; j < mp; ++j) {
-      beg[j] = 0;
-      cnt[j] = 0;  // 1 > 0 ⇒ the pad lane never gathers
-      kk[j] = 0;
-      idx[j] = 1;
-    }
-    bool any = true;
-    while (any) {
-      any = false;
-      for (std::size_t g = 0; g < mp; g += 8) {
-        const __m512i vi = _mm512_load_si512(idx + g);
-        const __m512i vn = _mm512_load_si512(cnt + g);
-        const __mmask8 active = _mm512_cmple_epu64_mask(vi, vn);
-        if (active == 0) continue;
-        any = true;
-        const __m512i vbegin = _mm512_load_si512(beg + g);
-        const __m512i vkey = _mm512_load_si512(kk + g);
-        const __m512i vidx = _mm512_add_epi64(vbegin, vi);
-        const __m512i vnode = _mm512_mask_i64gather_epi64(
-            vi, active, vidx, nodes, 8);
-        const __mmask8 lt =
-            _mm512_cmplt_epu64_mask(vnode, vkey) & active;
-        // i := 2i (+1 where node < key), only on active lanes.
-        __m512i vnext = _mm512_mask_mov_epi64(vi, active,
-                                              _mm512_slli_epi64(vi, 1));
-        vnext = _mm512_mask_add_epi64(vnext, lt, vnext, vone);
-        _mm512_store_si512(idx + g, vnext);
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t p =
-          idx[j] >> (static_cast<unsigned>(std::countr_one(idx[j])) + 1);
-      const std::uint64_t* base = nodes + beg[j];
-      out_pos[c + j] =
-          (p != 0 && base[p] == kk[j]) ? static_cast<std::uint32_t>(p) : 0u;
-    }
-  }
-}
-
 constexpr KernelBackend kAvx512Backend = {
     "avx512", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
     gates_forward_rows,
-    gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
+    gates_backward_rows, softmax_rows_,
 };
 
 }  // namespace

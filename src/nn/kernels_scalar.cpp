@@ -7,7 +7,6 @@
 
 #include "nn/kernel_backend.hpp"
 #include "nn/kernels_scalar_tail.hpp"
-#include "nn/sigdb_lookup_common.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -156,23 +155,10 @@ void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
   }
 }
 
-/// Batched Eytzinger search: the level-synchronous walk from
-/// sigdb_lookup_common.hpp — every sweep advances all descents one level,
-/// so up to 64 cache misses overlap. Exact integer search, so "reference"
-/// here means the definition itself; SIMD backends must match it bitwise.
-void sigdb_lookup_rows_(const std::uint64_t* nodes,
-                        const std::uint64_t* node_begin,
-                        const std::uint64_t* node_count,
-                        const std::uint64_t* keys, std::uint32_t* out_pos,
-                        std::size_t qb, std::size_t qe) {
-  detail::sigdb_lookup_levelsync(nodes, node_begin, node_count, keys,
-                                 out_pos, qb, qe);
-}
-
 constexpr KernelBackend kScalarBackend = {
     "scalar",         nn_rows,          tn_rows,
     gather_rows_acc,  scatter_rows_acc, gates_forward_rows,
-    gates_backward_rows, softmax_rows_, sigdb_lookup_rows_,
+    gates_backward_rows, softmax_rows_,
 };
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "obs/stat_fields.hpp"
+
 namespace mlad::obs {
 
 namespace detail {
@@ -196,24 +198,31 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
   return *histograms_.back().second;
 }
 
+namespace {
+
+/// Fold same-name instances into `out` with the one merge rule.
+template <typename Instrument>
+void fold(const std::vector<std::pair<std::string,
+                                      std::unique_ptr<Instrument>>>& owned,
+          Merge merge,
+          std::vector<std::pair<std::string, std::uint64_t>>& out) {
+  for (const auto& [name, cell] : owned) {
+    if (auto* slot = const_cast<std::uint64_t*>(find_named(out, name))) {
+      *slot = merge_value(merge, *slot, cell->value());
+    } else {
+      out.emplace_back(name, cell->value());
+    }
+  }
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, c] : counters_) {
-      if (auto* slot = const_cast<std::uint64_t*>(out.counter(name))) {
-        *slot += c->value();
-      } else {
-        out.counters.emplace_back(name, c->value());
-      }
-    }
-    for (const auto& [name, g] : gauges_) {
-      if (auto* slot = const_cast<std::uint64_t*>(out.gauge(name))) {
-        *slot = std::max(*slot, g->value());
-      } else {
-        out.gauges.emplace_back(name, g->value());
-      }
-    }
+    fold(counters_, Merge::kSum, out.counters);
+    fold(gauges_, Merge::kMax, out.gauges);
     for (const auto& [name, h] : histograms_) {
       if (auto* slot =
               const_cast<HistogramSnapshot*>(out.histogram(name))) {

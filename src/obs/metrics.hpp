@@ -8,11 +8,11 @@
 //   · each OWNER (engine shard, ingest pump, adapt trainer) registers its
 //     own instance of a name at startup and is that instance's only
 //     writer, so hot increments never contend across threads;
-//   · snapshot() aggregates same-name instances with ONE rule set:
-//     counters and histogram buckets sum, gauges take the max — exactly
-//     the cross-shard EngineStats merge semantics (peak_* = max,
-//     everything else = sum), so a registry snapshot of a sharded run
-//     reads like aggregate_stats() of its shards.
+//   · snapshot() aggregates same-name instances with ONE rule:
+//     counters and histogram buckets sum, gauges take the max — the
+//     merge_value() that obs::merge_stats applies to the stats structs
+//     (obs/stat_fields.hpp), so a registry snapshot of a sharded run
+//     reads like the merged EngineStats of its shards.
 //
 // Telemetry never feeds back into classification: verdicts are
 // bit-identical with a registry attached or not (the §8/§10 invariant),
@@ -63,37 +63,34 @@ inline std::uint64_t now_ns() {
 #endif
 }
 
-/// Monotonic event count. One writer (the owning thread) bumps it with
-/// relaxed stores; any thread may read a consistent value at any time.
-class Counter {
+/// A relaxed-atomic value with one writer (the owning thread); any thread
+/// may read a consistent value at any time. The storage of Counter and
+/// Gauge, and what a StatMirror publishes into.
+class Cell {
+ public:
+  /// Mirror an externally maintained value (StatMirror publishes stats
+  /// struct fields this way — cheaper than atomic increments per package,
+  /// and the struct stays the source of truth).
+  void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
+  std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  std::atomic<std::uint64_t> value_{0};
+};
+
+/// Monotonic event count; same-name instances SUM across owners.
+class Counter : public Cell {
  public:
   void add(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Mirror an externally maintained monotonic total (the engine publishes
-  /// its EngineStats fields once per tick this way — cheaper than atomic
-  /// increments per package, and the mirrored stat is the source of truth).
-  void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Point-in-time level whose cross-owner aggregation is MAX (peak queue
 /// depth, peak concurrent links, serving model version).
-class Gauge {
- public:
-  void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
+class Gauge : public Cell {};
 
 /// Aggregated histogram contents (see LatencyHistogram for the bucket
 /// layout): plain integers, so exporters and tests can merge and query

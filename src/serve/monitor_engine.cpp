@@ -50,27 +50,7 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
     tele_.dispatch_ns = &reg.histogram("stage_dispatch_ns");
     tele_.tick_ns = &reg.histogram("stage_tick_ns");
     tele_.adapt_ns = &reg.histogram("stage_adapt_ns");
-    tele_.frames = &reg.counter("engine_frames_total");
-    tele_.packages = &reg.counter("engine_packages_total");
-    tele_.ticks = &reg.counter("engine_ticks_total");
-    tele_.alarms = &reg.counter("engine_alarms_total");
-    tele_.package_level_alarms =
-        &reg.counter("engine_package_level_alarms_total");
-    tele_.timeseries_level_alarms =
-        &reg.counter("engine_timeseries_level_alarms_total");
-    tele_.decode_failures = &reg.counter("engine_decode_failures_total");
-    tele_.links_seen = &reg.counter("engine_links_seen_total");
-    tele_.links_retired = &reg.counter("engine_links_retired_total");
-    tele_.links_parked = &reg.counter("engine_links_parked_total");
-    tele_.model_swaps = &reg.counter("engine_model_swaps_total");
-    tele_.rollbacks = &reg.counter("engine_rollbacks_total");
-    tele_.wall_clock_parks = &reg.counter("engine_wall_clock_parks_total");
-    tele_.wall_clock_closes = &reg.counter("engine_wall_clock_closes_total");
-    tele_.classify_us = &reg.counter("engine_classify_us_total");
-    tele_.adapt_us = &reg.counter("engine_adapt_us_total");
-    tele_.peak_links = &reg.gauge("engine_peak_links");
-    tele_.peak_pending = &reg.gauge("engine_peak_pending");
-    tele_.model_version = &reg.gauge("engine_model_version");
+    tele_.stats = obs::StatMirror<EngineStats>(reg, kEngineStatFields);
     batch_.set_stage_timers({&reg.histogram("stage_lookup_ns"),
                              &reg.histogram("stage_nn_ns")});
   }
@@ -207,7 +187,7 @@ void MonitorEngine::finish() {
   if (config_.adapter != nullptr) adapt_boundary(/*request_next=*/false);
   // Final mirror so exporters sampled after finish() see end-of-run totals
   // (links retired above would otherwise wait for a tick that never comes).
-  if (tele_.on()) publish_stats();
+  if (tele_.on()) tele_.stats.publish(stats_);
 }
 
 void MonitorEngine::retire_drained() {
@@ -430,7 +410,7 @@ void MonitorEngine::maybe_tick() {
     Stopwatch sw;
     batch_.step(tick_rows_, verdicts_,
                 config_.adapter != nullptr ? &package_verdicts_ : nullptr);
-    stats_.classify_us += sw.elapsed_us();
+    stats_.classify_ns += sw.elapsed_ns();
     ++stats_.ticks;
     gate_blocked_ms_ = 0.0;  // the gate moved; the stall clock restarts
     escalate_parked();
@@ -453,7 +433,7 @@ void MonitorEngine::maybe_tick() {
       const std::uint64_t tick_end = obs::now_ns();
       tele_.dispatch_ns->record(tick_end - dispatch_start);
       tele_.tick_ns->record(tick_end - tick_start);
-      publish_stats();
+      tele_.stats.publish(stats_);
     }
     // Tick boundary: an armed-and-tripped rollback executes BEFORE the next
     // adapt boundary, so the restored weights (not the bad ones) are what a
@@ -495,7 +475,7 @@ void MonitorEngine::adapt_boundary(bool request_next) {
     if (sink_ != nullptr) sink_->on_model_swap(version, stats_.ticks);
   }
   if (request_next) config_.adapter->request_round();
-  stats_.adapt_us += sw.elapsed_us();
+  stats_.adapt_ns += sw.elapsed_ns();
   if (tele_.on()) tele_.adapt_ns->record(obs::now_ns() - t0);
 }
 
@@ -576,29 +556,6 @@ void MonitorEngine::dispatch(ics::LinkId id, Link& link,
   event.length = pending.length;
   event.decode_ok = pending.decode_ok;
   sink_->on_alarm(event);
-}
-
-void MonitorEngine::publish_stats() {
-  const EngineStats& s = stats_;
-  tele_.frames->set(s.frames);
-  tele_.packages->set(s.packages);
-  tele_.ticks->set(s.ticks);
-  tele_.alarms->set(s.alarms);
-  tele_.package_level_alarms->set(s.package_level_alarms);
-  tele_.timeseries_level_alarms->set(s.timeseries_level_alarms);
-  tele_.decode_failures->set(s.decode_failures);
-  tele_.links_seen->set(s.links_seen);
-  tele_.links_retired->set(s.links_retired);
-  tele_.links_parked->set(s.links_parked);
-  tele_.model_swaps->set(s.model_swaps);
-  tele_.rollbacks->set(s.rollbacks);
-  tele_.wall_clock_parks->set(s.wall_clock_parks);
-  tele_.wall_clock_closes->set(s.wall_clock_closes);
-  tele_.classify_us->set(static_cast<std::uint64_t>(s.classify_us));
-  tele_.adapt_us->set(static_cast<std::uint64_t>(s.adapt_us));
-  tele_.peak_links->set(s.peak_links);
-  tele_.peak_pending->set(s.peak_pending);
-  tele_.model_version->set(s.model_version);
 }
 
 std::vector<std::pair<ics::LinkId, LinkStats>> MonitorEngine::link_stats()

@@ -15,6 +15,7 @@
 // throughput optimization.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -26,19 +27,13 @@
 #include "detect/combined.hpp"
 #include "detect/stream_batch.hpp"
 #include "ics/link_mux.hpp"
+#include "obs/stat_fields.hpp"
 #include "serve/alarm_sink.hpp"
 #include "signature/discretizer.hpp"
 
 namespace mlad::adapt {
 class OnlineTrainer;
 }  // namespace mlad::adapt
-
-namespace mlad::obs {
-class Counter;
-class Gauge;
-class LatencyHistogram;
-class MetricsRegistry;
-}  // namespace mlad::obs
 
 namespace mlad::serve {
 
@@ -145,14 +140,16 @@ struct EngineStats {
   std::uint64_t rollbacks = 0;      ///< auto-rollbacks (DESIGN.md §12)
   std::uint64_t wall_clock_parks = 0;   ///< parks by the wall-clock sweep
   std::uint64_t wall_clock_closes = 0;  ///< closes by the wall-clock sweep
-  double classify_us = 0.0;        ///< wall time inside classification ticks
+  std::uint64_t classify_ns = 0;  ///< wall time inside classification ticks
   /// Wall time inside adapt boundaries: waiting out an unfinished round
   /// plus adopting its weights (copy + cache re-transpose). NOT part of
-  /// classify_us — reported separately so slow rounds can't hide.
-  double adapt_us = 0.0;
+  /// classify_ns — reported separately so slow rounds can't hide.
+  std::uint64_t adapt_ns = 0;
 
   double us_per_package() const {
-    return packages > 0 ? classify_us / static_cast<double>(packages) : 0.0;
+    return packages > 0 ? static_cast<double>(classify_ns) * 1e-3 /
+                              static_cast<double>(packages)
+                        : 0.0;
   }
   double mean_batch() const {
     return ticks > 0
@@ -160,6 +157,48 @@ struct EngineStats {
                : 0.0;
   }
 };
+
+/// EngineStats' one field table (DESIGN.md §14): registry names and
+/// cross-shard merge rules. Counters and timings sum (classify_ns becomes
+/// total CPU time inside ticks, so us_per_package() stays a per-package
+/// CPU cost); the peaks and the serving model version take the max.
+inline constexpr std::array<obs::StatField<EngineStats>, 19>
+    kEngineStatFields{{
+        {"engine_frames_total", &EngineStats::frames, obs::Merge::kSum},
+        {"engine_packages_total", &EngineStats::packages, obs::Merge::kSum},
+        {"engine_ticks_total", &EngineStats::ticks, obs::Merge::kSum},
+        {"engine_alarms_total", &EngineStats::alarms, obs::Merge::kSum},
+        {"engine_package_level_alarms_total",
+         &EngineStats::package_level_alarms, obs::Merge::kSum},
+        {"engine_timeseries_level_alarms_total",
+         &EngineStats::timeseries_level_alarms, obs::Merge::kSum},
+        {"engine_decode_failures_total", &EngineStats::decode_failures,
+         obs::Merge::kSum},
+        {"engine_links_seen_total", &EngineStats::links_seen,
+         obs::Merge::kSum},
+        {"engine_links_retired_total", &EngineStats::links_retired,
+         obs::Merge::kSum},
+        {"engine_links_parked_total", &EngineStats::links_parked,
+         obs::Merge::kSum},
+        {"engine_peak_links", &EngineStats::peak_links, obs::Merge::kMax},
+        {"engine_peak_pending", &EngineStats::peak_pending,
+         obs::Merge::kMax},
+        {"engine_model_version", &EngineStats::model_version,
+         obs::Merge::kMax},
+        {"engine_model_swaps_total", &EngineStats::model_swaps,
+         obs::Merge::kSum},
+        {"engine_rollbacks_total", &EngineStats::rollbacks,
+         obs::Merge::kSum},
+        {"engine_wall_clock_parks_total", &EngineStats::wall_clock_parks,
+         obs::Merge::kSum},
+        {"engine_wall_clock_closes_total", &EngineStats::wall_clock_closes,
+         obs::Merge::kSum},
+        {"engine_classify_ns_total", &EngineStats::classify_ns,
+         obs::Merge::kSum},
+        {"engine_adapt_ns_total", &EngineStats::adapt_ns, obs::Merge::kSum},
+    }};
+static_assert(obs::covers_every_field(kEngineStatFields),
+              "every EngineStats field needs a kEngineStatFields entry");
 
 class MonitorEngine {
  public:
@@ -293,11 +332,6 @@ class MonitorEngine {
   void perform_rollback();
   void dispatch(ics::LinkId id, Link& link, const Pending& pending,
                 const detect::CombinedVerdict& verdict);
-  /// Mirror every EngineStats field into the registry (relaxed stores;
-  /// called once per tick and once in finish() — the struct stays the
-  /// source of truth, the registry its exporter-visible shadow).
-  void publish_stats();
-
   const detect::CombinedDetector* detector_;
   AlarmSink* sink_;
   MonitorEngineConfig config_;
@@ -312,7 +346,8 @@ class MonitorEngine {
 
   /// Telemetry instrument pointers, resolved once at construction from
   /// config_.metrics (all null when telemetry is off, and every hot-path
-  /// touch is guarded by on() — a single pointer test).
+  /// touch is guarded by on() — a single pointer test). `stats` mirrors
+  /// stats_ into the registry once per tick and once in finish().
   struct Telemetry {
     obs::MetricsRegistry* registry = nullptr;
     obs::LatencyHistogram* decode_ns = nullptr;
@@ -320,25 +355,7 @@ class MonitorEngine {
     obs::LatencyHistogram* dispatch_ns = nullptr;
     obs::LatencyHistogram* tick_ns = nullptr;
     obs::LatencyHistogram* adapt_ns = nullptr;
-    obs::Counter* frames = nullptr;
-    obs::Counter* packages = nullptr;
-    obs::Counter* ticks = nullptr;
-    obs::Counter* alarms = nullptr;
-    obs::Counter* package_level_alarms = nullptr;
-    obs::Counter* timeseries_level_alarms = nullptr;
-    obs::Counter* decode_failures = nullptr;
-    obs::Counter* links_seen = nullptr;
-    obs::Counter* links_retired = nullptr;
-    obs::Counter* links_parked = nullptr;
-    obs::Counter* model_swaps = nullptr;
-    obs::Counter* rollbacks = nullptr;
-    obs::Counter* wall_clock_parks = nullptr;
-    obs::Counter* wall_clock_closes = nullptr;
-    obs::Counter* classify_us = nullptr;
-    obs::Counter* adapt_us = nullptr;
-    obs::Gauge* peak_links = nullptr;
-    obs::Gauge* peak_pending = nullptr;
-    obs::Gauge* model_version = nullptr;
+    obs::StatMirror<EngineStats> stats;
     bool on() const { return registry != nullptr; }
   } tele_;
 

@@ -11,32 +11,6 @@
 
 namespace mlad::serve {
 
-EngineStats aggregate_stats(std::span<const EngineStats> shards) {
-  EngineStats out;
-  for (const EngineStats& s : shards) {
-    out.frames += s.frames;
-    out.packages += s.packages;
-    out.ticks += s.ticks;
-    out.alarms += s.alarms;
-    out.package_level_alarms += s.package_level_alarms;
-    out.timeseries_level_alarms += s.timeseries_level_alarms;
-    out.decode_failures += s.decode_failures;
-    out.links_seen += s.links_seen;
-    out.links_retired += s.links_retired;
-    out.links_parked += s.links_parked;
-    out.peak_links = std::max(out.peak_links, s.peak_links);
-    out.peak_pending = std::max(out.peak_pending, s.peak_pending);
-    out.model_version = std::max(out.model_version, s.model_version);
-    out.model_swaps += s.model_swaps;
-    out.rollbacks += s.rollbacks;
-    out.wall_clock_parks += s.wall_clock_parks;
-    out.wall_clock_closes += s.wall_clock_closes;
-    out.classify_us += s.classify_us;
-    out.adapt_us += s.adapt_us;
-  }
-  return out;
-}
-
 ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
                              AlarmSink* sink,
                              const ShardedEngineConfig& config) {
@@ -55,10 +29,10 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
     // Pump-side instruments; each shard's MonitorEngine registers its own
     // engine_*/stage_* instances below (the registry sums them by name).
     obs::MetricsRegistry& reg = *config.engine.metrics;
-    itele_.frames_routed = &reg.counter("ingest_frames_routed_total");
-    itele_.producer_blocks = &reg.counter("ingest_producer_blocks_total");
-    itele_.peak_queue_depth = &reg.gauge("ingest_peak_queue_depth");
-    itele_.health.bind(reg);
+    telemetry_ = true;
+    ingest_mirror_ = obs::StatMirror<IngestStats>(reg, kIngestStatFields);
+    health_mirror_ =
+        obs::StatMirror<ingest::SourceHealth>(reg, ingest::kSourceHealthFields);
   }
 
   shards_.resize(config.shards);
@@ -113,9 +87,9 @@ void ShardedEngine::push(const ics::LinkFrame& lf) {
   }
   ++ingest_.frames_routed;
   shards_[ingest::shard_of(lf.link, shards_.size())].queue->push(lf);
-  if (itele_.on()) {
-    itele_.frames_routed->set(ingest_.frames_routed);
-    if (ingest_.frames_routed % 4096 == 0) sample_queue_telemetry();
+  if (telemetry_) {
+    if (ingest_.frames_routed % 4096 == 0) fold_queue_stats();
+    ingest_mirror_.publish(ingest_);
   }
 }
 
@@ -131,12 +105,12 @@ std::uint64_t ShardedEngine::run(ingest::PackageSource& source) {
     ++n;
     // Keep the live /metrics view of front-end degradation fresh without
     // querying the source per frame.
-    if (itele_.on() && n % 4096 == 0) itele_.health.publish(source.health());
+    if (telemetry_ && n % 4096 == 0) health_mirror_.publish(source.health());
   }
   // Capture the front end's degradation counters while the source is still
   // alive — the caller may destroy it right after run() returns.
-  ingest_.source_health = source.health();
-  if (itele_.on()) itele_.health.publish(ingest_.source_health);
+  source_health_ = source.health();
+  health_mirror_.publish(source_health_);
   finish();
   return n;
 }
@@ -147,26 +121,21 @@ void ShardedEngine::finish() {
   for (Shard& shard : shards_) {
     if (shard.thread.joinable()) shard.thread.join();
   }
-  for (const Shard& shard : shards_) {
-    const auto qs = shard.queue->stats();
-    ingest_.producer_blocks += qs.producer_blocks;
-    ingest_.peak_queue_depth =
-        std::max(ingest_.peak_queue_depth, qs.peak_depth);
-  }
-  if (itele_.on()) sample_queue_telemetry();
+  fold_queue_stats();
+  ingest_mirror_.publish(ingest_);
   finished_ = true;
 }
 
-void ShardedEngine::sample_queue_telemetry() {
-  std::uint64_t blocks = 0;
-  std::uint64_t peak = 0;
+void ShardedEngine::fold_queue_stats() {
+  std::vector<IngestStats> parts;
+  parts.reserve(shards_.size() + 1);
+  parts.push_back({.frames_routed = ingest_.frames_routed});
   for (const Shard& shard : shards_) {
     const auto qs = shard.queue->stats();
-    blocks += qs.producer_blocks;
-    peak = std::max(peak, qs.peak_depth);
+    parts.push_back({.producer_blocks = qs.producer_blocks,
+                     .peak_queue_depth = qs.peak_depth});
   }
-  itele_.producer_blocks->set(blocks);
-  itele_.peak_queue_depth->set(peak);
+  ingest_ = obs::merge_stats(parts, kIngestStatFields);
 }
 
 void ShardedEngine::require_finished(const char* what) const {
@@ -178,8 +147,7 @@ void ShardedEngine::require_finished(const char* what) const {
 }
 
 EngineStats ShardedEngine::stats() const {
-  const std::vector<EngineStats> per_shard = shard_stats();
-  return aggregate_stats(per_shard);
+  return obs::merge_stats(shard_stats(), kEngineStatFields);
 }
 
 std::vector<EngineStats> ShardedEngine::shard_stats() const {
@@ -206,6 +174,11 @@ std::vector<std::pair<ics::LinkId, LinkStats>> ShardedEngine::link_stats()
 IngestStats ShardedEngine::ingest_stats() const {
   require_finished("ingest_stats()");
   return ingest_;
+}
+
+ingest::SourceHealth ShardedEngine::source_health() const {
+  require_finished("source_health()");
+  return source_health_;
 }
 
 }  // namespace mlad::serve

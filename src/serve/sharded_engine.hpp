@@ -23,10 +23,10 @@
 // hot-swaps its weights from the one shard thread that owns the engine.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -52,24 +52,25 @@ struct ShardedEngineConfig {
   MonitorEngineConfig engine;
 };
 
-/// Pump-side counters, aggregated over the shard queues after finish().
+/// Pump-side counters, folded over the shard queues.
 struct IngestStats {
   std::uint64_t frames_routed = 0;
   std::uint64_t producer_blocks = 0;   ///< pushes that hit a full queue
   std::uint64_t peak_queue_depth = 0;  ///< high-water mark over all queues
-  /// Source-reported degradation counters (run() captures them after the
-  /// source is drained; all-zero for clean in-memory sources).
-  ingest::SourceHealth source_health;
 };
 
-/// Element-wise aggregation of per-shard stats: counters and timings sum
-/// (classify_us becomes total CPU time inside ticks, so us_per_package()
-/// stays a per-package CPU cost); the peak_* gauges and model_version take
-/// the max — summing per-shard peaks would report a high-water mark no
-/// single engine ever saw. The registry's snapshot aggregation
-/// (obs::MetricsRegistry) applies the same rules, so telemetry and this
-/// struct always agree.
-EngineStats aggregate_stats(std::span<const EngineStats> shards);
+/// IngestStats' one field table (DESIGN.md §14).
+inline constexpr std::array<obs::StatField<IngestStats>, 3>
+    kIngestStatFields{{
+        {"ingest_frames_routed_total", &IngestStats::frames_routed,
+         obs::Merge::kSum},
+        {"ingest_producer_blocks_total", &IngestStats::producer_blocks,
+         obs::Merge::kSum},
+        {"ingest_peak_queue_depth", &IngestStats::peak_queue_depth,
+         obs::Merge::kMax},
+    }};
+static_assert(obs::covers_every_field(kIngestStatFields),
+              "every IngestStats field needs a kIngestStatFields entry");
 
 class ShardedEngine {
  public:
@@ -98,11 +99,15 @@ class ShardedEngine {
 
   // The accessors below require finish() — shard threads mutate their
   // engines until then. They throw std::logic_error when called early.
-  EngineStats stats() const;                        ///< aggregate
+  /// Shard stats merged under kEngineStatFields' rules.
+  EngineStats stats() const;
   std::vector<EngineStats> shard_stats() const;     ///< per shard
   /// Per-link stats over every shard, ascending by link id.
   std::vector<std::pair<ics::LinkId, LinkStats>> link_stats() const;
   IngestStats ingest_stats() const;
+  /// The source's degradation counters as run() left them (all-zero for
+  /// push()-driven runs and clean in-memory sources).
+  ingest::SourceHealth source_health() const;
 
  private:
   struct Shard {
@@ -112,27 +117,23 @@ class ShardedEngine {
   };
 
   void require_finished(const char* what) const;
-  /// Poll the shard queues' lock-guarded stats into the registry (called
-  /// from the pump every few thousand frames and once at finish — never
-  /// per frame, the queue mutex is not tick-path cheap).
-  void sample_queue_telemetry();
-
-  /// Pump-side registry instruments (bound when config.engine.metrics is
-  /// set; the pump thread owns every write).
-  struct IngestTelemetry {
-    obs::Counter* frames_routed = nullptr;
-    obs::Counter* producer_blocks = nullptr;
-    obs::Gauge* peak_queue_depth = nullptr;
-    ingest::SourceHealthMetrics health;
-    bool on() const { return frames_routed != nullptr; }
-  };
+  /// Fold the shard queues' lock-guarded stats into ingest_ under
+  /// kIngestStatFields' rules (every few thousand frames while telemetry
+  /// is on, and once at finish — never per frame, the queue mutex is not
+  /// tick-path cheap).
+  void fold_queue_stats();
 
   /// Engaged only when a sink is given (null sink ⇒ shards count alarms
   /// without delivery, nothing to serialize).
   std::optional<SerializedAlarmSink> serialized_;
   std::vector<Shard> shards_;
   IngestStats ingest_;
-  IngestTelemetry itele_;
+  ingest::SourceHealth source_health_;
+  /// Pump-side registry mirrors (bound when config.engine.metrics is set;
+  /// the pump thread owns every write).
+  bool telemetry_ = false;
+  obs::StatMirror<IngestStats> ingest_mirror_;
+  obs::StatMirror<ingest::SourceHealth> health_mirror_;
   bool finished_ = false;
 };
 

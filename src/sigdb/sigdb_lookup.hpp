@@ -1,24 +1,22 @@
-// Shared scalar core of the sigdb_lookup_rows kernel (DESIGN.md §13): a
-// branchless Eytzinger descent over per-query key blocks. Each query q
+// Eytzinger key search of the mmap-backed signature index (DESIGN.md
+// §13): a branchless descent over per-query key blocks. Each query q
 // searches the 1-indexed block nodes[node_begin[q] .. node_begin[q] +
 // node_count[q]] (slot 0 of every block is a sentinel) and reports the
 // 1-based Eytzinger position of the key, or 0 when absent.
 //
-// Included by every backend TU: the scalar/NEON backends use the
-// LEVEL-SYNCHRONOUS walk directly — all queries of a chunk advance one tree
-// level per sweep, so up to 64 independent loads are in flight at once and
-// the cache misses of different descents overlap; the win is memory-level
-// parallelism, not ALU width. The AVX2/AVX-512 TUs use the same
-// level-synchronous schedule with gathered lanes, and the single-query form
-// for remainders. The result is a pure function of (block contents, key),
-// so every backend is bit-identical by construction.
+// SigDbView::query uses the single-key descent; query_batch uses the
+// LEVEL-SYNCHRONOUS walk — all queries of a chunk advance one tree level
+// per sweep, so up to 64 independent loads are in flight at once and the
+// cache misses of different descents overlap; the win is memory-level
+// parallelism, not ALU width. AVX2/AVX-512 gather variants of the walk
+// measured no faster, so this portable form is the only one.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-namespace mlad::nn::detail {
+namespace mlad::sigdb::detail {
 
 /// Lower-bound style Eytzinger descent for one key. `base` points at the
 /// block's slot 0; valid node indices are 1..n. Depth is bounded by
@@ -36,12 +34,13 @@ inline std::uint32_t sigdb_lookup_one(const std::uint64_t* base,
   return (j != 0 && base[j] == key) ? static_cast<std::uint32_t>(j) : 0u;
 }
 
-/// Level-synchronous batch walk — the portable sigdb_lookup_rows body.
-/// Every sweep of the inner loop advances ALL still-active descents by one
-/// tree level; the per-lane loads within a sweep are independent, so an
-/// out-of-order core keeps up to kLanes cache misses in flight. Shards are
-/// near-uniform in size, so lanes finish within a level or two of each
-/// other and the tail sweeps are cheap.
+/// Level-synchronous batch walk over queries [qb,qe): out_pos[q] is
+/// sigdb_lookup_one's result for query q. Every sweep of the inner loop
+/// advances ALL still-active descents by one tree level; the per-lane loads
+/// within a sweep are independent, so an out-of-order core keeps up to
+/// kLanes cache misses in flight. Shards are near-uniform in size, so lanes
+/// finish within a level or two of each other and the tail sweeps are
+/// cheap.
 inline void sigdb_lookup_levelsync(const std::uint64_t* nodes,
                                    const std::uint64_t* node_begin,
                                    const std::uint64_t* node_count,
@@ -75,4 +74,4 @@ inline void sigdb_lookup_levelsync(const std::uint64_t* nodes,
   }
 }
 
-}  // namespace mlad::nn::detail
+}  // namespace mlad::sigdb::detail

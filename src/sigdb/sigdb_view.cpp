@@ -5,14 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "bloom/hashing.hpp"
-#include "nn/kernel_backend.hpp"
-#include "nn/sigdb_lookup_common.hpp"
+#include "sigdb/sigdb_lookup.hpp"
 
 namespace mlad::sigdb {
 
@@ -236,7 +236,7 @@ std::uint32_t SigDbView::query(std::uint64_t key) const {
   const std::uint64_t begin = shard_dir_[2 * s];
   const std::uint64_t count = shard_dir_[2 * s + 1];
   const std::uint32_t pos =
-      nn::detail::sigdb_lookup_one(keys_eytz_ + begin, count, key);
+      detail::sigdb_lookup_one(keys_eytz_ + begin, count, key);
   return pos == 0 ? kNoId : ids_eytz_[begin + pos];
 }
 
@@ -244,7 +244,7 @@ void SigDbView::query_batch(std::span<const std::uint64_t> keys,
                             std::uint32_t* ids) const {
   // Per chunk: hoist every key's hash pair + shard (prefetching the first
   // prefilter word), run the prefilter, then hand the survivors to the
-  // active backend's batched Eytzinger walk. The per-key decision sequence
+  // level-synchronous Eytzinger walk. The per-key decision sequence
   // is exactly query()'s, so results are bitwise identical to the singles.
   constexpr std::size_t kChunk = 64;
   bloom::HashPair hps[kChunk];
@@ -280,7 +280,7 @@ void SigDbView::query_batch(std::span<const std::uint64_t> keys,
       __builtin_prefetch(&keys_eytz_[nb[m] + 1]);  // root of the block
       ++m;
     }
-    nn::kernel_backend().sigdb_lookup_rows(keys_eytz_, nb, nc, ks, pos, 0, m);
+    detail::sigdb_lookup_levelsync(keys_eytz_, nb, nc, ks, pos, 0, m);
     for (std::size_t j = 0; j < m; ++j) {
       ids[qidx[j]] = pos[j] == 0 ? kNoId : ids_eytz_[nb[j] + pos[j]];
     }

@@ -48,8 +48,8 @@ class SigDbView {
   std::uint32_t query(std::uint64_t key) const;
 
   /// Batched query: ids[i] = query(keys[i]) bitwise, executed as hoisted
-  /// shard/prefilter resolution plus the active KernelBackend's
-  /// sigdb_lookup_rows over the surviving keys. Thread-safe (per-call
+  /// shard/prefilter resolution plus one level-synchronous Eytzinger walk
+  /// (sigdb_lookup.hpp) over the surviving keys. Thread-safe (per-call
   /// stack scratch only).
   void query_batch(std::span<const std::uint64_t> keys,
                    std::uint32_t* ids) const;

@@ -223,80 +223,12 @@ TEST(ShardedEngine, LifecycleGuards) {
   EXPECT_THROW((void)engine.stats(), std::logic_error);
   EXPECT_THROW((void)engine.link_stats(), std::logic_error);
   EXPECT_THROW((void)engine.ingest_stats(), std::logic_error);
+  EXPECT_THROW((void)engine.source_health(), std::logic_error);
   engine.push(f.wire.front());
   engine.finish();
   engine.finish();  // idempotent
   EXPECT_EQ(engine.stats().frames, 1u);
   EXPECT_THROW(engine.push(f.wire.front()), std::logic_error);
-}
-
-// Pins the cross-shard merge rule for EVERY EngineStats field: counters
-// and timings sum, the peak_* gauges and model_version take the max. Each
-// field gets distinct values so a sum/max mix-up cannot cancel out.
-TEST(AggregateStats, PinsMergeRuleForEveryField) {
-  EngineStats a;
-  a.frames = 3;
-  a.packages = 5;
-  a.ticks = 7;
-  a.alarms = 11;
-  a.package_level_alarms = 13;
-  a.timeseries_level_alarms = 17;
-  a.decode_failures = 19;
-  a.links_seen = 23;
-  a.links_retired = 29;
-  a.links_parked = 31;
-  a.peak_links = 37;
-  a.peak_pending = 41;
-  a.model_version = 43;
-  a.model_swaps = 47;
-  a.rollbacks = 53;
-  a.wall_clock_parks = 59;
-  a.wall_clock_closes = 61;
-  a.classify_us = 67.0;
-  a.adapt_us = 71.0;
-  EngineStats b;
-  b.frames = 101;
-  b.packages = 103;
-  b.ticks = 107;
-  b.alarms = 109;
-  b.package_level_alarms = 113;
-  b.timeseries_level_alarms = 127;
-  b.decode_failures = 131;
-  b.links_seen = 137;
-  b.links_retired = 139;
-  b.links_parked = 149;
-  b.peak_links = 151;
-  b.peak_pending = 157;
-  b.model_version = 163;
-  b.model_swaps = 167;
-  b.rollbacks = 173;
-  b.wall_clock_parks = 179;
-  b.wall_clock_closes = 181;
-  b.classify_us = 191.0;
-  b.adapt_us = 193.0;
-  const EngineStats m = aggregate_stats(std::vector<EngineStats>{a, b});
-  EXPECT_EQ(m.frames, 104u);
-  EXPECT_EQ(m.packages, 108u);
-  EXPECT_EQ(m.ticks, 114u);
-  EXPECT_EQ(m.alarms, 120u);
-  EXPECT_EQ(m.package_level_alarms, 126u);
-  EXPECT_EQ(m.timeseries_level_alarms, 144u);
-  EXPECT_EQ(m.decode_failures, 150u);
-  EXPECT_EQ(m.links_seen, 160u);
-  EXPECT_EQ(m.links_retired, 168u);
-  EXPECT_EQ(m.links_parked, 180u);
-  // Peaks and the serving version are box-wide high-water marks: max, not
-  // sum — no shard ever saw the summed value.
-  EXPECT_EQ(m.peak_links, 151u);
-  EXPECT_EQ(m.peak_pending, 157u);
-  EXPECT_EQ(m.model_version, 163u);
-  EXPECT_EQ(m.model_swaps, 214u);
-  EXPECT_EQ(m.rollbacks, 226u);
-  EXPECT_EQ(m.wall_clock_parks, 238u);
-  EXPECT_EQ(m.wall_clock_closes, 242u);
-  EXPECT_DOUBLE_EQ(m.classify_us, 258.0);
-  EXPECT_DOUBLE_EQ(m.adapt_us, 264.0);
-  EXPECT_DOUBLE_EQ(m.us_per_package(), 258.0 / 108.0);
 }
 
 }  // namespace

@@ -327,7 +327,7 @@ TEST(FaultTolerance, StalledTapParksThenClosesWhileOthersStayBitIdentical) {
   }
   EXPECT_TRUE(found);
 
-  const auto health = engine.ingest_stats().source_health;
+  const auto health = engine.source_health();
   EXPECT_EQ(health.connections, 3u);
   EXPECT_EQ(health.malformed, 0u);
 }

@@ -1,7 +1,6 @@
 // Batched query determinism (DESIGN.md §13): query_batch must equal the
-// per-key singles bit-for-bit on EVERY compiled-in kernel backend — the
-// Eytzinger walk is exact integer search, so unlike the float kernels there
-// is no rounding latitude at all.
+// per-key singles bit-for-bit — the Eytzinger walk is exact integer search,
+// so unlike the float kernels there is no rounding latitude at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "bloom/hashing.hpp"
-#include "nn/kernel_backend.hpp"
 #include "sigdb/sigdb_view.hpp"
 #include "signature/signature_db.hpp"
 
@@ -61,15 +59,13 @@ struct SigDbQuery : ::testing::Test {
   void TearDown() override {
     view.reset();
     std::remove(path.c_str());
-    // Leave the process on the dispatcher's preferred backend.
-    nn::select_kernel_backend_from_env();
   }
   std::unique_ptr<sig::SignatureDatabase> db;
   std::unique_ptr<SigDbView> view;
   std::string path;
 };
 
-TEST_F(SigDbQuery, BatchMatchesSinglesAndMapOnEveryBackend) {
+TEST_F(SigDbQuery, BatchMatchesSinglesAndMap) {
   const auto queries = make_queries(*db, 4096, 7);
   // Reference: the in-RAM hash map.
   std::vector<std::uint32_t> expect(queries.size());
@@ -78,32 +74,24 @@ TEST_F(SigDbQuery, BatchMatchesSinglesAndMapOnEveryBackend) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(view->query(queries[i]), expect[i]) << "i=" << i;
   }
-  for (const std::string& name : nn::available_kernel_backends()) {
-    ASSERT_TRUE(nn::select_kernel_backend(name));
-    std::vector<std::uint32_t> got(queries.size(), 0xABABABAB);
-    view->query_batch(queries, got.data());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(got[i], expect[i]) << "backend " << name << " i=" << i;
-    }
+  std::vector<std::uint32_t> got(queries.size(), 0xABABABAB);
+  view->query_batch(queries, got.data());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(got[i], expect[i]) << "i=" << i;
   }
 }
 
 TEST_F(SigDbQuery, BatchHandlesRemainderLanes) {
-  // Sizes around the SIMD widths (4, 8) and the chunk width (64) exercise
-  // every remainder path in every backend.
-  for (const std::string& name : nn::available_kernel_backends()) {
-    ASSERT_TRUE(nn::select_kernel_backend(name));
-    for (const std::size_t n :
-         {0ul, 1ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 63ul, 64ul, 65ul, 130ul}) {
-      const auto queries = make_queries(*db, n, 1000 + n);
-      std::vector<std::uint32_t> got(n + 1, 0xCDCDCDCD);
-      view->query_batch(queries, got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], view->query(queries[i]))
-            << "backend " << name << " n=" << n << " i=" << i;
-      }
-      ASSERT_EQ(got[n], 0xCDCDCDCD);  // no write past the batch
+  // Sizes around the chunk width (64) exercise the partial last chunk.
+  for (const std::size_t n :
+       {0ul, 1ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 63ul, 64ul, 65ul, 130ul}) {
+    const auto queries = make_queries(*db, n, 1000 + n);
+    std::vector<std::uint32_t> got(n + 1, 0xCDCDCDCD);
+    view->query_batch(queries, got.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], view->query(queries[i])) << "n=" << n << " i=" << i;
     }
+    ASSERT_EQ(got[n], 0xCDCDCDCD);  // no write past the batch
   }
 }
 

@@ -21,7 +21,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -145,6 +148,42 @@ std::string get_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+[[noreturn]] void invalid_value(const std::string& key,
+                                const std::string& text) {
+  throw std::runtime_error("invalid value for --" + key + ": '" + text + "'");
+}
+
+/// --key as an unsigned integer in [0, max], or `fallback` when absent. The
+/// whole value must be decimal digits: no sign, blanks or suffix.
+std::uint64_t uint_flag(const std::map<std::string, std::string>& flags,
+                        const std::string& key, std::uint64_t fallback,
+                        std::uint64_t max = UINT64_MAX) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) invalid_value(key, text);
+  return v;
+}
+
+/// --key as a finite double, or `fallback` when absent. The whole value
+/// must parse; nan, inf and out-of-range values are refused.
+double double_flag(const std::map<std::string, std::string>& flags,
+                   const std::string& key, double fallback) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    invalid_value(key, text);
+  }
+  return v;
+}
+
 /// Startup banner for the compute-heavy subcommands: which SIMD kernel
 /// backend the cpuid dispatch (or MLAD_KERNEL_BACKEND) picked, and how many
 /// worker threads will run. Neither changes results (DESIGN.md §5, §7) —
@@ -182,9 +221,11 @@ void maybe_attach_sigdb(const std::map<std::string, std::string>& flags,
 
 int cmd_simulate(const std::map<std::string, std::string>& flags) {
   ics::SimulatorConfig cfg;
-  cfg.cycles = std::stoul(get_or(flags, "cycles", "8000"));
-  cfg.seed = std::stoull(get_or(flags, "seed", "42"));
-  cfg.attacks_enabled = get_or(flags, "attacks", "on") != "off";
+  cfg.cycles = uint_flag(flags, "cycles", 8000);
+  cfg.seed = uint_flag(flags, "seed", 42);
+  const std::string attacks = get_or(flags, "attacks", "on");
+  if (attacks != "on" && attacks != "off") invalid_value("attacks", attacks);
+  cfg.attacks_enabled = attacks == "on";
   ics::GasPipelineSimulator sim(cfg);
   const ics::SimulationResult result = sim.run();
   std::printf("simulated %zu packages (%zu attack) over %.0f s\n",
@@ -219,9 +260,9 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
     auto detector = detect::load_framework_file(resume_it->second);
     detect::TimeSeriesDetector& ts = detector->timeseries_level();
     detect::TimeSeriesConfig ts_cfg = ts.config();
-    ts_cfg.epochs = std::stoul(get_or(flags, "epochs", "15"));
-    ts_cfg.batch_size = std::stoul(get_or(flags, "batch", "1"));
-    ts_cfg.threads = std::stoul(get_or(flags, "threads", "0"));
+    ts_cfg.epochs = uint_flag(flags, "epochs", 15);
+    ts_cfg.batch_size = uint_flag(flags, "batch", 1);
+    ts_cfg.threads = uint_flag(flags, "threads", 0);
     ts.set_train_config(ts_cfg);
     print_compute_banner(ts_cfg.threads);
     if (adam_it != flags.end()) {
@@ -239,7 +280,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
           }
           return out;
         };
-    Rng rng(std::stoull(get_or(flags, "seed", "5")));
+    Rng rng(uint_flag(flags, "seed", 5));
     const auto losses = ts.train(discretize(split.train_fragments), rng);
     ts.choose_k(discretize(split.validation_fragments));
     std::printf("resumed %s for %zu epochs: final loss %.6f, k=%zu\n",
@@ -255,16 +296,15 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   }
 
   detect::PipelineConfig cfg;
-  cfg.combined.timeseries.epochs = std::stoul(get_or(flags, "epochs", "15"));
-  cfg.combined.timeseries.hidden_dims = {
-      std::stoul(get_or(flags, "hidden", "64"))};
-  cfg.seed = std::stoull(get_or(flags, "seed", "5"));
+  cfg.combined.timeseries.epochs = uint_flag(flags, "epochs", 15);
+  cfg.combined.timeseries.hidden_dims = {uint_flag(flags, "hidden", 64)};
+  cfg.seed = uint_flag(flags, "seed", 5);
   // Batched minibatch training on the worker pool. The default stays the
   // sequential per-window reference (--batch 1); with --batch B > 1 the
   // data-parallel engine runs, and --threads only changes scheduling —
   // results are bit-identical for any thread count (0 = all cores).
-  cfg.combined.timeseries.batch_size = std::stoul(get_or(flags, "batch", "1"));
-  cfg.combined.timeseries.threads = std::stoul(get_or(flags, "threads", "0"));
+  cfg.combined.timeseries.batch_size = uint_flag(flags, "batch", 1);
+  cfg.combined.timeseries.threads = uint_flag(flags, "threads", 0);
   print_compute_banner(cfg.combined.timeseries.threads);
 
   const auto finish = [&](const auto& fw) {
@@ -325,19 +365,14 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   // multi-stream inference — S segments advanced in lockstep through one
   // (S×dim) LSTM step per layer per tick; also thread-count-invariant.
   detect::EvaluationResult result;
-  const auto threads_it = flags.find("threads");
-  const auto streams_it = flags.find("streams");
+  const bool sharded = flags.count("threads") != 0;
   detect::EvalOptions opts;
-  if (threads_it != flags.end()) {
-    opts.threads = std::stoul(threads_it->second);
-  }
-  if (streams_it != flags.end()) {
-    opts.streams = std::stoul(streams_it->second);
-  }
-  print_compute_banner(threads_it != flags.end() ? opts.threads : 1);
+  opts.threads = uint_flag(flags, "threads", opts.threads);
+  opts.streams = uint_flag(flags, "streams", opts.streams);
+  print_compute_banner(sharded ? opts.threads : 1);
   // --streams 1 (or 0) means "one stream" — the exact single-stream
   // reference, not the sharded evaluator, which only --threads selects.
-  if (threads_it != flags.end() || opts.streams > 1) {
+  if (sharded || opts.streams > 1) {
     result = detect::evaluate_framework(*detector, packages, opts);
   } else {
     result = detect::evaluate_framework(*detector, packages);
@@ -408,8 +443,8 @@ TelemetryRig setup_telemetry(const std::map<std::string, std::string>& flags) {
   rig.registry = std::make_unique<obs::MetricsRegistry>();
   if (want_http) {
     rig.http = std::make_unique<obs::MetricsHttpServer>(
-        *rig.registry,
-        static_cast<std::uint16_t>(std::stoul(flags.at("metrics-port"))));
+        *rig.registry, static_cast<std::uint16_t>(
+                           uint_flag(flags, "metrics-port", 0, 65535)));
     std::printf("metrics: http://127.0.0.1:%u/metrics\n",
                 static_cast<unsigned>(rig.http->port()));
     std::fflush(stdout);  // smoke drivers parse the port before curling
@@ -417,7 +452,7 @@ TelemetryRig setup_telemetry(const std::map<std::string, std::string>& flags) {
   if (want_stats) {
     rig.writer = std::make_unique<obs::StatsWriter>(
         *rig.registry, flags.at("stats-out"),
-        std::stod(get_or(flags, "stats-interval", "1")));
+        double_flag(flags, "stats-interval", 1));
   }
   return rig;
 }
@@ -458,21 +493,21 @@ std::unique_ptr<ingest::PackageSource> make_source(
   }
   if (kind == "replay") {
     return std::make_unique<ingest::PcapReplaySource>(
-        load_wire(flags, monitor), std::stod(get_or(flags, "speed", "1")));
+        load_wire(flags, monitor), double_flag(flags, "speed", 1));
   }
   if (kind != "udp" && kind != "tcp") {
     throw std::runtime_error("--source must be capture, replay, udp or tcp");
   }
-  const auto port = static_cast<std::uint16_t>(
-      std::stoul(get_or(flags, "listen", "5502")));
+  const auto port =
+      static_cast<std::uint16_t>(uint_flag(flags, "listen", 5502, 65535));
   const std::string bind_addr = get_or(flags, "bind", "127.0.0.1");
   std::unique_ptr<ingest::SocketSource> sock;
   if (kind == "udp") {
     sock = std::make_unique<ingest::UdpSource>(port, bind_addr);
   } else {
     sock = std::make_unique<ingest::TcpSource>(
-        port, bind_addr, std::stoul(get_or(flags, "max-conns", "16")),
-        static_cast<int>(std::stoul(get_or(flags, "idle-timeout-ms", "0"))));
+        port, bind_addr, uint_flag(flags, "max-conns", 16),
+        static_cast<int>(uint_flag(flags, "idle-timeout-ms", 0, INT_MAX)));
   }
   std::printf("listening on %s %s:%u (MLF1 records; FIN record ends the "
               "stream)\n",
@@ -489,18 +524,17 @@ std::unique_ptr<adapt::OnlineTrainer> make_adapter(
     detect::CombinedDetector& detector, serve::MonitorEngineConfig& engine) {
   if (get_or(flags, "adapt", "off") == "off") return nullptr;
   adapt::AdaptConfig acfg;
-  acfg.replay_capacity = std::stoul(get_or(flags, "replay-cap", "256"));
-  acfg.window_len = std::stoul(get_or(flags, "adapt-window", "48"));
-  acfg.min_windows = std::stoul(get_or(flags, "adapt-min-windows", "8"));
-  acfg.epochs_per_round = std::stoul(get_or(flags, "adapt-epochs", "1"));
-  acfg.max_steps_per_round =
-      std::stoul(get_or(flags, "adapt-max-steps", "0"));
-  acfg.threads = std::stoul(get_or(flags, "adapt-threads", "1"));
-  acfg.seed = std::stoull(get_or(flags, "adapt-seed", "1"));
-  acfg.swap_history = std::stoul(get_or(flags, "adapt-history", "4"));
+  acfg.replay_capacity = uint_flag(flags, "replay-cap", 256);
+  acfg.window_len = uint_flag(flags, "adapt-window", 48);
+  acfg.min_windows = uint_flag(flags, "adapt-min-windows", 8);
+  acfg.epochs_per_round = uint_flag(flags, "adapt-epochs", 1);
+  acfg.max_steps_per_round = uint_flag(flags, "adapt-max-steps", 0);
+  acfg.threads = uint_flag(flags, "adapt-threads", 1);
+  acfg.seed = uint_flag(flags, "adapt-seed", 1);
+  acfg.swap_history = uint_flag(flags, "adapt-history", 4);
   // Rollback-suite fault hook: corrupt the Nth published round's weights.
-  acfg.poison_round = std::stoull(get_or(flags, "adapt-poison-round", "0"));
-  acfg.poison_scale = std::stod(get_or(flags, "adapt-poison-scale", "8"));
+  acfg.poison_round = uint_flag(flags, "adapt-poison-round", 0);
+  acfg.poison_scale = double_flag(flags, "adapt-poison-scale", 8);
   acfg.metrics = engine.metrics;
   std::optional<nn::AdamState> warm;
   if (const auto it = flags.find("adam-state"); it != flags.end()) {
@@ -509,11 +543,11 @@ std::unique_ptr<adapt::OnlineTrainer> make_adapter(
   auto adapter = std::make_unique<adapt::OnlineTrainer>(
       detector, acfg, warm ? &*warm : nullptr);
   engine.adapter = adapter.get();
-  engine.adapt_interval = std::stoul(get_or(flags, "adapt-interval", "512"));
+  engine.adapt_interval = uint_flag(flags, "adapt-interval", 512);
   // Auto-rollback (DESIGN.md §12): score each swap's first N packages
   // against the N before it; roll back on an alarm-rate spike.
-  engine.rollback_window = std::stoul(get_or(flags, "rollback-window", "0"));
-  engine.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
+  engine.rollback_window = uint_flag(flags, "rollback-window", 0);
+  engine.rollback_ratio = double_flag(flags, "rollback-ratio", 4);
   return adapter;
 }
 
@@ -553,7 +587,7 @@ void print_serve_summary(const serve::ShardedEngine& engine,
                 static_cast<std::size_t>(ss.packages),
                 static_cast<std::size_t>(ss.alarms), ss.us_per_package());
   }
-  print_source_health(in.source_health);
+  print_source_health(engine.source_health());
   if (faulty != nullptr) {
     const ingest::FaultStats& fs = faulty->fault_stats();
     std::printf(
@@ -602,21 +636,20 @@ int cmd_serve(const std::map<std::string, std::string>& flags,
   const auto detector = detect::load_framework_file(need(flags, "model"));
 
   serve::ShardedEngineConfig cfg;
-  cfg.shards = std::stoul(get_or(flags, "shards", "1"));
-  cfg.queue_capacity = std::stoul(get_or(flags, "queue-cap", "4096"));
-  cfg.engine.threads = std::stoul(get_or(flags, "threads", "1"));
+  cfg.shards = uint_flag(flags, "shards", 1);
+  cfg.queue_capacity = uint_flag(flags, "queue-cap", 4096);
+  cfg.engine.threads = uint_flag(flags, "threads", 1);
   // Straggler policy: take a silent link out of the lockstep gate once some
   // other link has T packages queued behind it (DESIGN.md §9).
-  cfg.engine.park_after = std::stoul(get_or(flags, "park-after", "0"));
-  cfg.engine.close_after = std::stoul(get_or(flags, "close-after", "0"));
-  cfg.engine.park_hysteresis =
-      std::stoul(get_or(flags, "park-hysteresis", "0"));
+  cfg.engine.park_after = uint_flag(flags, "park-after", 0);
+  cfg.engine.close_after = uint_flag(flags, "close-after", 0);
+  cfg.engine.park_hysteresis = uint_flag(flags, "park-hysteresis", 0);
   // Wall-clock straggler sweep (DESIGN.md §12): takes a live tap that goes
   // silent out of the gate by elapsed real time, not queue depth.
-  cfg.engine.park_after_ms = std::stod(get_or(flags, "park-after-ms", "0"));
-  cfg.engine.close_after_ms = std::stod(get_or(flags, "close-after-ms", "0"));
+  cfg.engine.park_after_ms = double_flag(flags, "park-after-ms", 0);
+  cfg.engine.close_after_ms = double_flag(flags, "close-after-ms", 0);
   cfg.sweep_interval_ms =
-      static_cast<int>(std::stoul(get_or(flags, "sweep-interval-ms", "10")));
+      static_cast<int>(uint_flag(flags, "sweep-interval-ms", 10, INT_MAX));
 
   const std::string source_kind = get_or(flags, "source", "capture");
   std::unique_ptr<ingest::PackageSource> source =
@@ -633,8 +666,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags,
 
   // Console unless --sink names a file (.csv → CSV, else JSONL); the
   // console then only shows the closing stats.
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
+  const std::size_t max_alarms = uint_flag(flags, "max-alarms", 20);
   std::unique_ptr<serve::AlarmSink> file_sink;
   serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/!monitor);
   serve::AlarmSink* sink = &console;
@@ -715,18 +747,19 @@ void tap_send(int fd, std::span<const std::uint8_t> bytes) {
 /// so the listener's duplicate discard is exercised too).
 int cmd_tap(const std::map<std::string, std::string>& flags) {
   const std::string host = get_or(flags, "host", "127.0.0.1");
+  need(flags, "port");
   const auto port =
-      static_cast<std::uint16_t>(std::stoul(need(flags, "port")));
+      static_cast<std::uint16_t>(uint_flag(flags, "port", 0, 65535));
   const auto token =
-      static_cast<std::uint32_t>(std::stoul(get_or(flags, "token", "0")));
-  const std::size_t resend = std::stoul(get_or(flags, "resend", "8"));
+      static_cast<std::uint32_t>(uint_flag(flags, "token", 0, UINT32_MAX));
+  const std::size_t resend = uint_flag(flags, "resend", 8);
   // Smoke-driver knobs: --limit streams only the first N records, --no-fin
   // leaves the stream open-ended — the listener sees a tap that went silent
   // (straggler), not a clean end — and --pace-us spaces the records out so
   // wall-clock park/close windows have real time to elapse against.
-  const std::size_t limit = std::stoul(get_or(flags, "limit", "0"));
+  const std::size_t limit = uint_flag(flags, "limit", 0);
   const bool send_fin = flags.count("no-fin") == 0;
-  const auto pace_us = std::stoul(get_or(flags, "pace-us", "0"));
+  const auto pace_us = uint_flag(flags, "pace-us", 0);
   ingest::FaultSpec spec;
   if (const auto it = flags.find("fault-spec"); it != flags.end()) {
     spec = ingest::FaultSpec::parse(it->second);
@@ -789,10 +822,9 @@ int cmd_sigdb_build(const std::map<std::string, std::string>& flags) {
   const detect::PackageLevelDetector& pkg = detector->package_level();
 
   sig::SigDbWriteOptions opts;
-  if (const auto it = flags.find("shard-bits"); it != flags.end()) {
-    opts.shard_bits = static_cast<std::uint32_t>(std::stoul(it->second));
-  }
-  opts.prefilter_fpr = std::stod(get_or(flags, "prefilter-fpr", "0.01"));
+  opts.shard_bits = static_cast<std::uint32_t>(
+      uint_flag(flags, "shard-bits", opts.shard_bits, UINT32_MAX));
+  opts.prefilter_fpr = double_flag(flags, "prefilter-fpr", 0.01);
   // Embed the trained verdict filter verbatim — the bit-identical-verdicts
   // contract (DESIGN.md §13) hinges on this, not on a rebuilt filter.
   opts.bloom = &pkg.bloom();
