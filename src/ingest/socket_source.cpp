@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace mlad::ingest {
 
@@ -273,11 +274,12 @@ void TcpSource::shut_down() {
 
 bool TcpSource::next(ics::LinkFrame& out) {
   for (;;) {
-    if (!ready_.empty()) {
-      out = std::move(ready_.front());
-      ready_.pop_front();
+    if (ready_pos_ < ready_len_) {
+      using std::swap;
+      swap(out, ready_[ready_pos_++]);
       return true;
     }
+    ready_pos_ = ready_len_ = 0;
     if (done_ || fd_ < 0) return false;
     if (conns_.empty() && tap_.connections > 0 && !live()) {
       // Every anonymous connection ended at a record boundary: clean end.
@@ -285,8 +287,8 @@ bool TcpSource::next(ics::LinkFrame& out) {
       return false;
     }
 
-    std::vector<pollfd> fds;
-    fds.reserve(conns_.size() + 1);
+    std::vector<pollfd>& fds = pollfds_;
+    fds.clear();
     fds.push_back({fd_, POLLIN, 0});
     for (const Conn& conn : conns_) fds.push_back({conn.fd, POLLIN, 0});
 
@@ -351,6 +353,11 @@ void TcpSource::accept_ready() {
     conns_.push_back(std::move(conn));
     ++tap_.connections;
   }
+}
+
+ics::LinkFrame& TcpSource::ready_slot() {
+  if (ready_len_ == ready_.size()) ready_.emplace_back();
+  return ready_[ready_len_++];
 }
 
 bool TcpSource::service_conn(Conn& conn) {
@@ -418,7 +425,7 @@ bool TcpSource::parse_records(Conn& conn) {
       pos += kRecordHeaderSize + len;
       continue;
     }
-    ics::LinkFrame lf;
+    ics::LinkFrame& lf = ready_slot();
     lf.link = get_u32(header + 4);
     lf.frame.is_response = (flags & kRecordFlagResponse) != 0;
     lf.frame.timestamp = get_f64(header + 12);
@@ -428,7 +435,6 @@ bool TcpSource::parse_records(Conn& conn) {
       lf.link = salt_link(*conn.token, lf.link);
       ++namespaces_[*conn.token].delivered;
     }
-    ready_.push_back(std::move(lf));
     pos += kRecordHeaderSize + len;
   }
   conn.buf.erase(conn.buf.begin(),

@@ -38,8 +38,9 @@
 // namespace remains.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
@@ -179,6 +180,8 @@ class TcpSource final : public SocketSource {
   };
 
   void accept_ready();
+  /// The next free ready_ entry, grown only past the high-water mark.
+  ics::LinkFrame& ready_slot();
   /// Drain readable bytes and parse complete records into ready_.
   /// Returns false when the connection must be dropped.
   bool service_conn(Conn& conn);
@@ -192,7 +195,12 @@ class TcpSource final : public SocketSource {
 
   std::vector<Conn> conns_;
   std::map<std::uint32_t, Namespace> namespaces_;
-  std::deque<ics::LinkFrame> ready_;
+  /// Parsed frames [ready_pos_, ready_len_), handed out by swap: an entry
+  /// takes the caller's old buffer back, and the next parse reuses it.
+  std::vector<ics::LinkFrame> ready_;
+  std::size_t ready_pos_ = 0;
+  std::size_t ready_len_ = 0;
+  std::vector<pollfd> pollfds_;  ///< reused across next() calls
   TapStats tap_;
   std::size_t max_conns_;
   int idle_timeout_ms_;

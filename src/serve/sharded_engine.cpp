@@ -81,20 +81,23 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-void ShardedEngine::push(const ics::LinkFrame& lf) {
+void ShardedEngine::push(const ics::LinkFrame& lf) { push(lf.link, lf.frame); }
+
+void ShardedEngine::push(ics::LinkId link, const ics::RawFrame& frame) {
   if (finished_) {
     throw std::logic_error("ShardedEngine: push after finish");
   }
   ++ingest_.frames_routed;
-  shards_[ingest::shard_of(lf.link, shards_.size())].queue->push(lf);
+  // Copy straight into the ring slot, whose byte buffer is reused.
+  shards_[ingest::shard_of(link, shards_.size())].queue->push_with(
+      [&](ics::LinkFrame& slot) {
+        slot.link = link;
+        slot.frame = frame;
+      });
   if (telemetry_) {
     if (ingest_.frames_routed % 4096 == 0) fold_queue_stats();
     ingest_mirror_.publish(ingest_);
   }
-}
-
-void ShardedEngine::push(ics::LinkId link, const ics::RawFrame& frame) {
-  push(ics::LinkFrame{link, frame});
 }
 
 std::uint64_t ShardedEngine::run(ingest::PackageSource& source) {

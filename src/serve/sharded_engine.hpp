@@ -117,10 +117,10 @@ class ShardedEngine {
   };
 
   void require_finished(const char* what) const;
-  /// Fold the shard queues' lock-guarded stats into ingest_ under
-  /// kIngestStatFields' rules (every few thousand frames while telemetry
-  /// is on, and once at finish — never per frame, the queue mutex is not
-  /// tick-path cheap).
+  /// Fold the shard queues' stats into ingest_ under kIngestStatFields'
+  /// rules (every few thousand frames while telemetry is on, and once at
+  /// finish — never per frame: reading a queue's stats pulls its
+  /// consumer's cache line).
   void fold_queue_stats();
 
   /// Engaged only when a sink is given (null sink ⇒ shards count alarms

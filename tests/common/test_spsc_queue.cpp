@@ -1,19 +1,24 @@
-// SpscQueue (common/spsc_queue.hpp): the bounded handoff channel under the
+// SpscQueue (common/spsc_queue.hpp): the bounded lock-free ring under the
 // adaptation trainer and the sharded ingest pump. Contracts under test:
-// strict FIFO, bounded memory (a full queue blocks the producer, counted),
-// close() semantics (pending items stay poppable, blocked threads wake,
-// late pushes drop), try_push backpressure accounting, and a
-// producer/consumer stress loop that TSan exercises in CI.
+// strict FIFO across index wraparound at any capacity, bounded memory (a
+// full queue blocks the producer, counted), close() semantics (pending
+// items stay poppable, blocked threads wake, late pushes drop), try_push
+// backpressure accounting, exact Stats, slot reuse that never leaks a
+// previous item's bytes, move-only payloads, and producer/consumer stress
+// loops that the TSan and ASan/UBSan CI legs exercise.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/spsc_queue.hpp"
+#include "ics/link_mux.hpp"
 
 namespace mlad {
 namespace {
@@ -236,6 +241,169 @@ TEST(SpscQueue, StressCloseDuringPushIsCleanAtEveryDepth) {
     const auto stats = q.stats();
     EXPECT_EQ(stats.pops, received.size());
     EXPECT_GE(stats.pushes, stats.pops);
+  }
+}
+
+TEST(SpscQueue, WrapsAroundAtAnyCapacity) {
+  for (const std::size_t cap : {1u, 3u, 7u, 4096u}) {
+    // Single-threaded: every burst length 1..cap, so each index crosses
+    // the wrap point at every depth.
+    SpscQueue<std::uint64_t> q(cap);
+    std::uint64_t next_in = 0;
+    std::uint64_t next_out = 0;
+    for (std::size_t burst = 0; next_in < 11 * cap; ++burst) {
+      const std::size_t k = 1 + burst % cap;
+      for (std::size_t i = 0; i < k; ++i) q.push(next_in++);
+      EXPECT_EQ(q.size(), k);
+      std::uint64_t out = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        ASSERT_TRUE(q.pop(out));
+        ASSERT_EQ(out, next_out++) << "capacity " << cap;
+      }
+    }
+    EXPECT_TRUE(q.empty());
+
+    // Two threads, more than 10x capacity items.
+    const std::uint64_t n = 10 * cap + 1000;
+    SpscQueue<std::uint64_t> shared(cap);
+    std::thread producer([&] {
+      for (std::uint64_t i = 0; i < n; ++i) shared.push(i);
+      shared.close();
+    });
+    std::uint64_t expect = 0;
+    std::uint64_t out = 0;
+    while (shared.pop(out)) {
+      ASSERT_EQ(out, expect++) << "capacity " << cap;
+    }
+    producer.join();
+    EXPECT_EQ(expect, n) << "capacity " << cap;
+  }
+}
+
+ics::LinkFrame numbered_frame(std::uint32_t i) {
+  ics::LinkFrame lf;
+  lf.link = i % 5;
+  lf.frame.timestamp = 0.5 * i;
+  lf.frame.is_response = (i % 3) == 0;
+  // Lengths cycle through 0..40 out of phase with any small capacity, so a
+  // reused slot often receives a frame shorter than its previous one.
+  lf.frame.bytes.resize((i * 7u) % 41u);
+  for (std::size_t b = 0; b < lf.frame.bytes.size(); ++b) {
+    lf.frame.bytes[b] = static_cast<std::uint8_t>(i * 31u + b);
+  }
+  return lf;
+}
+
+TEST(SpscQueue, ReusedSlotsNeverLeakAPreviousFramesBytes) {
+  constexpr std::uint32_t kFrames = 30000;
+  for (const std::size_t cap : {1u, 5u, 64u}) {
+    SpscQueue<ics::LinkFrame> q(cap);
+    std::thread producer([&] {
+      for (std::uint32_t i = 0; i < kFrames; ++i) {
+        const ics::LinkFrame lf = numbered_frame(i);
+        if (i % 2 == 0) {
+          q.push(lf);
+        } else {  // the ShardedEngine path: fields written into the slot
+          q.push_with([&](ics::LinkFrame& slot) {
+            slot.link = lf.link;
+            slot.frame = lf.frame;
+          });
+        }
+      }
+      q.close();
+    });
+    // One reused pop target: each pop swaps its old buffer into the ring.
+    ics::LinkFrame got;
+    std::uint32_t i = 0;
+    while (q.pop(got)) {
+      const ics::LinkFrame want = numbered_frame(i);
+      ASSERT_EQ(got.link, want.link) << "frame " << i << ", capacity " << cap;
+      ASSERT_EQ(got.frame, want.frame) << "frame " << i << ", capacity "
+                                       << cap;
+      ++i;
+    }
+    producer.join();
+    EXPECT_EQ(i, kFrames);
+  }
+}
+
+TEST(SpscQueue, StatsAreExactAfterAConcurrentRun) {
+  constexpr std::uint64_t kItems = 100000;
+  SpscQueue<std::uint64_t> q(1);
+  std::thread consumer([&] {
+    std::uint64_t out = 0;
+    while (q.pop(out)) {
+    }
+  });
+  for (std::uint64_t i = 0; i < kItems; ++i) q.push(i);
+  q.close();
+  consumer.join();
+  const auto stats = q.stats();
+  EXPECT_EQ(stats.pushes, kItems);
+  EXPECT_EQ(stats.pops, kItems);
+  EXPECT_GT(stats.producer_blocks, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.peak_depth, 1u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(SpscQueue, CarriesMoveOnlyPayloads) {
+  SpscQueue<std::unique_ptr<int>> q(2);
+  EXPECT_TRUE(q.try_push(std::make_unique<int>(1)));
+  q.push(std::make_unique<int>(2));
+  auto kept = std::make_unique<int>(3);
+  EXPECT_FALSE(q.try_push(std::move(kept)));  // full: the caller keeps it
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(*kept, 3);
+
+  std::unique_ptr<int> out;
+  ASSERT_TRUE(q.pop(out));
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(*out, 1);
+
+  constexpr int kItems = 20000;
+  std::thread producer([&] {
+    for (int i = 3; i < kItems; ++i) q.push(std::make_unique<int>(i));
+    q.close();
+  });
+  int expect = 2;
+  while (q.pop(out)) {
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(*out, expect++);
+  }
+  producer.join();
+  EXPECT_EQ(expect, kItems);
+}
+
+// close() from a third thread while the consumer sleeps in pop_for: the
+// consumer wakes with every item pushed before the close, then kClosed,
+// long before its timeout.
+TEST(SpscQueue, CloseRacingABlockedPopForWakesIt) {
+  for (int round = 0; round < 100; ++round) {
+    SpscQueue<int> q(4);
+    const int pending = round % 3;  // items pushed before the close
+    std::vector<int> received;
+    SpscQueue<int>::PopResult last = SpscQueue<int>::PopResult::kItem;
+    const auto start = std::chrono::steady_clock::now();
+    std::thread consumer([&] {
+      int out = 0;
+      while ((last = q.pop_for(out, 10000)) ==
+             SpscQueue<int>::PopResult::kItem) {
+        received.push_back(out);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(20 * round));
+    std::thread closer([&] {
+      for (int i = 0; i < pending; ++i) q.push(i);
+      q.close();
+    });
+    closer.join();
+    consumer.join();
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(last, SpscQueue<int>::PopResult::kClosed) << "round " << round;
+    EXPECT_LT(waited, std::chrono::seconds(5)) << "round " << round;
+    ASSERT_EQ(received.size(), static_cast<std::size_t>(pending));
+    for (int i = 0; i < pending; ++i) EXPECT_EQ(received[i], i);
   }
 }
 

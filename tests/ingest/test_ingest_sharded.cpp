@@ -3,9 +3,12 @@
 // bit-identical to the single unsharded lockstep engine — sharding, like
 // batching before it, is a pure throughput optimization. Also covered:
 // consistent link→shard hashing, lossless backpressure through tiny
-// queues, stats aggregation, and lifecycle guards.
+// queues, stats aggregation, lifecycle guards, and an allocation-free warm
+// pump → queue → shard hop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "ingest/shard_router.hpp"
 #include "serve/monitor_engine.hpp"
 #include "serve/sharded_engine.hpp"
+#include "support/alloc_counter.hpp"
 
 namespace mlad::serve {
 namespace {
@@ -229,6 +233,98 @@ TEST(ShardedEngine, LifecycleGuards) {
   engine.finish();  // idempotent
   EXPECT_EQ(engine.stats().frames, 1u);
   EXPECT_THROW(engine.push(f.wire.front()), std::logic_error);
+}
+
+/// Counts allocations from the `warm`-th frame it hands out until it runs
+/// dry — so a run() over it, which finishes only after the source is
+/// exhausted, is counted over its warm steady state alone.
+class CountedAfterWarmup final : public ingest::PackageSource {
+ public:
+  CountedAfterWarmup(ingest::PackageSource& inner, std::size_t warm)
+      : inner_(inner), warm_(warm) {}
+
+  bool next(ics::LinkFrame& out) override {
+    if (handed_out_ == warm_) test_support::begin_counting_allocations();
+    if (!inner_.next(out)) {
+      if (handed_out_ >= warm_ && !ended_) {
+        allocations_ = test_support::end_counting_allocations();
+        ended_ = true;
+      }
+      return false;
+    }
+    ++handed_out_;
+    return true;
+  }
+
+  std::size_t allocations() const { return allocations_; }
+
+ private:
+  ingest::PackageSource& inner_;
+  const std::size_t warm_;
+  std::size_t handed_out_ = 0;
+  std::size_t allocations_ = 0;
+  bool ended_ = false;
+};
+
+TEST(ShardedEngine, WarmPumpAllocatesNothingPerFrame) {
+  // Once every ring slot has been constructed and the byte buffers that
+  // circulate between the slots and each shard's pop target have grown,
+  // push() copies into a slot's reused bytes, pop() swaps them out, and the
+  // warm shard engines allocate nothing either. The links take strict
+  // turns (as in MonitorEngine.WarmEngineAllocatesNothingPerFrameOrAlarm).
+  // Tiny queues keep warm-up short: each shard circulates only capacity + 1
+  // buffers (buffer k carries items k, k + capacity + 1, ... whatever the
+  // timing), and all but a few counted frames are through their shard
+  // before counting stops.
+  const auto& f = fixture();
+  const detect::CombinedDetector& det = *f.framework.detector;
+  std::size_t shortest = f.captures[0].size();
+  for (const ics::Capture& c : f.captures) {
+    shortest = std::min(shortest, c.size());
+  }
+  std::vector<ics::LinkFrame> wire;
+  for (std::size_t i = 0; i < shortest; ++i) {
+    for (std::size_t l = 0; l < f.captures.size(); ++l) {
+      wire.push_back({static_cast<ics::LinkId>(l), f.captures[l][i]});
+    }
+  }
+  const std::size_t warm = 50 * f.captures.size();
+  ASSERT_GT(wire.size(), 4 * warm);
+
+  const std::string path = ::testing::TempDir() + "warm_pump.jsonl";
+  JsonlAlarmSink sink(path);
+  ShardedEngineConfig cfg;
+  cfg.shards = 2;
+  cfg.queue_capacity = 4;
+  {
+    ShardedEngine engine(det, &sink, cfg);
+    for (std::size_t i = 0; i < warm; ++i) {
+      engine.push(wire[i].link, wire[i].frame);
+    }
+    test_support::begin_counting_allocations();
+    for (std::size_t i = warm; i < wire.size(); ++i) {
+      if (i % 2 == 0) {
+        engine.push(wire[i]);
+      } else {
+        engine.push(wire[i].link, wire[i].frame);
+      }
+    }
+    const std::size_t allocations = test_support::end_counting_allocations();
+    engine.finish();
+    EXPECT_EQ(engine.stats().frames, wire.size());
+    EXPECT_EQ(allocations, 0u)
+        << "push() over " << wire.size() - warm << " frames";
+  }
+  {
+    ShardedEngine engine(det, &sink, cfg);
+    ingest::CaptureSource source(wire);
+    CountedAfterWarmup counted(source, warm);
+    EXPECT_EQ(engine.run(counted), wire.size());
+    EXPECT_EQ(engine.stats().frames, wire.size());
+    EXPECT_EQ(counted.allocations(), 0u)
+        << "run(CaptureSource) over " << wire.size() - warm << " frames";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

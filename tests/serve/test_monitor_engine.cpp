@@ -8,11 +8,8 @@
 // (d) Thread count changes nothing but wall time.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,91 +21,7 @@
 #include "ics/link_mux.hpp"
 #include "ics/simulator.hpp"
 #include "serve/monitor_engine.hpp"
-
-// Heap-allocation counter for the warm-engine test: every form of operator
-// new in this binary goes through here, and counts while `g_counting` is
-// set. All of them (and every delete) are replaced together, so no
-// allocation is paired with another allocator's free.
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t n, std::size_t align) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) ++g_allocations;
-  if (n == 0) n = 1;
-  return align <= alignof(std::max_align_t)
-             ? std::malloc(n)
-             : std::aligned_alloc(align, (n + align - 1) / align * align);
-}
-
-void* counted_alloc_or_throw(std::size_t n, std::size_t align) {
-  if (void* p = counted_alloc(n, align)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc_or_throw(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc_or_throw(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n, 0);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n, 0);
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-// Out of line, so gcc does not pair an inlined free() with a `new` call
-// site and warn (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t,
-                                         std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/alloc_counter.hpp"
 
 namespace mlad::serve {
 namespace {
@@ -529,13 +442,12 @@ TEST(MonitorEngine, WarmEngineAllocatesNothingPerFrameOrAlarm) {
   const std::size_t warm = 50;
   for (std::size_t i = 0; i < warm; ++i) push_round(i);
   const std::uint64_t alarms_before = engine.stats().alarms;
-  g_allocations = 0;
-  g_counting = true;
+  test_support::begin_counting_allocations();
   for (std::size_t i = warm; i < shortest; ++i) push_round(i);
-  g_counting = false;
+  const std::size_t allocations = test_support::end_counting_allocations();
   EXPECT_EQ(engine.active_links(), f.captures.size());
   EXPECT_GT(engine.stats().alarms, alarms_before);  // the sink was exercised
-  EXPECT_EQ(g_allocations.load(), 0u)
+  EXPECT_EQ(allocations, 0u)
       << "over " << (shortest - warm) * f.captures.size() << " frames";
   engine.finish();
   std::remove(path.c_str());
