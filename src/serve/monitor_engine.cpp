@@ -1,6 +1,7 @@
 #include "serve/monitor_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "adapt/online_trainer.hpp"
@@ -19,6 +20,19 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
       pool_(config.threads),
       mux_(config.crc_window),
       batch_(detector, /*streams=*/0, pool_.get()) {
+  const double park_ms = config_.park_after_ms;
+  const double close_ms = config_.close_after_ms;
+  if (!std::isfinite(park_ms) || !std::isfinite(close_ms) || park_ms < 0.0 ||
+      close_ms < 0.0) {
+    throw std::invalid_argument(
+        "MonitorEngine: park_after_ms and close_after_ms must be finite and "
+        ">= 0");
+  }
+  if (park_ms > 0.0 && close_ms > 0.0 && close_ms <= park_ms) {
+    throw std::invalid_argument(
+        "MonitorEngine: close_after_ms must exceed park_after_ms (a link is "
+        "parked before it is closed)");
+  }
   if (config_.adapter != nullptr) {
     if (config_.adapt_interval == 0) {
       throw std::invalid_argument(
@@ -147,8 +161,7 @@ void MonitorEngine::join(ics::LinkId id, Link& link) {
   link.parked = false;
   if (resuming) {
     --parked_count_;
-    link.rejoined_at = stats_.ticks;
-    link.parked_wall_ms = 0.0;
+    link.rejoined_ms = now_ms_;
   }
   if (!resuming) {
     ++stats_.links_seen;
@@ -227,8 +240,7 @@ void MonitorEngine::park(std::size_t s) {
   batch_.shrink(last);
   link.slot = kNoSlot;
   link.parked = true;
-  link.parked_since = stats_.ticks;
-  link.parked_wall_ms = 0.0;
+  link.parked_at_ms = now_ms_;
   slots_.pop_back();
   slot_links_.pop_back();
   ++parked_count_;
@@ -244,87 +256,20 @@ void MonitorEngine::retire_parked(ics::LinkId id, Link& link) {
   if (config_.adapter != nullptr) config_.adapter->stream_break(id);
 }
 
-void MonitorEngine::escalate_parked() {
-  if (parked_count_ == 0 || config_.close_after == 0 ||
-      config_.park_after == 0 || config_.close_after <= config_.park_after) {
-    return;
-  }
-  // The wire keeps ticking while a link is parked, so the tick counter is
-  // a real clock for its silence: parked at park_after ticks of it,
-  // retired once the total reaches close_after.
-  const std::uint64_t grace = config_.close_after - config_.park_after;
-  for (auto& [id, link] : links_) {
-    if (link.parked && stats_.ticks - link.parked_since >= grace) {
-      retire_parked(id, link);
-    }
-  }
-}
-
-bool MonitorEngine::in_park_hysteresis(const Link& link) const {
-  return config_.park_hysteresis != 0 && link.stats.parks > 0 &&
-         stats_.ticks - link.rejoined_at < config_.park_hysteresis;
-}
-
-bool MonitorEngine::apply_straggler_policy() {
-  const bool park_enabled = config_.park_after != 0;
-  const bool close_enabled = config_.close_after != 0;
-  if (!park_enabled && !close_enabled) return false;
-  // "Silent for T ticks" in gate terms: on a time-ordered wire the links
-  // take turns, so a healthy gate keeps every queue O(1); when one link has
-  // T packages queued while another has none, the empty link has been
-  // silent for T ticks' worth of wire. The lower threshold acts first
-  // (park, the gentler policy, wins a tie).
-  std::size_t max_pending = 0;
-  for (const Link* link : slot_links_) {
-    max_pending = std::max(max_pending, link->queue.size());
-  }
-  const bool park_first =
-      park_enabled &&
-      (!close_enabled || config_.park_after <= config_.close_after);
-  const std::size_t threshold =
-      park_first ? config_.park_after : config_.close_after;
-  if (max_pending < threshold) return false;
-
+bool MonitorEngine::sweep(double now_ms) {
+  const double park_ms = config_.park_after_ms;
+  const double close_ms = config_.close_after_ms;
+  if (park_ms == 0.0 && close_ms == 0.0) return false;
+  const double prev_ms = now_ms_;
+  now_ms_ = now_ms;
   bool changed = false;
-  for (std::size_t s = slots_.size(); s-- > 0;) {
-    Link& link = *slot_links_[s];
-    if (!link.queue.empty() || link.closed) continue;
-    // Hysteresis: a link fresh out of a park needs park_hysteresis EXTRA
-    // pending pressure before it may re-park — a flapping tap stops
-    // churning through snapshot/restore cycles, yet liveness holds (queue
-    // depth keeps growing while it blocks, so the raised bar is met
-    // eventually).
-    if (park_first && in_park_hysteresis(link) &&
-        max_pending < threshold + config_.park_hysteresis) {
-      continue;
-    }
-    if (park_first) {
-      park(s);
-    } else {
-      link.closed = true;  // retire_drained drops it on the next pass
-    }
-    changed = true;
-  }
-  return changed;
-}
-
-bool MonitorEngine::wall_clock_sweep(double elapsed_ms) {
-  if (config_.park_after_ms <= 0.0 && config_.close_after_ms <= 0.0) {
-    return false;
-  }
-  bool changed = false;
-  // Parked links age toward the close escalation on the same clock,
-  // whether they were parked by queue depth or by an earlier sweep.
-  if (config_.close_after_ms > 0.0 && parked_count_ > 0) {
-    const double grace = config_.park_after_ms > 0.0
-                             ? config_.close_after_ms - config_.park_after_ms
-                             : config_.close_after_ms;
+  // Rung 4: a parked link is retired once it has been parked for the
+  // close grace, whether or not the gate is blocked now.
+  if (park_ms > 0.0 && close_ms > 0.0 && parked_count_ > 0) {
     for (auto& [id, link] : links_) {
-      if (!link.parked) continue;
-      link.parked_wall_ms += elapsed_ms;
-      if (link.parked_wall_ms >= grace) {
+      if (link.parked && now_ms - link.parked_at_ms >= close_ms - park_ms) {
         retire_parked(id, link);
-        ++stats_.wall_clock_closes;
+        ++stats_.straggler_closes;
         changed = true;
       }
     }
@@ -342,28 +287,31 @@ bool MonitorEngine::wall_clock_sweep(double elapsed_ms) {
     }
   }
   if (!any_pending || !any_silent) {
-    gate_blocked_ms_ = 0.0;
+    block_start_ms_.reset();
     return changed;
   }
-  gate_blocked_ms_ += elapsed_ms;
-  const bool close_now = config_.close_after_ms > 0.0 &&
-                         gate_blocked_ms_ >= config_.close_after_ms;
-  const bool park_now = config_.park_after_ms > 0.0 &&
-                        gate_blocked_ms_ >= config_.park_after_ms;
-  if (close_now || park_now) {
-    for (std::size_t s = slots_.size(); s-- > 0;) {
-      Link& link = *slot_links_[s];
-      if (!link.queue.empty() || link.closed) continue;
-      if (!close_now && in_park_hysteresis(link)) continue;  // damped
-      if (park_now && !close_now) {
-        park(s);
-        ++stats_.wall_clock_parks;
-      } else {
-        link.closed = true;
-        ++stats_.wall_clock_closes;
-      }
-      changed = true;
+  // A block first seen now began after the previous sweep; crediting it
+  // from there makes a clock that advances once per pushed frame count
+  // exactly the packages queued behind the straggler.
+  if (!block_start_ms_) block_start_ms_ = prev_ms;
+  const double blocked_ms = now_ms - *block_start_ms_;
+  for (std::size_t s = slots_.size(); s-- > 0;) {
+    Link& link = *slot_links_[s];
+    if (!link.queue.empty() || link.closed) continue;
+    if (park_ms > 0.0) {
+      // Hysteresis: a block that starts within park_after_ms of the link's
+      // last rejoin needs twice the block time to re-park it. Both stamps
+      // are fixed once the block starts, so the raised bar is always met.
+      const bool rejoined_recently =
+          *block_start_ms_ - link.rejoined_ms < park_ms;
+      if (blocked_ms < (rejoined_recently ? 2.0 : 1.0) * park_ms) continue;
+      park(s);
+    } else {
+      if (blocked_ms < close_ms) continue;
+      link.closed = true;  // retire_drained drops it on the next pass
+      ++stats_.straggler_closes;
     }
+    changed = true;
   }
   if (changed) maybe_tick();
   return changed;
@@ -376,18 +324,14 @@ void MonitorEngine::maybe_tick() {
     // Lockstep gate: a tick advances EVERY active stream, so it fires only
     // once each active link has its next package decoded. On a time-ordered
     // wire links take turns, so queues stay O(1); a link that stops
-    // producing must be close()d for the others to keep flowing.
+    // producing blocks everyone until it is close()d or the straggler
+    // ladder's sweep() takes it out of the gate.
     const std::size_t n = slots_.size();
     bool ready = true;
     for (std::size_t s = 0; s < n && ready; ++s) {
       ready = !slot_links_[s]->queue.empty();
     }
-    if (!ready) {
-      // A silent link is blocking everyone: the straggler policy may take
-      // it out of the gate, after which the tick can be retried.
-      if (apply_straggler_policy()) continue;
-      return;
-    }
+    if (!ready) return;
 
     std::uint64_t tick_start = 0;
     if (tele_.on()) {
@@ -412,8 +356,7 @@ void MonitorEngine::maybe_tick() {
                 config_.adapter != nullptr ? &package_verdicts_ : nullptr);
     stats_.classify_ns += sw.elapsed_ns();
     ++stats_.ticks;
-    gate_blocked_ms_ = 0.0;  // the gate moved; the stall clock restarts
-    escalate_parked();
+    block_start_ms_.reset();  // the gate moved; the block clock restarts
 
     const std::uint64_t dispatch_start = tele_.on() ? obs::now_ns() : 0;
     for (std::size_t s = 0; s < n; ++s) {

@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -43,40 +44,25 @@ struct MonitorEngineConfig {
   std::size_t threads = 1;
   std::size_t crc_window = 50;  ///< per-link rolling CRC window (§VII)
 
-  // ---- straggler policy (DESIGN.md §9) ------------------------------------
+  // ---- straggler ladder (DESIGN.md §9, §12) -------------------------------
   // The lockstep gate fires only when EVERY active link has a package
-  // pending, so one silent PLC stalls the whole wire. With these set, a
-  // link that is the only thing blocking the gate while some other link has
-  // accumulated >= T packages — on a time-ordered wire, T ticks' worth of
-  // silence — is taken out of the gate:
-  /// Park: the link leaves the batch but its stream state is snapshotted;
-  /// the next frame re-admits it with its history intact (same verdict
-  /// sequence as if the gap never happened). 0 = off.
-  std::size_t park_after = 0;
-  /// Close: the link is retired as if close()d; a later frame opens a
-  /// fresh zero-state stream. 0 = off. When both are set, whichever
-  /// threshold is lower acts first (park wins a tie); with
-  /// park_after < close_after a parked link is retired — its saved state
-  /// dropped — once its total silence reaches close_after ticks.
-  std::size_t close_after = 0;
-  /// Park/rejoin churn damping: a link that rejoined from a park within the
-  /// last `park_hysteresis` ticks needs `park_hysteresis` EXTRA pending
-  /// packages on some other link (queue policy) before it may re-park, and
-  /// is skipped by the wall-clock park sweep (the close escalation still
-  /// applies). 0 = off; never affects links that have not parked yet.
-  std::size_t park_hysteresis = 0;
-
-  // ---- wall-clock straggler sweep (DESIGN.md §12) -------------------------
-  // The tick-count policy above needs wire to flow: a link that is silent
-  // while the OTHERS keep sending shows up as queue depth. A live tap that
-  // goes silent when queues are shallow stalls the gate with no depth
-  // signal at all — these wall-clock thresholds let the engine's driving
-  // thread call wall_clock_sweep() to park/close the blockers by elapsed
-  // real time instead. Degradation mode: WHICH tick a wall-clock park lands
-  // on depends on real time, so verdict determinism holds per link but the
-  // park schedule does not replay bit-exactly. 0 = off (the default keeps
-  // every existing run untouched).
+  // pending, so one silent PLC stalls the whole wire. The ladder takes such
+  // a link out of the gate on one clock, the time the driving thread passes
+  // to sweep(): block time accrues while some link has packages pending and
+  // another active link is silent, and restarts whenever the gate ticks.
+  // 0 = rung off (the default keeps every run untouched). Negative or
+  // non-finite thresholds, and close_after_ms <= park_after_ms with both
+  // set, are rejected at construction: escalation is park-then-close.
+  /// Park a blocker after this much block time: the link leaves the batch
+  /// with its stream state snapshotted, and its next frame resumes it (same
+  /// verdict sequence as if the gap never happened). A link whose block
+  /// starts within park_after_ms of its last rejoin re-parks only at
+  /// 2 × park_after_ms (derived hysteresis against park/rejoin churn).
   double park_after_ms = 0.0;
+  /// Close: retire a parked link once it has been parked for
+  /// close_after_ms − park_after_ms; with park_after_ms off, close a blocker
+  /// outright at close_after_ms of block time. A later frame on the link
+  /// opens a fresh zero-state stream.
   double close_after_ms = 0.0;
 
   // ---- adaptation auto-rollback (DESIGN.md §12) ---------------------------
@@ -138,8 +124,7 @@ struct EngineStats {
   std::uint64_t model_version = 0;  ///< serving weight version (0 = shipped)
   std::uint64_t model_swaps = 0;    ///< adapted-weight hot swaps applied
   std::uint64_t rollbacks = 0;      ///< auto-rollbacks (DESIGN.md §12)
-  std::uint64_t wall_clock_parks = 0;   ///< parks by the wall-clock sweep
-  std::uint64_t wall_clock_closes = 0;  ///< closes by the wall-clock sweep
+  std::uint64_t straggler_closes = 0;  ///< links closed by the straggler ladder
   std::uint64_t classify_ns = 0;  ///< wall time inside classification ticks
   /// Wall time inside adapt boundaries: waiting out an unfinished round
   /// plus adopting its weights (copy + cache re-transpose). NOT part of
@@ -162,7 +147,7 @@ struct EngineStats {
 /// cross-shard merge rules. Counters and timings sum (classify_ns becomes
 /// total CPU time inside ticks, so us_per_package() stays a per-package
 /// CPU cost); the peaks and the serving model version take the max.
-inline constexpr std::array<obs::StatField<EngineStats>, 19>
+inline constexpr std::array<obs::StatField<EngineStats>, 18>
     kEngineStatFields{{
         {"engine_frames_total", &EngineStats::frames, obs::Merge::kSum},
         {"engine_packages_total", &EngineStats::packages, obs::Merge::kSum},
@@ -189,9 +174,7 @@ inline constexpr std::array<obs::StatField<EngineStats>, 19>
          obs::Merge::kSum},
         {"engine_rollbacks_total", &EngineStats::rollbacks,
          obs::Merge::kSum},
-        {"engine_wall_clock_parks_total", &EngineStats::wall_clock_parks,
-         obs::Merge::kSum},
-        {"engine_wall_clock_closes_total", &EngineStats::wall_clock_closes,
+        {"engine_straggler_closes_total", &EngineStats::straggler_closes,
          obs::Merge::kSum},
         {"engine_classify_ns_total", &EngineStats::classify_ns,
          obs::Merge::kSum},
@@ -235,15 +218,15 @@ class MonitorEngine {
   /// Close every link and drain all pending packages.
   void finish();
 
-  /// Wall-clock straggler sweep (DESIGN.md §12): the engine's driving
-  /// thread reports `elapsed_ms` more milliseconds of real time. When the
-  /// gate has been blocked — some links holding pending packages, others
-  /// silent — past park_after_ms/close_after_ms of accumulated block time,
-  /// the silent links are parked/closed and the tick retried. Parked links
-  /// accumulate the same clock toward the close escalation. No-op unless a
-  /// wall-clock threshold is configured. Returns true if any link was
-  /// parked or closed.
-  bool wall_clock_sweep(double elapsed_ms);
+  /// Straggler-ladder clock (DESIGN.md §12): the driving thread reports
+  /// the time `now_ms`, in milliseconds since construction on a monotonic
+  /// clock (tests pass a manual one). Parked links past their close grace
+  /// are retired, then every silent link blocking the gate past its
+  /// threshold is parked or closed and the tick retried. The ladder reads
+  /// time nowhere else; under a real clock its schedule (never a verdict)
+  /// depends on timing. No-op unless a threshold is configured. Returns
+  /// true if any link was parked or closed.
+  bool sweep(double now_ms);
 
   std::size_t active_links() const { return slots_.size(); }
   const EngineStats& stats() const { return stats_; }
@@ -294,9 +277,9 @@ class MonitorEngine {
     PendingQueue queue;
     bool closed = false;
     bool parked = false;  ///< out of the gate, state preserved for rejoin
-    std::uint64_t parked_since = 0;  ///< tick count at park time
-    std::uint64_t rejoined_at = 0;   ///< tick of the last park→rejoin
-    double parked_wall_ms = 0.0;     ///< wall-clock time spent in this park
+    double parked_at_ms = 0.0;  ///< ladder clock at park time
+    /// Ladder clock at the last park→rejoin (−inf: never rejoined).
+    double rejoined_ms = -std::numeric_limits<double>::infinity();
     LinkStats stats;
     /// Stream state saved across a park (nullopt otherwise).
     std::optional<detect::StreamBatch::StreamSnapshot> parked_state;
@@ -306,20 +289,10 @@ class MonitorEngine {
               std::uint64_t enqueue_ns);
   void join(ics::LinkId id, Link& link);
   void retire_drained();
-  /// Take every link currently blocking the gate out of it (park or close)
-  /// once the straggler thresholds trip. Returns true if anything changed.
-  bool apply_straggler_policy();
   void park(std::size_t slot);
   /// Drop a parked link's saved state and retire it (explicit close(),
   /// the park→close escalation, or finish()).
   void retire_parked(ics::LinkId id, Link& link);
-  /// With both thresholds set (park < close), retire parked links whose
-  /// total silence has reached close_after ticks.
-  void escalate_parked();
-  /// Is this link inside its post-rejoin hysteresis window, i.e. protected
-  /// from re-parking (queue policy: unless the pressure also exceeds the
-  /// raised threshold)?
-  bool in_park_hysteresis(const Link& link) const;
   void maybe_tick();
   /// Adaptation-interval boundary: adopt the outstanding round's weights
   /// (waiting for it if still training) and, unless `request_next` is
@@ -359,8 +332,11 @@ class MonitorEngine {
     bool on() const { return registry != nullptr; }
   } tele_;
 
-  /// Wall-clock milliseconds the gate has been blocked (reset by a tick).
-  double gate_blocked_ms_ = 0.0;
+  // ---- straggler ladder clock (DESIGN.md §12) -----------------------------
+  double now_ms_ = 0.0;  ///< time of the last sweep()
+  /// Sweep time the current gate block started at; reset by a tick, or by
+  /// a sweep that finds the gate unblocked.
+  std::optional<double> block_start_ms_;
 
   // ---- rollback monitor (DESIGN.md §12) -----------------------------------
   std::deque<bool> recent_alarms_;     ///< last rollback_window package flags

@@ -10,6 +10,20 @@
 #include "obs/metrics.hpp"
 
 namespace mlad::serve {
+namespace {
+
+/// Shard-thread sweep period: a tenth of the smaller configured straggler
+/// threshold, clamped to [1, 10] ms; 0 when no ladder is configured. The
+/// engine has already rejected close_after_ms <= park_after_ms, so the
+/// smaller threshold is the first one set.
+int sweep_period_ms(const MonitorEngineConfig& engine) {
+  const double first = engine.park_after_ms > 0.0 ? engine.park_after_ms
+                                                  : engine.close_after_ms;
+  if (first == 0.0) return 0;
+  return std::clamp(static_cast<int>(first / 10.0), 1, 10);
+}
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
                              AlarmSink* sink,
@@ -41,31 +55,27 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
         std::make_unique<SpscQueue<ics::LinkFrame>>(config.queue_capacity);
     shard.engine = std::make_unique<MonitorEngine>(detector, shard_sink,
                                                    config.engine);
-    const bool sweeping = config.engine.park_after_ms > 0.0 ||
-                          config.engine.close_after_ms > 0.0;
-    const int sweep_ms = std::max(1, config.sweep_interval_ms);
     shard.thread = std::thread([q = shard.queue.get(),
-                                engine = shard.engine.get(), sweeping,
-                                sweep_ms] {
+                                engine = shard.engine.get(),
+                                sweep_ms = sweep_period_ms(config.engine)] {
       ics::LinkFrame lf;
-      if (!sweeping) {
+      if (sweep_ms == 0) {
         while (q->pop(lf)) engine->push(lf.link, lf.frame);
       } else {
         // Timed pops so a silent tap can't park the shard thread in a
-        // blocking pop forever: every wait — frame or timeout — reports its
-        // real elapsed time to the engine's wall-clock straggler sweep.
+        // blocking pop forever: after every wait, frame or timeout, the
+        // engine's straggler ladder reads the shard's clock.
         using Clock = std::chrono::steady_clock;
-        auto last = Clock::now();
+        const auto start = Clock::now();
         for (;;) {
           const auto res = q->pop_for(lf, sweep_ms);
           if (res == SpscQueue<ics::LinkFrame>::PopResult::kClosed) break;
           if (res == SpscQueue<ics::LinkFrame>::PopResult::kItem) {
             engine->push(lf.link, lf.frame);
           }
-          const auto now = Clock::now();
-          engine->wall_clock_sweep(
-              std::chrono::duration<double, std::milli>(now - last).count());
-          last = now;
+          engine->sweep(std::chrono::duration<double, std::milli>(
+                            Clock::now() - start)
+                            .count());
         }
       }
       engine->finish();

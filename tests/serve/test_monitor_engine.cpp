@@ -87,6 +87,20 @@ std::vector<AlarmKey> keys(const std::vector<AlarmEvent>& events,
   return out;
 }
 
+/// Pushes frames and drives the straggler ladder on a manual clock that
+/// advances one unit per pushed frame. On a two-link wire the block time
+/// then equals the backlog queued behind the silent link, so ladder
+/// thresholds read as package counts.
+struct FrameClock {
+  MonitorEngine& engine;
+  double now = 0.0;
+
+  void push(ics::LinkId link, const ics::RawFrame& frame) {
+    engine.push(link, frame);
+    engine.sweep(++now);
+  }
+};
+
 /// The oracle: the pre-engine `mlad monitor` loop, verbatim — one
 /// FrameDecoder and one classify_and_consume per package on one stream.
 std::vector<AlarmKey> manual_monitor_loop(const detect::CombinedDetector& det,
@@ -282,8 +296,8 @@ TEST(MonitorEngine, ParkAfterKeepsTheWireFlowingAndTheStateIntact) {
   const ics::Capture& b = f.captures[1];
 
   // Link 1 goes silent for the middle third of the wire. Without a
-  // straggler policy the lockstep gate would buffer link 0's packages for
-  // the whole gap; with --park-after the gate parks link 1, keeps ticking
+  // straggler ladder the lockstep gate would buffer link 0's packages for
+  // the whole gap; with park_after_ms the gate parks link 1, keeps ticking
   // link 0, and re-admits link 1 with its stream state intact.
   const auto isolated_b = [&] {
     CountingAlarmSink sink;
@@ -294,21 +308,23 @@ TEST(MonitorEngine, ParkAfterKeepsTheWireFlowingAndTheStateIntact) {
   }();
 
   CountingAlarmSink sink;
+  constexpr std::size_t kParkAfter = 6;
   MonitorEngineConfig cfg;
-  cfg.park_after = 6;
+  cfg.park_after_ms = kParkAfter;
   MonitorEngine engine(det, &sink, cfg);
+  FrameClock clock{engine};
   const std::size_t n = std::min(a.size(), b.size());
   std::size_t bi = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    engine.push(0, a[i]);
+    clock.push(0, a[i]);
     const bool b_silent = i >= n / 3 && i < 2 * n / 3;
-    if (!b_silent && bi < b.size()) engine.push(1, b[bi++]);
+    if (!b_silent && bi < b.size()) clock.push(1, b[bi++]);
   }
   // The gap must not have dammed up link 0 behind the gate.
-  EXPECT_LE(engine.stats().peak_pending, cfg.park_after + 1);
+  EXPECT_LE(engine.stats().peak_pending, kParkAfter + 1);
   EXPECT_GE(engine.stats().links_parked, 1u);
-  while (bi < b.size()) engine.push(1, b[bi++]);
-  for (std::size_t i = n; i < a.size(); ++i) engine.push(0, a[i]);
+  while (bi < b.size()) clock.push(1, b[bi++]);
+  for (std::size_t i = n; i < a.size(); ++i) clock.push(0, a[i]);
   engine.finish();
 
   EXPECT_EQ(engine.stats().links_seen, 2u)
@@ -324,24 +340,25 @@ TEST(MonitorEngine, ParkEscalatesToCloseAndExplicitCloseRetiresParked) {
   const ics::Capture& a = f.captures[0];
   const ics::Capture& b = f.captures[1];
 
-  // park_after < close_after: a permanently dead link is first parked
-  // (state kept for a possible rejoin), then RETIRED once its total
-  // silence reaches close_after ticks — it must not hold its snapshot
+  // park_after_ms < close_after_ms: a permanently dead link is first
+  // parked (state kept for a possible rejoin), then RETIRED once its total
+  // silence reaches close_after_ms — it must not hold its snapshot
   // forever.
   {
     MonitorEngineConfig cfg;
-    cfg.park_after = 4;
-    cfg.close_after = 20;
+    cfg.park_after_ms = 4;
+    cfg.close_after_ms = 20;
     MonitorEngine engine(det, nullptr, cfg);
+    FrameClock clock{engine};
     for (std::size_t i = 0; i < 16 && i < b.size(); ++i) {
-      engine.push(1, b[i]);
+      clock.push(1, b[i]);
     }
-    for (std::size_t i = 0; i < 200; ++i) engine.push(0, a[i]);  // b silent
+    for (std::size_t i = 0; i < 200; ++i) clock.push(0, a[i]);  // b silent
     EXPECT_EQ(engine.stats().links_parked, 1u);
     EXPECT_EQ(engine.stats().links_retired, 1u)
         << "parked link was not escalated to close";
     // A frame after the escalation opens a FRESH stream.
-    engine.push(1, b[16]);
+    clock.push(1, b[16]);
     EXPECT_EQ(engine.stats().links_seen, 3u);
     engine.finish();
   }
@@ -349,12 +366,13 @@ TEST(MonitorEngine, ParkEscalatesToCloseAndExplicitCloseRetiresParked) {
   // An explicit close() of a parked link retires it immediately.
   {
     MonitorEngineConfig cfg;
-    cfg.park_after = 4;
+    cfg.park_after_ms = 4;
     MonitorEngine engine(det, nullptr, cfg);
+    FrameClock clock{engine};
     for (std::size_t i = 0; i < 16 && i < b.size(); ++i) {
-      engine.push(1, b[i]);
+      clock.push(1, b[i]);
     }
-    for (std::size_t i = 0; i < 40; ++i) engine.push(0, a[i]);  // parks b
+    for (std::size_t i = 0; i < 40; ++i) clock.push(0, a[i]);  // parks b
     EXPECT_EQ(engine.stats().links_parked, 1u);
     EXPECT_EQ(engine.stats().links_retired, 0u);
     engine.close(1);
@@ -384,21 +402,23 @@ TEST(MonitorEngine, CloseAfterRetiresAStalledLinkToAFreshStream) {
   }();
 
   CountingAlarmSink sink;
+  constexpr std::size_t kCloseAfter = 5;
   MonitorEngineConfig cfg;
-  cfg.close_after = 5;
+  cfg.close_after_ms = kCloseAfter;
   MonitorEngine engine(det, &sink, cfg);
+  FrameClock clock{engine};
   std::size_t bi = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    engine.push(0, a[i]);
+    clock.push(0, a[i]);
     // b sends its first half early, stalls for a long stretch, then sends
     // the rest.
     const bool b_active = i < half || i >= a.size() - (b.size() - half);
-    if (b_active && bi < b.size()) engine.push(1, b[bi++]);
+    if (b_active && bi < b.size()) clock.push(1, b[bi++]);
   }
-  while (bi < b.size()) engine.push(1, b[bi++]);
+  while (bi < b.size()) clock.push(1, b[bi++]);
   engine.finish();
 
-  EXPECT_LE(engine.stats().peak_pending, cfg.close_after + 1);
+  EXPECT_LE(engine.stats().peak_pending, kCloseAfter + 1);
   EXPECT_EQ(engine.stats().links_parked, 0u);
   EXPECT_EQ(engine.stats().links_seen, 3u)
       << "the closed link must have rejoined as a fresh stream";

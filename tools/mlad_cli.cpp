@@ -79,9 +79,8 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"serve",
      {"captures", "model", "threads", "sink", "max-alarms", "sigdb",
       "shards", "queue-cap", "source", "speed", "listen", "bind",
-      "max-conns", "idle-timeout-ms", "fault-spec", "park-after",
-      "close-after", "park-hysteresis", "park-after-ms", "close-after-ms",
-      "sweep-interval-ms", "adapt", "adapt-interval", "replay-cap",
+      "max-conns", "idle-timeout-ms", "fault-spec", "park-after-ms",
+      "close-after-ms", "adapt", "adapt-interval", "replay-cap",
       "adapt-window", "adapt-min-windows", "adapt-epochs", "adapt-max-steps",
       "adapt-threads", "adapt-seed", "adapt-history", "adapt-poison-round",
       "adapt-poison-scale", "adam-state", "rollback-window",
@@ -598,13 +597,10 @@ void print_serve_summary(const serve::ShardedEngine& engine,
         static_cast<std::size_t>(fs.corruptions),
         static_cast<std::size_t>(fs.stalls));
   }
-  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
-    std::printf(
-        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
-        "closes\n",
-        static_cast<std::size_t>(s.links_parked),
-        static_cast<std::size_t>(s.wall_clock_parks),
-        static_cast<std::size_t>(s.wall_clock_closes));
+  if (s.links_parked + s.straggler_closes > 0) {
+    std::printf("straggler policy: %zu parks, %zu closes\n",
+                static_cast<std::size_t>(s.links_parked),
+                static_cast<std::size_t>(s.straggler_closes));
   }
   if (adapter != nullptr) {
     const adapt::AdaptStats as = adapter->stats();
@@ -639,17 +635,10 @@ int cmd_serve(const std::map<std::string, std::string>& flags,
   cfg.shards = uint_flag(flags, "shards", 1);
   cfg.queue_capacity = uint_flag(flags, "queue-cap", 4096);
   cfg.engine.threads = uint_flag(flags, "threads", 1);
-  // Straggler policy: take a silent link out of the lockstep gate once some
-  // other link has T packages queued behind it (DESIGN.md §9).
-  cfg.engine.park_after = uint_flag(flags, "park-after", 0);
-  cfg.engine.close_after = uint_flag(flags, "close-after", 0);
-  cfg.engine.park_hysteresis = uint_flag(flags, "park-hysteresis", 0);
-  // Wall-clock straggler sweep (DESIGN.md §12): takes a live tap that goes
-  // silent out of the gate by elapsed real time, not queue depth.
+  // Straggler ladder (DESIGN.md §12): park, then close, a silent link that
+  // blocks the lockstep gate for T real milliseconds.
   cfg.engine.park_after_ms = double_flag(flags, "park-after-ms", 0);
   cfg.engine.close_after_ms = double_flag(flags, "close-after-ms", 0);
-  cfg.sweep_interval_ms =
-      static_cast<int>(uint_flag(flags, "sweep-interval-ms", 10, INT_MAX));
 
   const std::string source_kind = get_or(flags, "source", "capture");
   std::unique_ptr<ingest::PackageSource> source =
@@ -756,7 +745,7 @@ int cmd_tap(const std::map<std::string, std::string>& flags) {
   // Smoke-driver knobs: --limit streams only the first N records, --no-fin
   // leaves the stream open-ended — the listener sees a tap that went silent
   // (straggler), not a clean end — and --pace-us spaces the records out so
-  // wall-clock park/close windows have real time to elapse against.
+  // the straggler ladder's park/close windows have real time to elapse.
   const std::size_t limit = uint_flag(flags, "limit", 0);
   const bool send_fin = flags.count("no-fin") == 0;
   const auto pace_us = uint_flag(flags, "pace-us", 0);
@@ -975,9 +964,6 @@ int usage() {
       "           [--sigdb f.sigdb]   mmap the compact signature index\n"
       "           (mlad sigdb build) and route membership/id lookups\n"
       "           through it — verdicts bit-identical to the in-RAM path\n"
-      "           [--park-after T] [--close-after T]   straggler policy:\n"
-      "           park (state kept across rejoin) or close a link that\n"
-      "           stalls the gate for T ticks' worth of wire\n"
       "           [--shards N] [--queue-cap Q]   links hash onto N engine\n"
       "           shards (default 1), each fed by a bounded SPSC queue\n"
       "           (Q frames; a full queue back-pressures the pump);\n"
@@ -1001,12 +987,12 @@ int usage() {
       "           the source (keys: seed, drop, truncate, corrupt, stall,\n"
       "           stall_ms, disconnect_every); delivered well-formed\n"
       "           packages keep bit-identical verdicts\n"
-      "           [--park-after-ms T] [--close-after-ms T]   wall-clock\n"
-      "           straggler policy for live taps: a silent link blocking\n"
-      "           the gate for T real ms is parked / closed\n"
-      "           [--sweep-interval-ms T] [--park-hysteresis H]   sweep\n"
-      "           granularity; a recently-rejoined link needs H extra ticks\n"
-      "           of pressure before it re-parks\n"
+      "           [--park-after-ms P] [--close-after-ms C]   straggler\n"
+      "           ladder: a silent link blocking the gate for P real ms is\n"
+      "           parked (state kept, resumed by its next frame; twice P\n"
+      "           if it rejoined less than P ms before the block), and\n"
+      "           closed after C − P ms parked (C > P); with only C set,\n"
+      "           it is closed at C ms of block time\n"
       "           [--adapt] [--adapt-interval N] [--replay-cap M]\n"
       "           [--adapt-threads K] [--adapt-window L] [--adapt-epochs E]\n"
       "           [--adapt-min-windows W] [--adapt-max-steps S]\n"
@@ -1047,7 +1033,7 @@ int usage() {
       "           (default --resend 8) to exercise duplicate discard.\n"
       "           --limit N sends only the first N records, --no-fin\n"
       "           leaves the stream open-ended (a straggler for the\n"
-      "           listener's wall-clock park policy), --pace-us U sleeps\n"
+      "           listener's straggler ladder), --pace-us U sleeps\n"
       "           U microseconds between records\n");
   return 2;
 }
