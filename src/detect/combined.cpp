@@ -1,67 +1,33 @@
 #include "detect/combined.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 namespace mlad::detect {
-namespace {
-
-std::vector<sig::RawRow> flatten(
-    std::span<const std::vector<sig::RawRow>> fragments) {
-  std::vector<sig::RawRow> rows;
-  std::size_t total = 0;
-  for (const auto& f : fragments) total += f.size();
-  rows.reserve(total);
-  for (const auto& f : fragments) rows.insert(rows.end(), f.begin(), f.end());
-  return rows;
-}
-
-}  // namespace
 
 CombinedDetector::CombinedDetector(
     std::span<const std::vector<sig::RawRow>> train_fragments,
     std::span<const std::vector<sig::RawRow>> validation_fragments,
     std::span<const sig::FeatureSpec> specs, const CombinedConfig& config,
     Rng& rng, std::span<const std::vector<sig::RawRow>> signature_only_train,
-    std::span<const std::vector<sig::RawRow>> signature_only_validation) {
-  std::vector<sig::RawRow> train_rows = flatten(train_fragments);
-  {
-    const std::vector<sig::RawRow> extra = flatten(signature_only_train);
-    train_rows.insert(train_rows.end(), extra.begin(), extra.end());
-  }
-  package_ = std::make_unique<PackageLevelDetector>(train_rows, specs, rng,
-                                                    config.package);
-
-  std::vector<sig::RawRow> validation_rows = flatten(validation_fragments);
-  {
-    const std::vector<sig::RawRow> extra = flatten(signature_only_validation);
-    validation_rows.insert(validation_rows.end(), extra.begin(), extra.end());
-  }
-  package_validation_error_ = package_->validation_error(validation_rows);
-
-  // Discretize the fragments once for LSTM training / validation.
-  auto discretize = [&](std::span<const std::vector<sig::RawRow>> frags) {
-    std::vector<DiscreteFragment> out;
-    out.reserve(frags.size());
-    for (const auto& f : frags) {
-      out.push_back(package_->discretizer().transform_all(f));
-    }
-    return out;
-  };
-  const std::vector<DiscreteFragment> train_disc = discretize(train_fragments);
-  const std::vector<DiscreteFragment> val_disc = discretize(validation_fragments);
-
-  timeseries_ = std::make_unique<TimeSeriesDetector>(
-      package_->database(), package_->discretizer().cardinalities(),
-      config.timeseries, rng);
-  training_losses_ = timeseries_->train(train_disc, rng);
-  timeseries_->choose_k(val_disc);
-}
+    std::span<const std::vector<sig::RawRow>> signature_only_validation)
+    : CombinedDetector(std::array{CaptureFragments{
+                           "", train_fragments, validation_fragments,
+                           signature_only_train, signature_only_validation}},
+                       specs, config, rng, std::nullopt) {}
 
 CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
                                    std::span<const sig::FeatureSpec> specs,
                                    const CombinedConfig& config, Rng& rng,
-                                   std::uint64_t shard_seed) {
+                                   std::uint64_t shard_seed)
+    : CombinedDetector(captures, specs, config, rng,
+                       std::optional<std::uint64_t>(shard_seed)) {}
+
+CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
+                                   std::span<const sig::FeatureSpec> specs,
+                                   const CombinedConfig& config, Rng& rng,
+                                   std::optional<std::uint64_t> shard_seed) {
   // Canonical key order for every pooled structure: the database, Bloom
   // filter, discretizer, and validation sets see the same row sequence no
   // matter how the caller ordered the captures.
@@ -77,32 +43,26 @@ CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
     }
   }
 
-  std::vector<sig::RawRow> train_rows;
-  for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> rows =
-        flatten(captures[ci].train_fragments);
-    train_rows.insert(train_rows.end(), rows.begin(), rows.end());
-  }
-  for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> extra =
-        flatten(captures[ci].signature_only_train);
-    train_rows.insert(train_rows.end(), extra.begin(), extra.end());
-  }
-  package_ = std::make_unique<PackageLevelDetector>(train_rows, specs, rng,
-                                                    config.package);
-
-  std::vector<sig::RawRow> validation_rows;
-  for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> rows =
-        flatten(captures[ci].validation_fragments);
-    validation_rows.insert(validation_rows.end(), rows.begin(), rows.end());
-  }
-  for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> extra =
-        flatten(captures[ci].signature_only_validation);
-    validation_rows.insert(validation_rows.end(), extra.begin(), extra.end());
-  }
-  package_validation_error_ = package_->validation_error(validation_rows);
+  // Rows of two fragment sets of every capture, pooled in canonical order.
+  using Set = std::span<const std::vector<sig::RawRow>> CaptureFragments::*;
+  const auto pooled = [&](Set fragments, Set signature_only) {
+    std::vector<sig::RawRow> rows;
+    for (const Set set : {fragments, signature_only}) {
+      for (std::size_t ci : order) {
+        for (const auto& f : captures[ci].*set) {
+          rows.insert(rows.end(), f.begin(), f.end());
+        }
+      }
+    }
+    return rows;
+  };
+  package_ = std::make_unique<PackageLevelDetector>(
+      pooled(&CaptureFragments::train_fragments,
+             &CaptureFragments::signature_only_train),
+      specs, rng, config.package);
+  package_validation_error_ = package_->validation_error(
+      pooled(&CaptureFragments::validation_fragments,
+             &CaptureFragments::signature_only_validation));
 
   auto discretize = [&](std::span<const std::vector<sig::RawRow>> frags) {
     std::vector<DiscreteFragment> out;
@@ -131,7 +91,9 @@ CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
   timeseries_ = std::make_unique<TimeSeriesDetector>(
       package_->database(), package_->discretizer().cardinalities(),
       config.timeseries, rng);
-  training_losses_ = timeseries_->train_sharded(shards, shard_seed);
+  training_losses_ = shard_seed
+                         ? timeseries_->train_sharded(shards, *shard_seed)
+                         : timeseries_->train(shards.front().fragments, rng);
   timeseries_->choose_k(val_disc);
 }
 

@@ -8,8 +8,11 @@
 // so later classifications condition on it (§V-A-3 detection-phase rule).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,7 +52,9 @@ class CombinedDetector {
   /// validation set drives the choice of k. `signature_only_train` /
   /// `signature_only_validation` are normal runs too short for BPTT (the
   /// paper's <10-package leftovers); they feed the signature database and
-  /// the package-level validation error, but not the LSTM.
+  /// the package-level validation error, but not the LSTM. The one-capture
+  /// case of the multi-capture builder, except that `rng` drives the LSTM
+  /// epochs (train()) as well as the package level and the init.
   CombinedDetector(
       std::span<const std::vector<sig::RawRow>> train_fragments,
       std::span<const std::vector<sig::RawRow>> validation_fragments,
@@ -117,6 +122,14 @@ class CombinedDetector {
   }
 
  private:
+  /// The builder behind both training constructors. Without `shard_seed`
+  /// (exactly one capture) the LSTM epochs draw from `rng`, like the
+  /// package level and the init; with it they run train_sharded.
+  CombinedDetector(std::span<const CaptureFragments> captures,
+                   std::span<const sig::FeatureSpec> specs,
+                   const CombinedConfig& config, Rng& rng,
+                   std::optional<std::uint64_t> shard_seed);
+
   std::unique_ptr<PackageLevelDetector> package_;
   std::unique_ptr<TimeSeriesDetector> timeseries_;
   std::vector<double> training_losses_;

@@ -1,6 +1,7 @@
 #include "detect/pipeline.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -88,30 +89,15 @@ std::vector<std::vector<sig::RawRow>> fragment_raw_rows(
   return out;
 }
 
-TrainedFramework train_framework(std::span<const ics::Package> capture,
-                                 const PipelineConfig& config) {
-  TrainedFramework tf;
-  tf.split = ics::split_dataset(capture, config.split);
+namespace {
 
-  const auto train_rows = fragment_raw_rows(tf.split.train_fragments);
-  const auto val_rows = fragment_raw_rows(tf.split.validation_fragments);
-  const std::vector<sig::FeatureSpec> specs =
-      config.specs.empty() ? ics::default_feature_specs() : config.specs;
-
-  const auto train_short = fragment_raw_rows(tf.split.train_short_fragments);
-  const auto val_short = fragment_raw_rows(tf.split.validation_short_fragments);
-
-  Rng rng(config.seed);
-  Stopwatch sw;
-  tf.detector = std::make_unique<CombinedDetector>(
-      train_rows, val_rows, specs, config.combined, rng, train_short,
-      val_short);
-  tf.train_seconds = sw.elapsed_seconds();
-  return tf;
-}
-
-MultiTrainedFramework train_framework(std::span<const CaptureInput> captures,
-                                      const PipelineConfig& config) {
+/// The one framework builder behind both train_framework overloads: split
+/// every capture 6:2:2 and train one detector over all of them. Without
+/// `shard_seed` (exactly one capture) the single-capture CombinedDetector
+/// runs, so config.seed's Rng also drives the LSTM epochs.
+MultiTrainedFramework build_framework(std::span<const CaptureInput> captures,
+                                      const PipelineConfig& config,
+                                      std::optional<std::uint64_t> shard_seed) {
   MultiTrainedFramework tf;
   tf.splits.reserve(captures.size());
   const std::vector<sig::FeatureSpec> specs =
@@ -140,10 +126,32 @@ MultiTrainedFramework train_framework(std::span<const CaptureInput> captures,
 
   Rng rng(config.seed);
   Stopwatch sw;
-  tf.detector = std::make_unique<CombinedDetector>(
-      frags, specs, config.combined, rng, /*shard_seed=*/config.seed);
+  if (shard_seed) {
+    tf.detector = std::make_unique<CombinedDetector>(
+        frags, specs, config.combined, rng, *shard_seed);
+  } else {
+    const CaptureFragments& f = frags.front();
+    tf.detector = std::make_unique<CombinedDetector>(
+        f.train_fragments, f.validation_fragments, specs, config.combined, rng,
+        f.signature_only_train, f.signature_only_validation);
+  }
   tf.train_seconds = sw.elapsed_seconds();
   return tf;
+}
+
+}  // namespace
+
+TrainedFramework train_framework(std::span<const ics::Package> capture,
+                                 const PipelineConfig& config) {
+  const CaptureInput one[] = {{"", capture}};
+  MultiTrainedFramework tf = build_framework(one, config, std::nullopt);
+  return {std::move(tf.detector), std::move(tf.splits.front()),
+          tf.train_seconds};
+}
+
+MultiTrainedFramework train_framework(std::span<const CaptureInput> captures,
+                                      const PipelineConfig& config) {
+  return build_framework(captures, config, /*shard_seed=*/config.seed);
 }
 
 EvaluationResult evaluate_framework(const CombinedDetector& detector,

@@ -39,7 +39,9 @@ struct EvaluationResult {
   double avg_classify_us = 0.0;  ///< paper §VIII-A2 reports ~30 µs
 };
 
-/// Split the capture and train the combined framework.
+/// Split the capture and train the combined framework: the one-capture
+/// case of the multi-capture overload below, except that config.seed's Rng
+/// also drives the LSTM epochs (TimeSeriesDetector::train).
 TrainedFramework train_framework(std::span<const ics::Package> capture,
                                  const PipelineConfig& config);
 

@@ -23,6 +23,17 @@ nn::SequenceModelConfig model_config(const sig::SignatureDatabase& db,
   return mc;
 }
 
+/// Both batch sizes count windows; zero has no meaning for either.
+const TimeSeriesConfig& checked(const TimeSeriesConfig& config) {
+  if (config.batch_size == 0) {
+    throw std::invalid_argument("TimeSeriesConfig: batch_size must be >= 1");
+  }
+  if (config.micro_batch == 0) {
+    throw std::invalid_argument("TimeSeriesConfig: micro_batch must be >= 1");
+  }
+  return config;
+}
+
 }  // namespace
 
 TimeSeriesDetector::TimeSeriesDetector(const sig::SignatureDatabase& db,
@@ -31,7 +42,7 @@ TimeSeriesDetector::TimeSeriesDetector(const sig::SignatureDatabase& db,
                                        Rng& rng)
     : db_(&db),
       cardinalities_(std::move(cardinalities)),
-      config_(config),
+      config_(checked(config)),
       model_(model_config(db, cardinalities_, config)) {
   model_.init_params(rng);
 }
@@ -42,7 +53,7 @@ TimeSeriesDetector::TimeSeriesDetector(const sig::SignatureDatabase& db,
                                        nn::SequenceModel model, std::size_t k)
     : db_(&db),
       cardinalities_(std::move(cardinalities)),
-      config_(config),
+      config_(checked(config)),
       model_(std::move(model)),
       k_(k) {
   std::size_t one_hot = 1;  // the noisy bit
@@ -104,116 +115,35 @@ void TimeSeriesDetector::set_train_config(const TimeSeriesConfig& config) {
     throw std::invalid_argument(
         "set_train_config: hidden_dims cannot change on a built model");
   }
-  config_ = config;
+  config_ = checked(config);
 }
+
+/// One capture's streaming encoder state in the epoch loop. A fragment is
+/// encoded (drawing its noise from `rng`) only when the capture's pending
+/// window list runs short, and stays live only while one of its windows is
+/// still pending (a deque keeps element addresses stable), so peak memory
+/// is about one round of one-hot floats per capture, not a whole epoch's.
+struct TimeSeriesDetector::Feed {
+  Feed(std::span<const DiscreteFragment> f, Rng& r)
+      : fragments(f), rng(&r), order(f.size()) {
+    std::iota(order.begin(), order.end(), 0);
+  }
+
+  std::span<const DiscreteFragment> fragments;
+  Rng* rng;
+  std::vector<std::size_t> order;        ///< shuffled fragment indices
+  std::size_t next = 0;                  ///< next order[] entry to encode
+  std::deque<nn::Fragment> live;         ///< encoded, still referenced
+  std::deque<std::size_t> live_windows;  ///< pending windows per fragment
+  std::vector<nn::WindowRef> pending;    ///< windows not yet consumed
+  std::size_t took = 0;                  ///< windows in this round's group
+};
 
 std::vector<double> TimeSeriesDetector::train(
     std::span<const DiscreteFragment> fragments, Rng& rng) {
-  nn::Adam opt(config_.learning_rate);
-  const auto slots = model_.param_slots();
-  if (warm_start_) {
-    if (!nn::adam_state_matches(*warm_start_, slots)) {
-      throw std::invalid_argument(
-          "TimeSeriesDetector: Adam warm-start state does not match the "
-          "model (refusing mismatched sidecar)");
-    }
-    opt.restore(std::move(*warm_start_));
-    warm_start_.reset();
-  }
-  const bool batched = config_.batch_size > 1;
-  std::optional<nn::MinibatchTrainer> engine;
-  if (batched) {
-    engine.emplace(model_, config_.micro_batch, config_.threads);
-  }
-
-  std::vector<std::size_t> order(fragments.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  std::vector<double> epoch_losses;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.shuffle(order);
-    double loss_sum = 0.0;
-    std::size_t steps = 0;
-    if (batched) {
-      // Encoding (and its noise draws) happens serially in shuffled order —
-      // exactly the sequence the per-window loop would consume — so the Rng
-      // stream never depends on the batch/thread configuration. Encoded
-      // fragments live only while a pending window still references them
-      // (a deque keeps element addresses stable), so peak memory is one
-      // minibatch worth of one-hot floats, not the whole epoch's.
-      std::deque<nn::Fragment> live;
-      std::deque<std::size_t> live_windows;  // pending windows per fragment
-      std::vector<nn::WindowRef> pending;
-      const auto release = [&](std::size_t consumed) {
-        while (consumed > 0) {
-          if (live_windows.front() <= consumed) {
-            consumed -= live_windows.front();
-            live_windows.pop_front();
-            live.pop_front();
-          } else {
-            live_windows.front() -= consumed;
-            consumed = 0;
-          }
-        }
-      };
-      const auto flush = [&](bool final_flush) {
-        std::size_t done = 0;
-        while (pending.size() - done >= config_.batch_size ||
-               (final_flush && pending.size() > done)) {
-          const std::size_t count =
-              std::min(config_.batch_size, pending.size() - done);
-          loss_sum += engine->step(std::span(pending).subspan(done, count),
-                                   slots, config_.grad_clip, opt);
-          done += count;
-        }
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<std::ptrdiff_t>(done));
-        release(done);
-      };
-      for (std::size_t fi : order) {
-        nn::Fragment frag =
-            encode_fragment(fragments[fi], config_.noise.enabled, &rng);
-        if (frag.steps() == 0) continue;
-        live.push_back(std::move(frag));
-        const nn::Fragment& f = live.back();
-        const std::size_t truncate =
-            config_.truncate_steps == 0 ? f.steps() : config_.truncate_steps;
-        std::size_t windows = 0;
-        for (std::size_t start = 0; start < f.steps(); start += truncate) {
-          const std::size_t end = std::min(f.steps(), start + truncate);
-          pending.push_back({std::span(f.inputs.data() + start, end - start),
-                             std::span(f.targets.data() + start, end - start)});
-          steps += end - start;
-          ++windows;
-        }
-        live_windows.push_back(windows);
-        flush(false);
-      }
-      flush(true);
-    } else {
-      for (std::size_t fi : order) {
-        // Noise is re-sampled every epoch (fresh corruption draws).
-        const nn::Fragment frag =
-            encode_fragment(fragments[fi], config_.noise.enabled, &rng);
-        if (frag.steps() == 0) continue;
-        const std::size_t truncate =
-            config_.truncate_steps == 0 ? frag.steps() : config_.truncate_steps;
-        for (std::size_t start = 0; start < frag.steps(); start += truncate) {
-          const std::size_t end = std::min(frag.steps(), start + truncate);
-          model_.zero_grads();
-          loss_sum += model_.train_fragment(
-              std::span(frag.inputs.data() + start, end - start),
-              std::span(frag.targets.data() + start, end - start));
-          steps += end - start;
-          nn::clip_global_norm(slots, config_.grad_clip);
-          opt.step(slots);
-        }
-      }
-    }
-    epoch_losses.push_back(steps ? loss_sum / static_cast<double>(steps) : 0.0);
-  }
-  adam_state_ = opt.state();
-  return epoch_losses;
+  Feed feed(fragments, rng);
+  return run_epochs(std::span(&feed, 1),
+                    /*per_window=*/config_.batch_size == 1);
 }
 
 std::vector<double> TimeSeriesDetector::train_sharded(
@@ -233,6 +163,30 @@ std::vector<double> TimeSeriesDetector::train_sharded(
     }
   }
 
+  // One independent Rng stream per capture, derived from (base_seed, key)
+  // via FNV-1a: a capture's shuffle and noise draws are a pure function of
+  // its own key and data, never of its shard neighbours.
+  std::vector<Rng> rngs;
+  rngs.reserve(captures.size());
+  std::vector<Feed> feeds;
+  feeds.reserve(captures.size());
+  for (std::size_t ci : cap_order) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (int b = 0; b < 8; ++b) {
+      h ^= (base_seed >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+    for (unsigned char ch : captures[ci].key) {
+      h ^= ch;
+      h *= 1099511628211ULL;
+    }
+    feeds.emplace_back(captures[ci].fragments, rngs.emplace_back(h));
+  }
+  return run_epochs(feeds, /*per_window=*/false);
+}
+
+std::vector<double> TimeSeriesDetector::run_epochs(std::span<Feed> feeds,
+                                                   bool per_window) {
   nn::Adam opt(config_.learning_rate);
   const auto slots = model_.param_slots();
   if (warm_start_) {
@@ -244,66 +198,34 @@ std::vector<double> TimeSeriesDetector::train_sharded(
     opt.restore(std::move(*warm_start_));
     warm_start_.reset();
   }
-  nn::MinibatchTrainer engine(model_, config_.micro_batch, config_.threads);
-
-  // One independent Rng stream per capture, derived from (base_seed, key)
-  // via FNV-1a: a capture's shuffle and noise draws are a pure function of
-  // its own key and data, never of its shard neighbours.
-  std::vector<Rng> rngs;
-  rngs.reserve(captures.size());
-  for (const CaptureShard& cap : captures) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int b = 0; b < 8; ++b) {
-      h ^= (base_seed >> (8 * b)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-    for (unsigned char ch : cap.key) {
-      h ^= ch;
-      h *= 1099511628211ULL;
-    }
-    rngs.emplace_back(h);
+  std::optional<nn::MinibatchTrainer> engine;
+  if (!per_window) {
+    engine.emplace(model_, config_.micro_batch, config_.threads);
   }
 
-  // Per-capture streaming encoder state: like train()'s batched path, a
-  // fragment stays live only while one of its windows is still pending, so
-  // peak memory is ~one round of one-hot floats per capture.
-  struct Feed {
-    std::vector<std::size_t> order;        ///< shuffled fragment indices
-    std::size_t next = 0;                  ///< next order[] entry to encode
-    std::deque<nn::Fragment> live;         ///< encoded, still referenced
-    std::deque<std::size_t> live_windows;  ///< pending windows per fragment
-    std::vector<nn::WindowRef> pending;    ///< windows not yet consumed
-  };
-  std::vector<Feed> feeds(captures.size());
-  for (std::size_t ci = 0; ci < captures.size(); ++ci) {
-    feeds[ci].order.resize(captures[ci].fragments.size());
-    std::iota(feeds[ci].order.begin(), feeds[ci].order.end(), 0);
-  }
-
-  const std::size_t group_size = std::max<std::size_t>(1, config_.batch_size);
+  const std::size_t batch = config_.batch_size;
   std::vector<double> epoch_losses;
   std::vector<std::span<const nn::WindowRef>> groups;
-  std::vector<std::size_t> took(captures.size());
-
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    for (std::size_t ci = 0; ci < captures.size(); ++ci) {
-      feeds[ci].next = 0;
-      rngs[ci].shuffle(feeds[ci].order);
+    for (Feed& fd : feeds) {
+      fd.next = 0;
+      fd.rng->shuffle(fd.order);
     }
     double loss_sum = 0.0;
     std::size_t steps = 0;
     while (true) {
-      // Build this round's groups: up to group_size windows from every
-      // capture, in canonical order. The partition is a function of the
-      // data and group_size alone — never of threads or listing order.
+      // This round's groups: up to `batch` windows from every capture, in
+      // feed order. Encoding (and its noise draws) runs serially in each
+      // capture's shuffled order, so the Rng stream never depends on the
+      // batch or thread configuration; the window partition is a function
+      // of the data and `batch` alone.
       groups.clear();
-      for (std::size_t ci : cap_order) {
-        Feed& fd = feeds[ci];
-        while (fd.pending.size() < group_size &&
-               fd.next < fd.order.size()) {
+      for (Feed& fd : feeds) {
+        while (fd.pending.size() < batch && fd.next < fd.order.size()) {
+          // Noise is re-sampled every epoch (fresh corruption draws).
           nn::Fragment frag =
-              encode_fragment(captures[ci].fragments[fd.order[fd.next++]],
-                              config_.noise.enabled, &rngs[ci]);
+              encode_fragment(fd.fragments[fd.order[fd.next++]],
+                              config_.noise.enabled, fd.rng);
           if (frag.steps() == 0) continue;
           fd.live.push_back(std::move(frag));
           const nn::Fragment& f = fd.live.back();
@@ -321,18 +243,24 @@ std::vector<double> TimeSeriesDetector::train_sharded(
           }
           fd.live_windows.push_back(windows);
         }
-        took[ci] = std::min(group_size, fd.pending.size());
-        if (took[ci] > 0) {
-          groups.push_back(std::span(fd.pending).first(took[ci]));
-        }
+        fd.took = std::min(batch, fd.pending.size());
+        if (fd.took > 0) groups.push_back(std::span(fd.pending).first(fd.took));
       }
       if (groups.empty()) break;  // epoch exhausted every capture
-      loss_sum += engine.step_grouped(groups, slots, config_.grad_clip, opt);
+      if (per_window) {
+        // The sequential reference step: one window, one optimizer step.
+        const nn::WindowRef& w = groups.front().front();
+        model_.zero_grads();
+        loss_sum += model_.train_fragment(w.inputs, w.targets);
+        nn::clip_global_norm(slots, config_.grad_clip);
+        opt.step(slots);
+      } else {
+        loss_sum += engine->step_grouped(groups, slots, config_.grad_clip, opt);
+      }
       // Retire the consumed window prefix (and any fragment whose windows
       // are all done) of each capture.
-      for (std::size_t ci : cap_order) {
-        Feed& fd = feeds[ci];
-        std::size_t consumed = took[ci];
+      for (Feed& fd : feeds) {
+        std::size_t consumed = fd.took;
         fd.pending.erase(
             fd.pending.begin(),
             fd.pending.begin() + static_cast<std::ptrdiff_t>(consumed));

@@ -48,12 +48,13 @@ struct TimeSeriesConfig {
   double learning_rate = 3e-3;
   double grad_clip = 5.0;
   std::size_t truncate_steps = 64;     ///< BPTT window
-  /// BPTT windows per optimizer step. 1 = the seed's sequential per-window
-  /// SGD (reference semantics); >1 = the batched data-parallel engine
-  /// (nn::MinibatchTrainer), whose results depend on batch_size and
-  /// micro_batch but are bit-identical for any `threads` (DESIGN.md §5).
+  /// BPTT windows per optimizer step (>= 1; 0 throws). train() at 1 takes
+  /// the sequential per-window reference step; otherwise the batched
+  /// data-parallel engine (nn::MinibatchTrainer) runs, whose results depend
+  /// on batch_size and micro_batch but are bit-identical for any `threads`
+  /// (DESIGN.md §5).
   std::size_t batch_size = 1;
-  std::size_t micro_batch = 4;         ///< windows per batched kernel pass
+  std::size_t micro_batch = 4;  ///< windows per batched kernel pass (>= 1)
   std::size_t threads = 1;             ///< 0 = hardware concurrency
   NoiseConfig noise;                   ///< §V-A-3 augmentation
   double theta = 0.05;                 ///< acceptable FPR for choosing k
@@ -78,6 +79,9 @@ class TimeSeriesDetector {
   TimeSeriesDetector(TimeSeriesDetector&&) = default;
 
   /// Train on anomaly-free fragments; returns mean per-step loss by epoch.
+  /// The one-capture case of train_sharded's epoch loop, with `rng` driving
+  /// the shuffle and noise draws; at batch_size 1 each round is the
+  /// sequential per-window reference step (BPTT, clip, Adam per window).
   /// Uses a fresh Adam unless a warm start was installed (below); the final
   /// optimizer moments are captured and readable via adam_state().
   std::vector<double> train(std::span<const DiscreteFragment> fragments,
@@ -184,6 +188,16 @@ class TimeSeriesDetector {
   /// Every next-package target of `fragments` ranked once, capped at max_k.
   nn::TopKErrorCurve rank_targets(std::span<const DiscreteFragment> fragments,
                                   std::size_t max_k) const;
+
+  /// One capture's fragments, Rng and streaming window state (the .cpp).
+  struct Feed;
+
+  /// The one epoch loop behind train() and train_sharded(): per epoch,
+  /// shuffle every feed, then per round top each feed up to batch_size
+  /// windows and take one optimizer step over the round's groups (feed
+  /// order). `per_window` (one feed, batch_size 1) takes the sequential
+  /// reference step instead of the grouped engine.
+  std::vector<double> run_epochs(std::span<Feed> feeds, bool per_window);
 
   /// Encode a fragment into training inputs/targets, optionally noisy.
   nn::Fragment encode_fragment(const DiscreteFragment& frag, bool with_noise,

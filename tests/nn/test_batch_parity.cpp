@@ -1,7 +1,8 @@
 // Parity between the batched engine (kernels.hpp + *_batch entry points)
 // and the sample-at-a-time reference path: forward outputs and accumulated
-// gradients must agree within 1e-5 on randomized shapes, and the batched
-// trainer must be bit-identical across thread counts (DESIGN.md §5).
+// gradients must agree within 1e-5 on randomized shapes (DESIGN.md §5). The
+// detector-level training determinism tests live in
+// tests/detect/test_timeseries_detector.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -384,63 +385,6 @@ TEST(BatchKernels, OneHotRowsFromDense) {
                std::invalid_argument);
   EXPECT_THROW(x.append_dense(std::vector<float>{1.0f}),
                std::invalid_argument);
-}
-
-// ---- trainer-level determinism ---------------------------------------------
-
-TEST(BatchParity, TrainingIsBitIdenticalAcrossThreadCounts) {
-  const std::size_t input_dim = 6;
-  const std::size_t classes = 4;
-  const auto run = [&](std::size_t threads) {
-    Rng rng(55);
-    SequenceModel model(small_config(input_dim, classes));
-    model.init_params(rng);
-    Rng data_rng(56);
-    const auto frags = random_fragments(data_rng, 10, input_dim, classes);
-    Adam opt(3e-3);
-    TrainerConfig cfg;
-    cfg.epochs = 3;
-    cfg.truncate_steps = 4;
-    cfg.batch_size = 4;
-    cfg.micro_batch = 2;
-    cfg.threads = threads;
-    Rng train_rng(57);
-    return train(model, frags, opt, cfg, train_rng);
-  };
-  const TrainReport one = run(1);
-  const TrainReport four = run(4);
-  ASSERT_EQ(one.epoch_losses.size(), four.epoch_losses.size());
-  for (std::size_t e = 0; e < one.epoch_losses.size(); ++e) {
-    // Identical epoch losses, not just close: the deterministic reduction
-    // makes the thread count invisible to the arithmetic.
-    ASSERT_EQ(one.epoch_losses[e], four.epoch_losses[e]);
-  }
-  EXPECT_EQ(one.total_steps, four.total_steps);
-}
-
-TEST(BatchParity, BatchedTrainingConvergesLikeSequential) {
-  const std::size_t input_dim = 6;
-  const std::size_t classes = 3;
-  const auto run = [&](std::size_t batch) {
-    Rng rng(71);
-    SequenceModel model(small_config(input_dim, classes));
-    model.init_params(rng);
-    Rng data_rng(72);
-    const auto frags = random_fragments(data_rng, 8, input_dim, classes);
-    Adam opt(5e-3);
-    TrainerConfig cfg;
-    cfg.epochs = 8;
-    cfg.truncate_steps = 6;
-    cfg.batch_size = batch;
-    Rng train_rng(73);
-    return train(model, frags, opt, cfg, train_rng);
-  };
-  const TrainReport seq = run(1);
-  const TrainReport bat = run(4);
-  // Same data, same steps; both must actually learn.
-  EXPECT_EQ(seq.total_steps, bat.total_steps);
-  EXPECT_LT(seq.epoch_losses.back(), seq.epoch_losses.front());
-  EXPECT_LT(bat.epoch_losses.back(), bat.epoch_losses.front());
 }
 
 }  // namespace

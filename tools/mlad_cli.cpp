@@ -248,6 +248,17 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_train(const std::map<std::string, std::string>& flags) {
+  // Refuse flag pairs where one training mode would drop a flag unread.
+  const auto refuse_pair = [&](const std::string& a, const std::string& b,
+                               const std::string& why) {
+    if (flags.count(a) != 0 && flags.count(b) != 0) {
+      throw std::runtime_error("--" + a + " cannot be combined with --" + b +
+                               why);
+    }
+  };
+  refuse_pair("hidden", "resume", " (the resumed model fixes its shape)");
+  refuse_pair("captures", "resume", " (resume trains on --arff)");
+  refuse_pair("arff", "captures", " (train on one or the other)");
   const std::string model_path = need(flags, "model");
   const auto adam_it = flags.find("adam-state");
 
@@ -931,8 +942,9 @@ int usage() {
       "  simulate --cycles N --seed S [--arff f] [--capture f]\n"
       "           [--attacks on|off]\n"
       "  train    --arff f --model f [--epochs N] [--hidden H] [--seed S]\n"
-      "           [--batch B] [--threads N]   (batch>1 = parallel minibatch\n"
-      "           engine; threads 0 = all cores, never changes results)\n"
+      "           [--batch B] [--threads N]   (B >= 1; B>1 = parallel\n"
+      "           minibatch engine; threads 0 = all cores, never changes\n"
+      "           results)\n"
       "           [--captures a.cap,b.cap,…]  instead of --arff: decode the\n"
       "           raw captures (assumed anomaly-free) and train ONE model\n"
       "           with per-capture gradient lanes — each optimizer step\n"
@@ -941,7 +953,8 @@ int usage() {
       "           [--adam-state f]  write the Adam sidecar next to the model\n"
       "           [--resume old.model]  continue training a saved framework\n"
       "           on this log (with --adam-state: warm-start from, then\n"
-      "           rewrite, the sidecar; refused if it mismatches the model)\n"
+      "           rewrite, the sidecar; refused if it mismatches the model;\n"
+      "           not with --hidden or --captures)\n"
       "  evaluate --arff f --model f [--threads N] [--streams S]\n"
       "           (--threads: sharded parallel scoring; --streams S>1:\n"
       "           batched multi-stream inference, one (S×dim) LSTM step\n"
