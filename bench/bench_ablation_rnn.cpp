@@ -18,16 +18,25 @@ namespace {
 
 using namespace mlad;
 
+/// A fragment with dense one-hot inputs, the form train_fragment and
+/// top_k_misses take.
+struct DenseFragment {
+  std::vector<std::vector<float>> inputs;
+  std::vector<std::size_t> targets;
+
+  std::size_t steps() const { return inputs.size(); }
+};
+
 /// Encode fragments for next-signature prediction (inputs one-hot + zeroed
 /// noisy bit; targets = next package's dense signature id).
-std::vector<nn::Fragment> encode(
+std::vector<DenseFragment> encode(
     const std::vector<detect::DiscreteFragment>& fragments,
     const sig::SignatureDatabase& db,
     std::span<const std::size_t> cardinalities) {
-  std::vector<nn::Fragment> out;
+  std::vector<DenseFragment> out;
   for (const auto& frag : fragments) {
     if (frag.size() < 2) continue;
-    nn::Fragment f;
+    DenseFragment f;
     std::vector<float> x;
     for (std::size_t t = 0; t + 1 < frag.size(); ++t) {
       const auto id = db.id_of(frag[t + 1]);
@@ -42,7 +51,7 @@ std::vector<nn::Fragment> encode(
 }
 
 template <typename Model>
-double sweep_top_k(const Model& model, const std::vector<nn::Fragment>& frags,
+double sweep_top_k(const Model& model, const std::vector<DenseFragment>& frags,
                    std::size_t k) {
   std::size_t misses = 0;
   std::size_t total = 0;
@@ -54,7 +63,7 @@ double sweep_top_k(const Model& model, const std::vector<nn::Fragment>& frags,
 }
 
 template <typename Model>
-double train_loop(Model& model, const std::vector<nn::Fragment>& frags,
+double train_loop(Model& model, const std::vector<DenseFragment>& frags,
                   std::size_t epochs, Rng& rng) {
   nn::Adam opt(3e-3);
   const auto slots = model.param_slots();
@@ -71,8 +80,7 @@ double train_loop(Model& model, const std::vector<nn::Fragment>& frags,
         model.train_fragment(
             std::span(f.inputs.data() + start, end - start),
             std::span(f.targets.data() + start, end - start));
-        nn::clip_global_norm(slots, 5.0);
-        opt.step(slots);
+        opt.step(slots, nn::clip_scale(slots, 5.0));
       }
     }
   }

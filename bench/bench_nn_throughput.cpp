@@ -200,10 +200,10 @@ struct ConsolidationRun {
 nn::Fragment consolidation_fragment(std::size_t classes, std::size_t steps,
                                     std::size_t phase) {
   nn::Fragment f;
+  f.inputs.clear(classes);
   for (std::size_t t = 0; t < steps; ++t) {
-    std::vector<float> x(classes, 0.0f);
-    x[(t + phase) % classes] = 1.0f;
-    f.inputs.push_back(std::move(x));
+    f.inputs.ids.push_back(static_cast<std::uint32_t>((t + phase) % classes));
+    f.inputs.end_row();
     f.targets.push_back((t + phase + 1) % classes);
   }
   return f;
@@ -282,7 +282,7 @@ ConsolidationRun bench_train_consolidation(
           consolidation_fragment(classes, out.bptt_steps, 3 * c + w));
     }
     for (const nn::Fragment& f : cap_frags[c]) {
-      cap_windows[c].push_back({std::span(f.inputs), std::span(f.targets)});
+      cap_windows[c].push_back(f.window());
     }
   }
   nn::SequenceModelConfig mcfg;

@@ -45,7 +45,8 @@ OnlineTrainer::OnlineTrainer(detect::CombinedDetector& detector,
   }
   // The pre-adaptation weights are version 0: the rollback target when the
   // FIRST published round turns out bad.
-  swap_.set_baseline(std::make_shared<const nn::SequenceModel>(model_));
+  round_start_ = std::make_shared<const nn::SequenceModel>(model_);
+  swap_.set_baseline(round_start_);
   if (config_.metrics != nullptr) {
     // Registered before the trainer thread starts, so both threads see the
     // bound pointers without synchronization.
@@ -136,12 +137,12 @@ nn::Fragment OnlineTrainer::encode_window(const Message& msg) const {
   // one-hot of c(t) with the trailing noisy bit left 0 (every package in a
   // harvested window was judged normal), target = the next signature id.
   nn::Fragment frag;
-  frag.inputs.reserve(msg.rows.size() - 1);
+  frag.inputs.clear(model_.input_dim());
+  frag.inputs.ids.reserve((msg.rows.size() - 1) * cardinalities_.size());
   frag.targets.reserve(msg.rows.size() - 1);
-  std::vector<float> x;
   for (std::size_t t = 0; t + 1 < msg.rows.size(); ++t) {
-    sig::one_hot_encode(msg.rows[t], cardinalities_, /*extra_bits=*/1, x);
-    frag.inputs.push_back(x);
+    sig::append_one_hot_ids(msg.rows[t], cardinalities_, frag.inputs.ids);
+    frag.inputs.end_row();
     frag.targets.push_back(msg.signatures[t + 1]);
   }
   return frag;
@@ -180,18 +181,22 @@ void OnlineTrainer::thread_main() {
       // replay buffer — they were harvested under clean verdicts and stay.
       model_.copy_params_from(*msg.reset_to);
       optimizer_ = nn::Adam(config_.learning_rate);
+      round_start_ = msg.reset_to;
       continue;
     }
 
-    // Round marker: every window pushed before the marker is already in the
-    // buffer (FIFO), so the snapshot is a pure function of the wire.
-    if (replay_.size() < std::max<std::size_t>(1, config_.min_windows)) {
+    const auto skip_round = [&] {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++rounds_skipped_;
         if (tele_.on()) tele_.rounds_skipped->set(rounds_skipped_);
       }
       swap_.complete_round();
+    };
+    // Round marker: every window pushed before the marker is already in the
+    // buffer (FIFO), so the snapshot is a pure function of the wire.
+    if (replay_.size() < std::max<std::size_t>(1, config_.min_windows)) {
+      skip_round();
       continue;
     }
 
@@ -201,8 +206,10 @@ void OnlineTrainer::thread_main() {
     std::vector<nn::WindowRef> batch;
     std::uint64_t steps_this_round = 0;
     bool budget_hit = false;
-    for (std::size_t epoch = 0;
-         epoch < config_.epochs_per_round && !budget_hit; ++epoch) {
+    bool abandoned = false;
+    for (std::size_t epoch = 0; epoch < config_.epochs_per_round &&
+                                !budget_hit && !abandoned;
+         ++epoch) {
       shuffle_rng_.shuffle(order);
       for (std::size_t start = 0; start < order.size() && !budget_hit;
            start += config_.batch_size) {
@@ -211,13 +218,28 @@ void OnlineTrainer::thread_main() {
         batch.clear();
         for (std::size_t i = 0; i < count; ++i) {
           const nn::Fragment& frag = replay_.window(order[start + i]);
-          batch.push_back({std::span(frag.inputs), std::span(frag.targets)});
+          batch.push_back(frag.window());
           steps_this_round += frag.steps();
         }
-        engine.step(batch, slots, config_.grad_clip, optimizer_);
+        try {
+          engine.step(batch, slots, config_.grad_clip, optimizer_);
+        } catch (const nn::NonFiniteGradientError&) {
+          abandoned = true;
+          break;
+        }
         budget_hit = config_.max_steps_per_round != 0 &&
                      steps_this_round >= config_.max_steps_per_round;
       }
+    }
+    if (abandoned) {
+      // A NaN/Inf gradient (e.g. weights blown up by a bad publication)
+      // stopped the step before Adam ran. Publish nothing: restart the
+      // clone from this round's starting weights with fresh moments, and
+      // let the engine's rollback deal with what it is serving.
+      model_.copy_params_from(*round_start_);
+      optimizer_ = nn::Adam(config_.learning_rate);
+      skip_round();
+      continue;
     }
 
     // Publish an immutable copy; the working model keeps training next
@@ -234,8 +256,10 @@ void OnlineTrainer::thread_main() {
           p[i] = static_cast<float>(p[i] * config_.poison_scale);
         }
       }
+      model_.params_changed();
     }
-    swap_.publish(std::make_shared<const nn::SequenceModel>(model_));
+    round_start_ = std::make_shared<const nn::SequenceModel>(model_);
+    swap_.publish(round_start_);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++rounds_completed_;

@@ -90,7 +90,10 @@ struct AdaptConfig {
 struct AdaptStats {
   std::uint64_t windows_harvested = 0;  ///< full clean windows observed
   std::uint64_t rounds_completed = 0;   ///< trained rounds
-  std::uint64_t rounds_skipped = 0;     ///< markers below min_windows
+  /// Markers below min_windows, and rounds abandoned on a non-finite
+  /// gradient (nothing published; the clone restarts from its round-start
+  /// weights with fresh Adam moments).
+  std::uint64_t rounds_skipped = 0;
   std::uint64_t published_version = 0;  ///< latest published weight version
   std::uint64_t applied_version = 0;    ///< latest version swapped in
   std::uint64_t train_steps = 0;        ///< BPTT timesteps trained
@@ -185,6 +188,10 @@ class OnlineTrainer {
   // Trainer-thread-only state (constructed before the thread starts).
   std::vector<std::size_t> cardinalities_;
   nn::SequenceModel model_;  ///< the working clone
+  /// The weights model_ started the current round from (the baseline, the
+  /// last publication or a rollback target): an abandoned round restores
+  /// them.
+  std::shared_ptr<const nn::SequenceModel> round_start_;
   nn::Adam optimizer_;
   Rng shuffle_rng_;
   ReplayBuffer replay_;

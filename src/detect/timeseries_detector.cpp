@@ -68,11 +68,24 @@ nn::Fragment TimeSeriesDetector::encode_fragment(const DiscreteFragment& frag,
                                                  bool with_noise,
                                                  Rng* rng) const {
   nn::Fragment out;
+  out.inputs.clear(model_.input_dim());
   if (frag.size() < 2) return out;
-  out.inputs.reserve(frag.size() - 1);
-  out.targets.reserve(frag.size() - 1);
-  std::vector<float> x;
-  for (std::size_t t = 0; t + 1 < frag.size(); ++t) {
+  const std::size_t steps = frag.size() - 1;
+  out.inputs.ids.reserve(steps * (cardinalities_.size() + 1));
+  out.inputs.offsets.reserve(steps + 1);
+  out.targets.reserve(steps);
+  // One row of ids per input: a feature's one-hot column each, then the
+  // noisy bit c(t)_{o+1} (the last column) when set.
+  const auto noisy_bit = static_cast<std::uint32_t>(model_.input_dim() - 1);
+  const auto append = [&](const sig::DiscreteRow& row, bool noisy,
+                          std::size_t target) {
+    sig::append_one_hot_ids(row, cardinalities_, out.inputs.ids);
+    if (noisy) out.inputs.ids.push_back(noisy_bit);
+    out.inputs.end_row();
+    out.targets.push_back(target);
+  };
+  sig::DiscreteRow corrupted;  // reused: no allocation per step
+  for (std::size_t t = 0; t < steps; ++t) {
     // Target: the TRUE signature of the next package (never corrupted).
     const auto id = db_->id_of(frag[t + 1]);
     if (!id) {
@@ -81,30 +94,23 @@ nn::Fragment TimeSeriesDetector::encode_fragment(const DiscreteFragment& frag,
           "missing from the database");
     }
 
-    sig::DiscreteRow row = frag[t];
     bool noisy = false;
     bool insert = false;
     if (with_noise && rng != nullptr) {
-      noisy = maybe_corrupt(row, cardinalities_, *db_, config_.noise, *rng);
+      corrupted.assign(frag[t].begin(), frag[t].end());
+      noisy =
+          maybe_corrupt(corrupted, cardinalities_, *db_, config_.noise, *rng);
       insert = noisy && rng->bernoulli(config_.noise.insertion_fraction);
     }
 
     if (insert) {
       // Insertion mode: the clean package first (phase advances as usual)…
-      sig::one_hot_encode(frag[t], cardinalities_, /*extra_bits=*/1, x);
-      out.inputs.push_back(x);
-      out.targets.push_back(*id);
+      append(frag[t], /*noisy=*/false, *id);
       // …then the noisy extra packet, after which the SAME real signature
       // is still due — exactly an injected packet's effect on the stream.
-      sig::one_hot_encode(row, cardinalities_, /*extra_bits=*/1, x);
-      x.back() = 1.0f;
-      out.inputs.push_back(x);
-      out.targets.push_back(*id);
+      append(corrupted, /*noisy=*/true, *id);
     } else {
-      sig::one_hot_encode(row, cardinalities_, /*extra_bits=*/1, x);
-      if (noisy) x.back() = 1.0f;
-      out.inputs.push_back(x);
-      out.targets.push_back(*id);
+      append(noisy ? corrupted : frag[t], noisy, *id);
     }
   }
   return out;
@@ -206,6 +212,7 @@ std::vector<double> TimeSeriesDetector::run_epochs(std::span<Feed> feeds,
   const std::size_t batch = config_.batch_size;
   std::vector<double> epoch_losses;
   std::vector<std::span<const nn::WindowRef>> groups;
+  std::vector<std::vector<float>> dense;  // the per-window step's inputs
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (Feed& fd : feeds) {
       fd.next = 0;
@@ -234,11 +241,9 @@ std::vector<double> TimeSeriesDetector::run_epochs(std::span<Feed> feeds,
                                            : config_.truncate_steps;
           std::size_t windows = 0;
           for (std::size_t start = 0; start < f.steps(); start += truncate) {
-            const std::size_t end = std::min(f.steps(), start + truncate);
-            fd.pending.push_back(
-                {std::span(f.inputs.data() + start, end - start),
-                 std::span(f.targets.data() + start, end - start)});
-            steps += end - start;
+            const std::size_t n = std::min(f.steps() - start, truncate);
+            fd.pending.push_back(f.window(start, n));
+            steps += n;
             ++windows;
           }
           fd.live_windows.push_back(windows);
@@ -250,10 +255,11 @@ std::vector<double> TimeSeriesDetector::run_epochs(std::span<Feed> feeds,
       if (per_window) {
         // The sequential reference step: one window, one optimizer step.
         const nn::WindowRef& w = groups.front().front();
+        w.densify(dense);
         model_.zero_grads();
-        loss_sum += model_.train_fragment(w.inputs, w.targets);
-        nn::clip_global_norm(slots, config_.grad_clip);
-        opt.step(slots);
+        loss_sum += model_.train_fragment(dense, w.targets);
+        opt.step(slots, nn::clip_scale(slots, config_.grad_clip));
+        model_.params_changed();
       } else {
         loss_sum += engine->step_grouped(groups, slots, config_.grad_clip, opt);
       }
@@ -292,9 +298,10 @@ nn::TopKErrorCurve TimeSeriesDetector::rank_targets(
   nn::TopKErrorCurve curve(max_k);
   std::vector<float> x;
   std::vector<float> logits;
+  nn::SequenceModel::State state = model_.make_state();  // one transpose
   for (const DiscreteFragment& df : fragments) {
     if (df.size() < 2) continue;
-    nn::SequenceModel::State state = model_.make_state();
+    model_.reset_state(state);
     for (std::size_t t = 0; t + 1 < df.size(); ++t) {
       sig::one_hot_encode(df[t], cardinalities_, /*extra_bits=*/1, x);
       model_.predict(state, x, logits);
@@ -328,8 +335,7 @@ TimeSeriesDetector::Stream TimeSeriesDetector::make_stream() const {
 }
 
 void TimeSeriesDetector::reset_stream(Stream& stream) const {
-  for (auto& h : stream.model_state.lstm.h) std::fill(h.begin(), h.end(), 0.0f);
-  for (auto& c : stream.model_state.lstm.c) std::fill(c.begin(), c.end(), 0.0f);
+  model_.reset_state(stream.model_state);
   stream.has_prediction = false;
 }
 

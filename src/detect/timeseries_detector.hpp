@@ -141,6 +141,8 @@ class TimeSeriesDetector {
     std::vector<float> encode_scratch;  ///< reused one-hot buffer (consume)
   };
 
+  /// A fresh stream over the CURRENT weights: it keeps their transposes
+  /// for its single-stream products, so make streams after training.
   Stream make_stream() const;
 
   /// Rewind a stream to the fresh-state semantics of make_stream() without

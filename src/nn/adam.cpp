@@ -1,6 +1,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/kernel_backend.hpp"
 #include "nn/optimizer.hpp"
 
 namespace mlad::nn {
@@ -19,7 +20,29 @@ bool adam_state_matches(const AdamState& state,
   return true;
 }
 
-void Adam::step(std::span<const ParamSlot> slots) {
+double finite_grad_norm(double sum_squares) {
+  const double norm = std::sqrt(sum_squares);
+  if (!std::isfinite(norm)) {
+    throw NonFiniteGradientError(
+        "gradient norm is not finite (NaN or Inf gradient); refusing the "
+        "optimizer step");
+  }
+  return norm;
+}
+
+float clip_scale(double sum_squares, double max_norm) {
+  const double norm = finite_grad_norm(sum_squares);
+  return norm > max_norm && norm > 0.0 ? static_cast<float>(max_norm / norm)
+                                       : 1.0f;
+}
+
+float clip_scale(std::span<const ParamSlot> slots, double max_norm) {
+  double ss = 0.0;
+  for (const ParamSlot& s : slots) ss += s.grad->sum_squares();
+  return clip_scale(ss, max_norm);
+}
+
+void Adam::step(std::span<const ParamSlot> slots, float grad_scale) {
   if (m_.size() != slots.size()) {
     if (!m_.empty()) {
       // Moments exist (restored or from earlier steps) but don't cover
@@ -38,7 +61,9 @@ void Adam::step(std::span<const ParamSlot> slots) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const double alpha = lr_ * std::sqrt(bc2) / bc1;
+  const AdamCoeffs c{beta1_, 1.0 - beta1_, beta2_, 1.0 - beta2_,
+                     lr_ * std::sqrt(bc2) / bc1, eps_};
+  const KernelBackend& be = kernel_backend();
   for (std::size_t i = 0; i < slots.size(); ++i) {
     Matrix& p = *slots[i].param;
     const Matrix& g = *slots[i].grad;
@@ -50,13 +75,8 @@ void Adam::step(std::span<const ParamSlot> slots) {
       // refuse rather than silently indexing out of range.
       throw std::invalid_argument("Adam: moment state does not match params");
     }
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      const double gj = g.data()[j];
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * gj);
-      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * gj * gj);
-      p.data()[j] -= static_cast<float>(alpha * m[j] /
-                                        (std::sqrt(static_cast<double>(v[j])) + eps_));
-    }
+    be.adam_update(p.data(), m.data(), v.data(), g.data(), grad_scale,
+                   p.size(), c);
   }
 }
 

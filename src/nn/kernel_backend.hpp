@@ -20,7 +20,31 @@
 #include <string>
 #include <vector>
 
+// Entries that must compute a rounded multiply followed by a separately
+// rounded add (gemv_acc, adam_update) carry MLAD_NO_FP_CONTRACT: GCC
+// contracts a mul feeding an add into one FMA under its C++ default
+// -ffp-contract=fast wherever FMA is available (the -mfma and -mavx512f
+// TUs, any -march=native build), intrinsics included. Clang contracts only
+// within one source expression, so those bodies also keep every product
+// its own statement (DESIGN.md §7).
+#if defined(__GNUC__) && !defined(__clang__)
+#define MLAD_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define MLAD_NO_FP_CONTRACT
+#endif
+
 namespace mlad::nn {
+
+/// Per-step constants of adam_update, in double: alpha is the bias-corrected
+/// step size lr·sqrt(1 − beta2^t) / (1 − beta1^t).
+struct AdamCoeffs {
+  double beta1;
+  double one_minus_beta1;
+  double beta2;
+  double one_minus_beta2;
+  double alpha;
+  double eps;
+};
 
 struct KernelBackend {
   const char* name;
@@ -87,6 +111,25 @@ struct KernelBackend {
   /// partition or of B — so row partitioning stays bitwise-safe.
   void (*softmax_rows)(float* m, std::size_t C, std::size_t rb,
                        std::size_t re);
+
+  /// y[0,N) += x·wT for one input row x (K) and a transposed weight wT
+  /// (K×N) — the single-stream y += W x. Per output n, a chain from +0 over
+  /// ascending k with x[k] != 0 adds the product x[k]·wT(k, n), a rounded
+  /// multiply then a rounded add (no FMA); y[n] then adds the chain. Every
+  /// backend computes the same bits. Skipping a zero input is bitwise the
+  /// dense chain for finite w: w·0 is ±0 and +0 + ±0 = +0, x + ±0 = x.
+  void (*gemv_acc)(const float* x, const float* wT, float* y, std::size_t K,
+                   std::size_t N);
+
+  /// Adam over n elements (DESIGN.md §4): per element, in double,
+  ///   g = grad · grad_scale            (a float multiply: the clip)
+  ///   m = float(beta1·m + (1 − beta1)·g)
+  ///   v = float(beta2·v + ((1 − beta2)·g)·g)
+  ///   p = p − float(alpha·m / (sqrt(v) + eps))   (the subtraction in float)
+  /// with every operation correctly rounded and none fused, so every
+  /// backend computes the same bits.
+  void (*adam_update)(float* p, float* m, float* v, const float* grad,
+                      float grad_scale, std::size_t n, const AdamCoeffs& c);
 };
 
 /// The portable reference backend — always available, bit-identical to the

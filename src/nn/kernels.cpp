@@ -197,6 +197,14 @@ void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out) {
                                     out.data(), a.cols, 0, a.rows);
 }
 
+void gemv_add(const Matrix& wT, std::span<const float> x, std::span<float> y) {
+  if (wT.rows() != x.size() || wT.cols() != y.size()) {
+    throw std::invalid_argument("gemv_add: dim mismatch");
+  }
+  kernel_backend().gemv_acc(x.data(), wT.data(), y.data(), wT.rows(),
+                            wT.cols());
+}
+
 namespace {
 
 // Process-wide transpose() counters (kernels.hpp TransposeStats). Relaxed is
@@ -216,13 +224,14 @@ void reset_transpose_stats() {
   g_transpose_elements.store(0, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// op(out(j, i), a(i, j)) over every element, in 16×16 tiles: a tile's 16
-/// source rows and 16 destination rows stay cached, where a plain row loop
-/// strides through a whole destination column per source row.
-template <typename Op>
-void for_transposed_tiles(const Matrix& a, Matrix& out, Op op) {
+void transpose(const Matrix& a, Matrix& out) {
+  g_transpose_calls.fetch_add(1, std::memory_order_relaxed);
+  g_transpose_elements.fetch_add(a.rows() * a.cols(),
+                                 std::memory_order_relaxed);
+  out.resize(a.cols(), a.rows());
+  // 16×16 tiles: a tile's 16 source rows and 16 destination rows stay
+  // cached, where a plain row loop strides through a whole destination
+  // column per source row.
   constexpr std::size_t kTile = 16;
   const std::size_t R = a.rows();
   const std::size_t C = a.cols();
@@ -233,27 +242,10 @@ void for_transposed_tiles(const Matrix& a, Matrix& out, Op op) {
       for (std::size_t i = i0; i < i1; ++i) {
         const float* a_row = a.data() + i * C;
         float* out_col = out.data() + i;
-        for (std::size_t j = j0; j < j1; ++j) op(out_col[j * R], a_row[j]);
+        for (std::size_t j = j0; j < j1; ++j) out_col[j * R] = a_row[j];
       }
     }
   }
-}
-
-}  // namespace
-
-void transpose(const Matrix& a, Matrix& out) {
-  g_transpose_calls.fetch_add(1, std::memory_order_relaxed);
-  g_transpose_elements.fetch_add(a.rows() * a.cols(),
-                                 std::memory_order_relaxed);
-  out.resize(a.cols(), a.rows());
-  for_transposed_tiles(a, out, [](float& o, float v) { o = v; });
-}
-
-void add_transposed(const Matrix& a, Matrix& out) {
-  if (out.rows() != a.cols() || out.cols() != a.rows()) {
-    throw std::invalid_argument("add_transposed: shape mismatch");
-  }
-  for_transposed_tiles(a, out, [](float& o, float v) { o += v; });
 }
 
 void add_bias_rows(Matrix& m, const Matrix& bias) {

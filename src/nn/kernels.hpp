@@ -59,13 +59,18 @@ void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
 /// transpose of matmul_tn_acc(a, dense x). Throws like gather_rows_acc.
 void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out);
 
+/// y += W x for one input vector x, given W's transpose wT (in×out,
+/// x.size() == wT.rows(), y.size() == wT.cols()): the single-stream gate,
+/// softmax and RNN product (DESIGN.md §2). Per y[n], a chain from +0 over
+/// ascending j with x[j] != 0 adds x[j]·W(n, j) — a multiply, then an add,
+/// no FMA — and y[n] then adds the chain; bitwise the same on every backend
+/// and bitwise the dense one-row dot product for finite W. Callers build wT
+/// once per weight version (a stream, a pass, a training window).
+void gemv_add(const Matrix& wT, std::span<const float> x, std::span<float> y);
+
 /// out = aᵀ (resized), copied in 16×16 tiles — an exact copy. Used to cache
 /// transposed weights once per optimizer step (DESIGN.md §11).
 void transpose(const Matrix& a, Matrix& out);
-
-/// out += aᵀ (out must be a.cols() × a.rows()), same tiles; not counted by
-/// transpose_stats (it moves gradients, not weights).
-void add_transposed(const Matrix& a, Matrix& out);
 
 /// Cumulative process-wide transpose() counters, maintained with relaxed
 /// atomics (negligible overhead; safe under concurrent lanes). Benchmarks

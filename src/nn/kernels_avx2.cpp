@@ -408,10 +408,89 @@ void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
   }
 }
 
+// ---- exact kernels (no FMA: every backend computes the same bits) --------
+
+/// y += x·wT, 64 output chains per block in eight ymm accumulators, each
+/// from +0 over the nonzero x[k] ascending: a mul, then an add — the scalar
+/// definition's bits (MLAD_NO_FP_CONTRACT keeps them unfused). The last
+/// N % 64 columns run as 8-lane steps, the final one masked.
+MLAD_NO_FP_CONTRACT void gemv_acc(const float* x, const float* wT, float* y,
+                                  std::size_t K, std::size_t N) {
+  std::size_t n = 0;
+  for (; n + 64 <= N; n += 64) {
+    __m256 acc[8];
+    for (__m256& a : acc) a = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < K; ++k) {
+      if (x[k] == 0.0f) continue;
+      const __m256 xk = _mm256_set1_ps(x[k]);
+      const float* w = wT + k * N + n;
+      for (std::size_t v = 0; v < 8; ++v) {
+        const __m256 prod = _mm256_mul_ps(xk, _mm256_loadu_ps(w + 8 * v));
+        acc[v] = _mm256_add_ps(acc[v], prod);
+      }
+    }
+    for (std::size_t v = 0; v < 8; ++v) {
+      _mm256_storeu_ps(y + n + 8 * v,
+                       _mm256_add_ps(_mm256_loadu_ps(y + n + 8 * v), acc[v]));
+    }
+  }
+  for (; n < N; n += 8) {
+    const __m256i m = lane_mask(std::min<std::size_t>(8, N - n));
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < K; ++k) {
+      if (x[k] == 0.0f) continue;
+      const __m256 prod = _mm256_mul_ps(_mm256_set1_ps(x[k]),
+                                        _mm256_maskload_ps(wT + k * N + n, m));
+      acc = _mm256_add_ps(acc, prod);
+    }
+    _mm256_maskstore_ps(y + n, m,
+                        _mm256_add_ps(_mm256_maskload_ps(y + n, m), acc));
+  }
+}
+
+/// Adam, four elements per step in double: every operation is one IEEE
+/// correctly rounded instruction (vdivpd and vsqrtpd included) and no mul
+/// fuses into its add, so the bits are the scalar loop's.
+MLAD_NO_FP_CONTRACT void adam_update(float* p, float* m, float* v,
+                                     const float* grad, float grad_scale,
+                                     std::size_t n, const AdamCoeffs& c) {
+  const __m128 scale = _mm_set1_ps(grad_scale);
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(c.one_minus_beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(c.one_minus_beta2);
+  const __m256d alpha = _mm256_set1_pd(c.alpha);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d g =
+        _mm256_cvtps_pd(_mm_mul_ps(_mm_loadu_ps(grad + j), scale));
+    const __m256d m_decay =
+        _mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + j)));
+    const __m256d m_step = _mm256_mul_pd(one_minus_beta1, g);
+    const __m128 m_new = _mm256_cvtpd_ps(_mm256_add_pd(m_decay, m_step));
+    const __m256d v_decay =
+        _mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + j)));
+    const __m256d v_step = _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g);
+    const __m128 v_new = _mm256_cvtpd_ps(_mm256_add_pd(v_decay, v_step));
+    const __m256d denom =
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_cvtps_pd(v_new)), eps);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(alpha, _mm256_cvtps_pd(m_new)), denom);
+    _mm_storeu_ps(m + j, m_new);
+    _mm_storeu_ps(v + j, v_new);
+    _mm_storeu_ps(p + j,
+                  _mm_sub_ps(_mm_loadu_ps(p + j), _mm256_cvtpd_ps(step)));
+  }
+  for (; j < n; ++j) {
+    detail::scalar_adam_element(p[j], m[j], v[j], grad[j], grad_scale, c);
+  }
+}
+
 constexpr KernelBackend kAvx2Backend = {
     "avx2", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
     gates_forward_rows,
-    gates_backward_rows, softmax_rows_,
+    gates_backward_rows, softmax_rows_, gemv_acc, adam_update,
 };
 
 }  // namespace

@@ -448,10 +448,102 @@ void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
   }
 }
 
+// ---- exact kernels (no FMA: every backend computes the same bits) --------
+
+constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+
+/// y += x·wT, 128 output chains per block in eight zmm accumulators, each
+/// from +0 over the nonzero x[k] ascending. The explicitly rounded
+/// mul/add intrinsics are never contracted into an FMA, so the bits are
+/// the scalar definition's. The last N % 128 columns run as 16-lane steps,
+/// the final one masked.
+MLAD_NO_FP_CONTRACT void gemv_acc(const float* x, const float* wT, float* y,
+                                  std::size_t K, std::size_t N) {
+  std::size_t n = 0;
+  for (; n + 128 <= N; n += 128) {
+    __m512 acc[8];
+    for (__m512& a : acc) a = _mm512_setzero_ps();
+    for (std::size_t k = 0; k < K; ++k) {
+      if (x[k] == 0.0f) continue;
+      const __m512 xk = _mm512_set1_ps(x[k]);
+      const float* w = wT + k * N + n;
+      for (std::size_t v = 0; v < 8; ++v) {
+        const __m512 prod =
+            _mm512_mul_round_ps(xk, _mm512_loadu_ps(w + 16 * v), kRound);
+        acc[v] = _mm512_add_round_ps(acc[v], prod, kRound);
+      }
+    }
+    for (std::size_t v = 0; v < 8; ++v) {
+      _mm512_storeu_ps(y + n + 16 * v,
+                       _mm512_add_round_ps(_mm512_loadu_ps(y + n + 16 * v),
+                                           acc[v], kRound));
+    }
+  }
+  for (; n < N; n += 16) {
+    const __mmask16 m =
+        N - n >= 16 ? __mmask16{0xffff}
+                    : static_cast<__mmask16>((1u << (N - n)) - 1u);
+    __m512 acc = _mm512_setzero_ps();
+    for (std::size_t k = 0; k < K; ++k) {
+      if (x[k] == 0.0f) continue;
+      const __m512 prod = _mm512_mul_round_ps(
+          _mm512_set1_ps(x[k]), _mm512_maskz_loadu_ps(m, wT + k * N + n),
+          kRound);
+      acc = _mm512_add_round_ps(acc, prod, kRound);
+    }
+    _mm512_mask_storeu_ps(
+        y + n, m,
+        _mm512_add_round_ps(_mm512_maskz_loadu_ps(m, y + n), acc, kRound));
+  }
+}
+
+/// Adam, eight elements per step in double with explicitly rounded
+/// (never contracted) mul/add, IEEE vdivpd/vsqrtpd and RNE conversions —
+/// the scalar loop's bits. The last n % 8 elements run masked.
+MLAD_NO_FP_CONTRACT void adam_update(float* p, float* m, float* v,
+                                     const float* grad, float grad_scale,
+                                     std::size_t n, const AdamCoeffs& c) {
+  const __m256 scale = _mm256_set1_ps(grad_scale);
+  const __m512d beta1 = _mm512_set1_pd(c.beta1);
+  const __m512d one_minus_beta1 = _mm512_set1_pd(c.one_minus_beta1);
+  const __m512d beta2 = _mm512_set1_pd(c.beta2);
+  const __m512d one_minus_beta2 = _mm512_set1_pd(c.one_minus_beta2);
+  const __m512d alpha = _mm512_set1_pd(c.alpha);
+  const __m512d eps = _mm512_set1_pd(c.eps);
+  for (std::size_t j = 0; j < n; j += 8) {
+    const __mmask8 k = n - j >= 8 ? __mmask8{0xff}
+                                  : static_cast<__mmask8>((1u << (n - j)) - 1u);
+    const __m512d g = _mm512_cvtps_pd(
+        _mm256_mul_ps(_mm256_maskz_loadu_ps(k, grad + j), scale));
+    const __m512d m_decay = _mm512_mul_round_pd(
+        beta1, _mm512_cvtps_pd(_mm256_maskz_loadu_ps(k, m + j)), kRound);
+    const __m512d m_step = _mm512_mul_round_pd(one_minus_beta1, g, kRound);
+    const __m256 m_new = _mm512_cvt_roundpd_ps(
+        _mm512_add_round_pd(m_decay, m_step, kRound), kRound);
+    const __m512d v_decay = _mm512_mul_round_pd(
+        beta2, _mm512_cvtps_pd(_mm256_maskz_loadu_ps(k, v + j)), kRound);
+    const __m512d v_step = _mm512_mul_round_pd(
+        _mm512_mul_round_pd(one_minus_beta2, g, kRound), g, kRound);
+    const __m256 v_new = _mm512_cvt_roundpd_ps(
+        _mm512_add_round_pd(v_decay, v_step, kRound), kRound);
+    const __m512d denom = _mm512_add_round_pd(
+        _mm512_sqrt_round_pd(_mm512_cvtps_pd(v_new), kRound), eps, kRound);
+    const __m512d step = _mm512_div_round_pd(
+        _mm512_mul_round_pd(alpha, _mm512_cvtps_pd(m_new), kRound), denom,
+        kRound);
+    _mm256_mask_storeu_ps(m + j, k, m_new);
+    _mm256_mask_storeu_ps(v + j, k, v_new);
+    _mm256_mask_storeu_ps(
+        p + j, k,
+        _mm256_sub_ps(_mm256_maskz_loadu_ps(k, p + j),
+                      _mm512_cvt_roundpd_ps(step, kRound)));
+  }
+}
+
 constexpr KernelBackend kAvx512Backend = {
     "avx512", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
     gates_forward_rows,
-    gates_backward_rows, softmax_rows_,
+    gates_backward_rows, softmax_rows_, gemv_acc, adam_update,
 };
 
 }  // namespace

@@ -155,10 +155,42 @@ void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
   }
 }
 
+/// y += x·wT: per output a chain from +0 over the nonzero x[k], ascending,
+/// one rounded multiply and one rounded add per term. 64 chains at a time
+/// live in a stack block, so the k loop streams one wT row segment each.
+MLAD_NO_FP_CONTRACT void gemv_acc(const float* x, const float* wT, float* y,
+                                  std::size_t K, std::size_t N) {
+  constexpr std::size_t kBlock = 64;
+  float acc[kBlock];
+  for (std::size_t n0 = 0; n0 < N; n0 += kBlock) {
+    const std::size_t nb = std::min(kBlock, N - n0);
+    std::fill(acc, acc + nb, 0.0f);
+    for (std::size_t k = 0; k < K; ++k) {
+      const float xk = x[k];
+      if (xk == 0.0f) continue;
+      const float* w = wT + k * N + n0;
+      for (std::size_t n = 0; n < nb; ++n) {
+        const float prod = xk * w[n];
+        acc[n] += prod;
+      }
+    }
+    for (std::size_t n = 0; n < nb; ++n) y[n0 + n] += acc[n];
+  }
+}
+
+MLAD_NO_FP_CONTRACT void adam_update(float* p, float* m, float* v,
+                                     const float* grad, float grad_scale,
+                                     std::size_t n, const AdamCoeffs& c) {
+  for (std::size_t j = 0; j < n; ++j) {
+    detail::scalar_adam_element(p[j], m[j], v[j], grad[j], grad_scale, c);
+  }
+}
+
 constexpr KernelBackend kScalarBackend = {
-    "scalar",         nn_rows,          tn_rows,
-    gather_rows_acc,  scatter_rows_acc, gates_forward_rows,
-    gates_backward_rows, softmax_rows_,
+    "scalar",            nn_rows,          tn_rows,
+    gather_rows_acc,     scatter_rows_acc, gates_forward_rows,
+    gates_backward_rows, softmax_rows_,    gemv_acc,
+    adam_update,
 };
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Shared scalar bodies of the fused LSTM gate kernels, included by every
-// backend TU (kernels_scalar.cpp uses them for whole rows, the SIMD
-// backends for the ragged column tail where H is not a multiple of the
-// vector width). One definition keeps the three backends formula-identical,
-// which the per-backend determinism and scalar-parity contracts
-// (DESIGN.md §7) depend on. Rounding may still differ per INCLUDING TU
-// (an -mfma TU may contract mul+add chains), which is fine: each backend
-// only has to agree with itself across partitions, and a column's
-// vector-vs-tail classification is a function of H alone.
+// Shared scalar bodies of the fused LSTM gate kernels and of adam_update,
+// included by every backend TU (kernels_scalar.cpp uses them for whole
+// rows, the SIMD backends for the ragged tail where the length is not a
+// multiple of the vector width). One definition keeps the three backends
+// formula-identical, which the per-backend determinism and scalar-parity
+// contracts (DESIGN.md §7) depend on. The gate bodies may still round
+// differently per INCLUDING TU (an -mfma TU may contract mul+add chains),
+// which is fine: each backend only has to agree with itself across
+// partitions, and a column's vector-vs-tail classification is a function
+// of H alone. The Adam body is exact on every backend and carries
+// MLAD_NO_FP_CONTRACT.
 //
 // Everything here is `static`: with external-linkage inline functions the
 // linker would keep ONE comdat copy for the whole binary — possibly the
@@ -20,6 +22,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+
+#include "nn/kernel_backend.hpp"
 
 namespace mlad::nn::detail {
 
@@ -95,6 +99,24 @@ static inline void scalar_gates_backward_cols(
     dar[2 * H + j] = do_out * orow[j] * (1.0f - orow[j]);
     dar[3 * H + j] = dg_out * (1.0f - gr[j] * gr[j]);
   }
+}
+
+/// One element of adam_update (kernel_backend.hpp): the scalar backend's
+/// loop body and the SIMD backends' ragged tail. Each product is its own
+/// statement and MLAD_NO_FP_CONTRACT keeps GCC from fusing it into the add.
+MLAD_NO_FP_CONTRACT static inline void scalar_adam_element(
+    float& p, float& m, float& v, float grad, float grad_scale,
+    const AdamCoeffs& c) {
+  const double g = grad * grad_scale;
+  const double m_decay = c.beta1 * m;
+  const double m_step = c.one_minus_beta1 * g;
+  m = static_cast<float>(m_decay + m_step);
+  const double v_decay = c.beta2 * v;
+  const double v_step = c.one_minus_beta2 * g * g;
+  v = static_cast<float>(v_decay + v_step);
+  const double step =
+      c.alpha * m / (std::sqrt(static_cast<double>(v)) + c.eps);
+  p -= static_cast<float>(step);
 }
 
 }  // namespace mlad::nn::detail

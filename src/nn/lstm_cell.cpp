@@ -40,24 +40,25 @@ void LstmCell::init_params(Rng& rng) {
 }
 
 void LstmCell::forward(std::span<const float> x, std::span<const float> h_prev,
-                       std::span<const float> c_prev,
-                       LstmStepCache& cache) const {
+                       std::span<const float> c_prev, const Matrix& wT,
+                       const Matrix& uT, LstmStepCache& cache) const {
   cache.x.assign(x.begin(), x.end());
   cache.h_prev.assign(h_prev.begin(), h_prev.end());
   cache.c_prev.assign(c_prev.begin(), c_prev.end());
-  gates(x, h_prev, c_prev, cache);
+  gates(x, h_prev, c_prev, wT, uT, cache);
 }
 
 void LstmCell::step(std::span<const float> x, std::span<float> h,
-                    std::span<float> c, LstmStepCache& scratch) const {
-  gates(x, h, c, scratch);
+                    std::span<float> c, const Matrix& wT, const Matrix& uT,
+                    LstmStepCache& scratch) const {
+  gates(x, h, c, wT, uT, scratch);
   std::copy(scratch.h.begin(), scratch.h.end(), h.begin());
   std::copy(scratch.c.begin(), scratch.c.end(), c.begin());
 }
 
 void LstmCell::gates(std::span<const float> x, std::span<const float> h_prev,
-                     std::span<const float> c_prev,
-                     LstmStepCache& cache) const {
+                     std::span<const float> c_prev, const Matrix& wT,
+                     const Matrix& uT, LstmStepCache& cache) const {
   if (x.size() != input_dim_ || h_prev.size() != hidden_dim_ ||
       c_prev.size() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward: dim mismatch");
@@ -66,8 +67,8 @@ void LstmCell::gates(std::span<const float> x, std::span<const float> h_prev,
   // Pre-activations: a = W x + U h_prev + b, over all four gates at once.
   std::vector<float>& a = cache.a;
   a.assign(b_.row(0).begin(), b_.row(0).end());
-  gemv_add(w_, x, a);
-  gemv_add(u_, h_prev, a);
+  gemv_add(wT, x, a);
+  gemv_add(uT, h_prev, a);
 
   cache.i.resize(h);
   cache.f.resize(h);
@@ -205,17 +206,14 @@ void LstmCell::weight_grads(const Matrix& da, ConstRowsView h_prev,
 }
 
 void LstmCell::weight_grads(const Matrix& da, ConstRowsView h_prev,
-                            const OneHotRows& x, Matrix& grad_w,
+                            const OneHotRows& x, Matrix& grad_wT,
                             Matrix& grad_u, Matrix& grad_b,
-                            Matrix& grad_wT_scratch, ThreadPool* pool) const {
+                            ThreadPool* pool) const {
   col_sum_acc(da, grad_b);
   matmul_tn_acc(da, h_prev, grad_u, pool);
-  // dAᵀ X for 0/1 X: each dA row lands in the transposed gradient's rows
-  // at its ids. Summed from +0 and added once, the result equals grad_w's
-  // own chain whenever grad_w enters zeroed (ModelGrads lanes do).
-  grad_wT_scratch.resize(input_dim_, 4 * hidden_dim_);
-  scatter_rows_acc(x, da, grad_wT_scratch);
-  add_transposed(grad_wT_scratch, grad_w);
+  // Xᵀ dA for 0/1 X: each dA row lands in the transposed gradient's rows
+  // at its ids; MinibatchTrainer transposes it back as it folds the lanes.
+  scatter_rows_acc(x, da, grad_wT);
 }
 
 void LstmCell::zero_grads() {

@@ -61,15 +61,17 @@ class LstmCell {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Run one timestep; fills `cache` and returns spans of h/c inside it.
+  /// Run one timestep; fills `cache`. `wT` / `uT` are exact transposes of
+  /// w() / u(), built by the caller once per weight version (gemv_add).
   void forward(std::span<const float> x, std::span<const float> h_prev,
-               std::span<const float> c_prev, LstmStepCache& cache) const;
+               std::span<const float> c_prev, const Matrix& wT,
+               const Matrix& uT, LstmStepCache& cache) const;
 
   /// Streaming step (inference): advance (h, c) in place by one input with
   /// forward()'s arithmetic, keeping only the gates in `scratch` — no
   /// BPTT copies, and no allocation once `scratch` is warm.
   void step(std::span<const float> x, std::span<float> h, std::span<float> c,
-            LstmStepCache& scratch) const;
+            const Matrix& wT, const Matrix& uT, LstmStepCache& scratch) const;
 
   /// Back-propagate one timestep.
   ///
@@ -135,16 +137,14 @@ class LstmCell {
   /// gradients `da` (N×4H) and the matching stacked rows of the entering
   /// state `h_prev` (N×H) and input `x` (N×I): grad_b += column sums of
   /// dA, grad_U += dAᵀ H_prev, grad_W += dAᵀ X. Row order is the
-  /// accumulation order. 0/1 rows scatter dA rows into `grad_wT_scratch`
-  /// (I×4H, the transposed gradient, zeroed here), which is then added
-  /// into grad_w.
+  /// accumulation order. For 0/1 rows the weight gradient is kept
+  /// transposed: dA rows scatter into grad_wT (I×4H) += Xᵀ dA.
   void weight_grads(const Matrix& da, ConstRowsView h_prev, const Matrix& x,
                     Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
                     ThreadPool* pool = nullptr) const;
   void weight_grads(const Matrix& da, ConstRowsView h_prev,
-                    const OneHotRows& x, Matrix& grad_w, Matrix& grad_u,
-                    Matrix& grad_b, Matrix& grad_wT_scratch,
-                    ThreadPool* pool = nullptr) const;
+                    const OneHotRows& x, Matrix& grad_wT, Matrix& grad_u,
+                    Matrix& grad_b, ThreadPool* pool = nullptr) const;
 
   void zero_grads();
 
@@ -165,7 +165,8 @@ class LstmCell {
  private:
   /// forward()/step() body: pre-activations and gates into `cache`.
   void gates(std::span<const float> x, std::span<const float> h_prev,
-             std::span<const float> c_prev, LstmStepCache& cache) const;
+             std::span<const float> c_prev, const Matrix& wT,
+             const Matrix& uT, LstmStepCache& cache) const;
   void check_forward_batch(std::size_t rows,
                            const LstmBatchCache& cache) const;
   void check_input(std::size_t cols, const Matrix& wT) const;

@@ -14,10 +14,14 @@ void LstmLayer::forward_sequence(std::span<const std::vector<float>> xs,
   const std::size_t h = cell_.hidden_dim();
   caches.resize(xs.size());
   outputs.resize(xs.size());
+  Matrix wT;
+  Matrix uT;
+  transpose(cell_.w(), wT);
+  transpose(cell_.u(), uT);
   std::vector<float> h_prev(h, 0.0f);
   std::vector<float> c_prev(h, 0.0f);
   for (std::size_t t = 0; t < xs.size(); ++t) {
-    cell_.forward(xs[t], h_prev, c_prev, caches[t]);
+    cell_.forward(xs[t], h_prev, c_prev, wT, uT, caches[t]);
     h_prev = caches[t].h;
     c_prev = caches[t].c;
     outputs[t] = caches[t].h;
@@ -199,7 +203,7 @@ void LstmLayer::backward_sequence_batch(const OneHotRows& x,
   recurrent_backward(layout, dh_out, dh_backward_order, tape, pool);
   to_backward_order(layout, x, tape.ids);
   cell_.weight_grads(tape.da, tape.h_prev, tape.ids, grad_w, grad_u, grad_b,
-                     tape.grad_wT, pool);
+                     pool);
 }
 
 void LstmLayer::backward_sequence_batch(const Matrix& x,
@@ -213,14 +217,6 @@ void LstmLayer::backward_sequence_batch(const Matrix& x,
   cell_.weight_grads(tape.da, tape.h_prev, tape.x, grad_w, grad_u, grad_b,
                      pool);
   matmul_nn(tape.da, cell_.w(), tape.dx, pool);
-}
-
-void LstmLayer::set_state(std::span<const float> h, std::span<const float> c) {
-  if (h.size() != h_.size() || c.size() != c_.size()) {
-    throw std::invalid_argument("LstmLayer::set_state: dim mismatch");
-  }
-  h_.assign(h.begin(), h.end());
-  c_.assign(c.begin(), c.end());
 }
 
 }  // namespace mlad::nn

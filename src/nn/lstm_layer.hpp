@@ -1,6 +1,6 @@
-// A single stateful LSTM layer: an LstmCell plus its recurrent state, with
-// streaming (one package at a time) and sequence APIs. The detection phase
-// runs streaming; training uses the sequence API for BPTT.
+// A single LSTM layer: an LstmCell with the sequence APIs training uses for
+// BPTT — the per-window reference pass and the batched whole-window pass.
+// Streaming inference steps the cell through StackedLstm.
 #pragma once
 
 #include <array>
@@ -43,7 +43,6 @@ struct LayerBatchTape {
   Matrix x;         ///< N×I dense input, backward order (layers above 0)
   OneHotRows ids;   ///< 0/1 input, backward order (layer 0)
   Matrix dx;        ///< N×I ∂L/∂x, backward order (layers above 0)
-  Matrix grad_wT;   ///< I×4H transposed weight gradient (layer 0)
   Matrix wT, uT;    ///< self-transposed parameters (no caller cache)
   std::array<Matrix, 2> dh_carry;  ///< ping-pong recurrent ∂L/∂h
   std::array<Matrix, 2> dc_carry;  ///< ping-pong recurrent ∂L/∂c
@@ -52,29 +51,16 @@ struct LayerBatchTape {
 class LstmLayer {
  public:
   LstmLayer(std::size_t input_dim, std::size_t hidden_dim)
-      : cell_(input_dim, hidden_dim),
-        h_(hidden_dim, 0.0f),
-        c_(hidden_dim, 0.0f) {}
+      : cell_(input_dim, hidden_dim) {}
 
   void init_params(Rng& rng) { cell_.init_params(rng); }
 
   std::size_t input_dim() const { return cell_.input_dim(); }
   std::size_t hidden_dim() const { return cell_.hidden_dim(); }
 
-  /// Reset the recurrent state to zeros (start of a new fragment).
-  void reset_state() {
-    std::fill(h_.begin(), h_.end(), 0.0f);
-    std::fill(c_.begin(), c_.end(), 0.0f);
-  }
-
-  /// Streaming step: consume x, update internal state, return hidden output.
-  std::span<const float> step(std::span<const float> x) {
-    cell_.step(x, h_, c_, scratch_);
-    return h_;
-  }
-
   /// Sequence forward with caches kept for BPTT. State starts at zero.
-  /// outputs[t] is h_t; caches.size() == xs.size() on return.
+  /// outputs[t] is h_t; caches.size() == xs.size() on return. Transposes
+  /// the weights once per call.
   void forward_sequence(std::span<const std::vector<float>> xs,
                         std::vector<LstmStepCache>& caches,
                         std::vector<std::vector<float>>& outputs) const;
@@ -114,9 +100,10 @@ class LstmLayer {
   /// order if `dh_backward_order`, else in forward order; it is modified in
   /// place (recurrent additions). The per-step loop runs the gates backward
   /// and dA_t U; the parameter gradients then accumulate into
-  /// grad_w/grad_u/grad_b in one product each over the stacked dA. For a
-  /// dense x (a layer above 0), ∂L/∂x lands in tape.dx in backward order;
-  /// layer 0's input gradient has no consumer.
+  /// grad_w/grad_u/grad_b in one product each over the stacked dA — for
+  /// 0/1 ids into the transposed grad_w (input_dim × 4H). For a dense x (a
+  /// layer above 0), ∂L/∂x lands in tape.dx in backward order; layer 0's
+  /// input gradient has no consumer.
   void backward_sequence_batch(const OneHotRows& x, const StepLayout& layout,
                                Matrix& dh_out, bool dh_backward_order,
                                LayerBatchTape& tape, Matrix& grad_w,
@@ -131,11 +118,6 @@ class LstmLayer {
   LstmCell& cell() { return cell_; }
   const LstmCell& cell() const { return cell_; }
 
-  std::span<const float> hidden() const { return h_; }
-  std::span<const float> cell_state() const { return c_; }
-  /// Overwrite the recurrent state (used by detector snapshot/restore).
-  void set_state(std::span<const float> h, std::span<const float> c);
-
  private:
   /// The per-step loops shared by both input kinds.
   void recurrent_forward(const StepLayout& layout, LayerBatchTape& tape,
@@ -149,9 +131,6 @@ class LstmLayer {
       LayerBatchTape& tape, const Matrix* wT, const Matrix* uT) const;
 
   LstmCell cell_;
-  std::vector<float> h_;
-  std::vector<float> c_;
-  LstmStepCache scratch_;
 };
 
 }  // namespace mlad::nn

@@ -29,22 +29,6 @@ ConstRowsView Matrix::block(std::size_t first, std::size_t count) const {
   return {data_.data() + first * cols_, count, cols_};
 }
 
-void OneHotRows::append_dense(std::span<const float> row) {
-  if (row.size() != cols) {
-    throw std::invalid_argument("OneHotRows::append_dense: width mismatch");
-  }
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    if (row[j] == 1.0f) {
-      ids.push_back(static_cast<std::uint32_t>(j));
-    } else if (row[j] != 0.0f) {
-      ids.resize(offsets.back());  // drop the unfinished row
-      throw std::invalid_argument(
-          "OneHotRows::append_dense: value other than 0 or 1");
-    }
-  }
-  end_row();
-}
-
 void OneHotRows::append_row(const OneHotRows& other, std::size_t r) {
   if (other.cols != cols || r >= other.rows()) {
     throw std::invalid_argument("OneHotRows::append_row: bad source row");
@@ -138,39 +122,6 @@ void matmul_transposed_a(const Matrix& a, const Matrix& b, Matrix& out) {
         out_row[j] += aki * b_row[j];
       }
     }
-  }
-}
-
-void gemv_add(const Matrix& w, std::span<const float> x, std::span<float> y) {
-  if (w.cols() != x.size() || w.rows() != y.size()) {
-    throw std::invalid_argument("gemv_add: dim mismatch");
-  }
-  // Eight rows' dot products side by side: each row keeps its own
-  // ascending-j chain from +0 (the one-row loop's bits), and the eight
-  // independent chains hide the add latency a single chain is bound on.
-  // An exact-zero input is skipped: w·0 is ±0, and adding ±0 to a chain
-  // that started at +0 never changes it (for finite w), which makes the
-  // one-hot layer-0 input cost its active ids only.
-  constexpr std::size_t kRows = 8;
-  const std::size_t n = w.cols();
-  std::size_t i = 0;
-  for (; i + kRows <= w.rows(); i += kRows) {
-    const float* w0 = w.data() + i * n;
-    float acc[kRows] = {};
-    for (std::size_t j = 0; j < n; ++j) {
-      const float xj = x[j];
-      if (xj == 0.0f) continue;
-      for (std::size_t r = 0; r < kRows; ++r) acc[r] += w0[r * n + j] * xj;
-    }
-    for (std::size_t r = 0; r < kRows; ++r) y[i + r] += acc[r];
-  }
-  for (; i < w.rows(); ++i) {
-    const float* w_row = w.data() + i * n;
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (x[j] != 0.0f) acc += w_row[j] * x[j];
-    }
-    y[i] += acc;
   }
 }
 

@@ -153,9 +153,6 @@ struct OneHotRows {
   }
   /// Close the row whose ids were appended since the last end_row().
   void end_row() { offsets.push_back(static_cast<std::uint32_t>(ids.size())); }
-  /// Append a dense 0/1 row as its ids; throws std::invalid_argument on a
-  /// width mismatch or any value other than 0 and 1.
-  void append_dense(std::span<const float> row);
   /// Append a copy of row r of `other` (same width).
   void append_row(const OneHotRows& other, std::size_t r);
 };
@@ -168,12 +165,6 @@ void matmul_transposed_b(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = aᵀ * b.
 void matmul_transposed_a(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// y += W * x where x and y are row vectors (1×n); i.e. y += x * Wᵀ.
-/// This is the LSTM gate primitive: W is (out_dim × in_dim). Each y[i]
-/// adds one ascending-j dot product; exact-zero x[j] are skipped, which is
-/// bitwise the dense loop for finite W.
-void gemv_add(const Matrix& w, std::span<const float> x, std::span<float> y);
 
 /// accumulate outer product: grad_w += gᵀ x  (g: 1×out, x: 1×in, w: out×in).
 void outer_add(std::span<const float> g, std::span<const float> x, Matrix& grad_w);

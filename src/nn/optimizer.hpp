@@ -1,14 +1,14 @@
-// First-order optimizers over flat lists of (parameter, gradient) matrices.
+// The optimizer over flat lists of (parameter, gradient) matrices.
 //
 // The paper trains its stacked LSTM for 50 epochs to convergence of the
-// softmax loss; it does not pin down the optimizer, so we provide both plain
-// momentum SGD and Adam (the de-facto choice for LSTM softmax classifiers of
-// that era) — Adam is the default everywhere in this repo.
+// softmax loss; it does not pin down the optimizer. Adam, the de-facto
+// choice for LSTM softmax classifiers of that era, is the one used here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "nn/matrix.hpp"
@@ -37,42 +37,40 @@ struct AdamState {
 bool adam_state_matches(const AdamState& state,
                         std::span<const ParamSlot> slots);
 
-/// Scale all gradients so the global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm. No-op (returns norm) when under the bound.
-double clip_global_norm(std::span<const ParamSlot> slots, double max_norm);
-
-class Optimizer {
+/// A gradient whose global L2 norm is NaN or infinite: an Adam step on it
+/// would write non-finite weights, which save_model and load_model refuse.
+class NonFiniteGradientError : public std::runtime_error {
  public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using the gradients currently in the slots.
-  virtual void step(std::span<const ParamSlot> slots) = 0;
-  /// Reset any internal moment state (e.g. between independent models).
-  virtual void reset() = 0;
+  using std::runtime_error::runtime_error;
 };
 
-/// SGD with classical momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.9) : lr_(lr), momentum_(momentum) {}
-  void step(std::span<const ParamSlot> slots) override;
-  void reset() override { velocity_.clear(); }
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
+/// sqrt(sum_squares), the global L2 norm of a gradient; throws
+/// NonFiniteGradientError when it is NaN or infinite.
+double finite_grad_norm(double sum_squares);
 
- private:
-  double lr_;
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;  ///< per slot, lazily sized
-};
+/// The global-norm clip as the factor Adam multiplies every gradient by on
+/// load (Adam::step's grad_scale): max_norm / norm as a float when the norm
+/// sqrt(sum_squares) exceeds max_norm, else 1. Throws
+/// NonFiniteGradientError when the norm is not finite.
+float clip_scale(double sum_squares, double max_norm);
 
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+/// clip_scale of the slots' gradients: each slot's Matrix::sum_squares,
+/// added in slot order.
+float clip_scale(std::span<const ParamSlot> slots, double max_norm);
+
+/// Adam (Kingma & Ba) with bias correction. The per-element update runs on
+/// the active kernel backend and is bitwise the same on every backend.
+class Adam {
  public:
   explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-  void step(std::span<const ParamSlot> slots) override;
-  void reset() override {
+  /// Apply one update using the gradients currently in the slots, each
+  /// multiplied by `grad_scale` (a float multiply) as it is read — the
+  /// global-norm clip (clip_scale) without a pass over the gradients.
+  void step(std::span<const ParamSlot> slots, float grad_scale = 1.0f);
+  /// Drop the moment state (e.g. between independent models).
+  void reset() {
     m_.clear();
     v_.clear();
     t_ = 0;

@@ -4,8 +4,27 @@
 #include <stdexcept>
 
 #include "nn/activations.hpp"
+#include "nn/kernels.hpp"
+#include "nn/sequence_model.hpp"
 
 namespace mlad::nn {
+namespace {
+
+/// Every weight's transpose, built once per train_fragment/top_k_misses.
+TransposeCache transposes(std::span<const ElmanCell> layers,
+                          const SoftmaxLayer& softmax) {
+  TransposeCache t;
+  t.wT.resize(layers.size());
+  t.uT.resize(layers.size());
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    transpose(layers[li].w(), t.wT[li]);
+    transpose(layers[li].u(), t.uT[li]);
+  }
+  transpose(softmax.w(), t.softmax_wT);
+  return t;
+}
+
+}  // namespace
 
 ElmanCell::ElmanCell(std::size_t input_dim, std::size_t hidden_dim)
     : w_(hidden_dim, input_dim),
@@ -32,6 +51,7 @@ void ElmanCell::init_params(Rng& rng) {
 }
 
 void ElmanCell::forward(std::span<const float> x, std::span<const float> h_prev,
+                        const Matrix& wT, const Matrix& uT,
                         StepCache& cache) const {
   if (x.size() != w_.cols() || h_prev.size() != w_.rows()) {
     throw std::invalid_argument("ElmanCell::forward: dim mismatch");
@@ -39,8 +59,8 @@ void ElmanCell::forward(std::span<const float> x, std::span<const float> h_prev,
   cache.x.assign(x.begin(), x.end());
   cache.h_prev.assign(h_prev.begin(), h_prev.end());
   cache.h.assign(b_.row(0).begin(), b_.row(0).end());
-  gemv_add(w_, x, cache.h);
-  gemv_add(u_, h_prev, cache.h);
+  gemv_add(wT, x, cache.h);
+  gemv_add(uT, h_prev, cache.h);
   for (float& v : cache.h) v = tanh_act(v);
 }
 
@@ -98,6 +118,7 @@ double RnnClassifier::train_fragment(std::span<const std::vector<float>> xs,
   const std::size_t n_layers = layers_.size();
 
   // Forward with full caches.
+  const TransposeCache wt = transposes(layers_, softmax_);
   std::vector<std::vector<ElmanCell::StepCache>> caches(
       n_layers, std::vector<ElmanCell::StepCache>(steps));
   for (std::size_t li = 0; li < n_layers; ++li) {
@@ -105,7 +126,7 @@ double RnnClassifier::train_fragment(std::span<const std::vector<float>> xs,
     for (std::size_t t = 0; t < steps; ++t) {
       const std::span<const float> in =
           li == 0 ? std::span<const float>(xs[t]) : caches[li - 1][t].h;
-      layers_[li].forward(in, h_prev, caches[li][t]);
+      layers_[li].forward(in, h_prev, wt.wT[li], wt.uT[li], caches[li][t]);
       h_prev = caches[li][t].h;
     }
   }
@@ -115,7 +136,7 @@ double RnnClassifier::train_fragment(std::span<const std::vector<float>> xs,
   std::vector<std::vector<float>> dh_top(steps);
   std::vector<float> probs;
   for (std::size_t t = 0; t < steps; ++t) {
-    softmax_.forward(caches[n_layers - 1][t].h, probs);
+    softmax_.forward(caches[n_layers - 1][t].h, wt.softmax_wT, probs);
     dh_top[t].resize(layers_.back().hidden_dim());
     loss += softmax_.backward(caches[n_layers - 1][t].h, probs, targets[t],
                               dh_top[t]);
@@ -152,16 +173,17 @@ std::size_t RnnClassifier::top_k_misses(std::span<const std::vector<float>> xs,
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     h[li].assign(layers_[li].hidden_dim(), 0.0f);
   }
+  const TransposeCache wt = transposes(layers_, softmax_);
   ElmanCell::StepCache scratch;
   std::vector<float> probs;
   for (std::size_t t = 0; t < xs.size(); ++t) {
     std::span<const float> in = xs[t];
     for (std::size_t li = 0; li < layers_.size(); ++li) {
-      layers_[li].forward(in, h[li], scratch);
+      layers_[li].forward(in, h[li], wt.wT[li], wt.uT[li], scratch);
       h[li] = scratch.h;
       in = h[li];
     }
-    softmax_.forward(in, probs);
+    softmax_.forward(in, wt.softmax_wT, probs);
     if (!in_top_k(probs, targets[t], k)) ++misses;
   }
   return misses;

@@ -30,8 +30,10 @@ class ElmanCell {
     std::vector<float> h;
   };
 
+  /// One step; `wT` / `uT` are exact transposes of w() / u(), built by
+  /// the caller once per weight version (gemv_add).
   void forward(std::span<const float> x, std::span<const float> h_prev,
-               StepCache& cache) const;
+               const Matrix& wT, const Matrix& uT, StepCache& cache) const;
 
   /// Accumulate parameter gradients; write ∂L/∂x and ∂L/∂h_{t-1}.
   void backward(const StepCache& cache, std::span<const float> dh,
@@ -40,6 +42,8 @@ class ElmanCell {
   void zero_grads();
   Matrix& w() { return w_; }
   Matrix& u() { return u_; }
+  const Matrix& w() const { return w_; }
+  const Matrix& u() const { return u_; }
   Matrix& b() { return b_; }
   Matrix& grad_w() { return grad_w_; }
   Matrix& grad_u() { return grad_u_; }

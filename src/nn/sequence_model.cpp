@@ -1,6 +1,7 @@
 #include "nn/sequence_model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -10,19 +11,41 @@
 
 namespace mlad::nn {
 
-ModelGrads& ModelGrads::operator+=(const ModelGrads& other) {
-  if (g.size() != other.g.size()) {
-    throw std::invalid_argument("ModelGrads+=: slot count mismatch");
+namespace {
+
+/// A fresh params_version() stamp, never handed out before in this process.
+std::uint64_t next_params_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+Matrix ModelGrads::in_param_layout(std::size_t k) const {
+  if (!transposed[k]) return g[k];
+  Matrix out;
+  transpose(g[k], out);
+  return out;
+}
+
+void WindowRef::densify(std::vector<std::vector<float>>& out) const {
+  out.resize(steps());
+  for (std::size_t t = 0; t < steps(); ++t) {
+    out[t].assign(inputs->cols, 0.0f);
+    const std::size_t r = first + t;
+    for (std::uint32_t k = inputs->offsets[r]; k < inputs->offsets[r + 1];
+         ++k) {
+      out[t][inputs->ids[k]] = 1.0f;
+    }
   }
-  for (std::size_t k = 0; k < g.size(); ++k) g[k] += other.g[k];
-  return *this;
 }
 
 SequenceModel::SequenceModel(const SequenceModelConfig& config)
     : config_(config),
       lstm_(config.input_dim, config.hidden_dims),
       softmax_(config.hidden_dims.empty() ? 0 : config.hidden_dims.back(),
-               config.num_classes) {
+               config.num_classes),
+      params_version_(next_params_version()) {
   if (config.input_dim == 0 || config.num_classes == 0) {
     throw std::invalid_argument("SequenceModel: zero dimension");
   }
@@ -31,6 +54,11 @@ SequenceModel::SequenceModel(const SequenceModelConfig& config)
 void SequenceModel::init_params(Rng& rng) {
   lstm_.init_params(rng);
   softmax_.init_params(rng);
+  params_changed();
+}
+
+void SequenceModel::params_changed() {
+  params_version_ = next_params_version();
 }
 
 double SequenceModel::train_fragment(std::span<const std::vector<float>> xs,
@@ -43,11 +71,13 @@ double SequenceModel::train_fragment(std::span<const std::vector<float>> xs,
   StackedLstmCache cache;
   const auto top = lstm_.forward_sequence(xs, cache);
 
+  Matrix softmax_wT;
+  transpose(softmax_.w(), softmax_wT);
   double loss = 0.0;
   std::vector<std::vector<float>> dh_top(xs.size());
   std::vector<float> probs;
   for (std::size_t t = 0; t < xs.size(); ++t) {
-    softmax_.forward(top[t], probs);
+    softmax_.forward(top[t], softmax_wT, probs);
     dh_top[t].resize(lstm_.output_dim());
     loss += softmax_.backward(top[t], probs, targets[t], dh_top[t]);
   }
@@ -59,12 +89,19 @@ ModelGrads SequenceModel::make_grads() const {
   ModelGrads grads;
   for (std::size_t li = 0; li < lstm_.num_layers(); ++li) {
     const LstmCell& cell = lstm_.layer(li).cell();
-    grads.g.emplace_back(cell.w().rows(), cell.w().cols());
+    // Layer 0's one-hot input makes its weight gradient a row scatter
+    // (LstmCell::weight_grads), which writes the transpose.
+    const bool t = li == 0;
+    grads.g.emplace_back(t ? cell.w().cols() : cell.w().rows(),
+                         t ? cell.w().rows() : cell.w().cols());
+    grads.transposed.push_back(t);
     grads.g.emplace_back(cell.u().rows(), cell.u().cols());
     grads.g.emplace_back(cell.b().rows(), cell.b().cols());
+    grads.transposed.insert(grads.transposed.end(), 2, false);
   }
   grads.g.emplace_back(softmax_.w().rows(), softmax_.w().cols());
   grads.g.emplace_back(softmax_.b().rows(), softmax_.b().cols());
+  grads.transposed.insert(grads.transposed.end(), 2, false);
   return grads;
 }
 
@@ -77,22 +114,28 @@ void SequenceModel::refresh_transpose_cache(TransposeCache& cache) const {
     transpose(cell.u(), cache.uT[li]);
   }
   transpose(softmax_.w(), cache.softmax_wT);
-  cache.valid = true;
+  cache.version = params_version_;
 }
 
 double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
                                          ModelGrads& grads, BatchWorkspace& ws,
                                          ThreadPool* pool,
                                          const TransposeCache* tcache) const {
-  if (tcache != nullptr && !tcache->valid) tcache = nullptr;
+  if (tcache != nullptr && tcache->version != params_version_) {
+    tcache = nullptr;
+  }
   const std::size_t slot_count = 3 * lstm_.num_layers() + 2;
   if (grads.g.size() != slot_count) {
     throw std::invalid_argument("train_window_batch: grads shape mismatch");
   }
   for (const WindowRef& w : windows) {
-    if (w.inputs.size() != w.targets.size()) {
+    if (w.inputs == nullptr || w.first > w.inputs->rows() ||
+        w.steps() > w.inputs->rows() - w.first) {
       throw std::invalid_argument(
-          "train_window_batch: inputs/targets length mismatch");
+          "train_window_batch: window rows out of range");
+    }
+    if (w.inputs->cols != config_.input_dim) {
+      throw std::invalid_argument("train_window_batch: input dim mismatch");
     }
   }
   // Sort longest-first (stable on index) so the active sequences at any
@@ -120,13 +163,10 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
     ws.step_rows[t] = active;
     for (std::size_t r = 0; r < active; ++r) {
       const WindowRef& w = windows[ws.order[r]];
-      if (w.inputs[t].size() != config_.input_dim) {
-        throw std::invalid_argument("train_window_batch: input dim mismatch");
-      }
       if (w.targets[t] >= config_.num_classes) {
         throw std::invalid_argument("train_window_batch: target out of range");
       }
-      ws.x.append_dense(w.inputs[t]);
+      ws.x.append_row(*w.inputs, w.first + t);
       ws.targets.push_back(w.targets[t]);
     }
   }
@@ -225,10 +265,19 @@ SequenceModel::State SequenceModel::make_state() const {
   return s;
 }
 
+void SequenceModel::reset_state(State& state) const {
+  for (auto& h : state.lstm.h) std::fill(h.begin(), h.end(), 0.0f);
+  for (auto& c : state.lstm.c) std::fill(c.begin(), c.end(), 0.0f);
+}
+
 void SequenceModel::predict(State& state, std::span<const float> x,
                             std::vector<float>& logits) const {
-  const auto top = lstm_.step(x, state.lstm, state.scratch);
-  softmax_.logits(top, logits);
+  if (state.weights.version != params_version_) {
+    refresh_transpose_cache(state.weights);
+  }
+  const auto top = lstm_.step(x, state.lstm, state.scratch, state.weights.wT,
+                              state.weights.uT);
+  softmax_.logits(top, state.weights.softmax_wT, logits);
 }
 
 SequenceModel::BatchState SequenceModel::make_batch_state(
@@ -330,6 +379,7 @@ void SequenceModel::copy_params_from(const SequenceModel& other) {
   }
   copy_matrix(other.softmax_.w(), softmax_.w());
   copy_matrix(other.softmax_.b(), softmax_.b());
+  params_changed();
 }
 
 std::size_t SequenceModel::param_count() const {

@@ -25,26 +25,37 @@ struct SequenceModelConfig {
   std::vector<std::size_t> hidden_dims = {256, 256};  ///< paper default
 };
 
-/// A view of one training window: inputs[t] predicts targets[t].
+/// A view of one training window: rows [first, first + steps()) of a
+/// fragment's id-encoded layer-0 inputs; row first + t predicts targets[t].
 struct WindowRef {
-  std::span<const std::vector<float>> inputs;
+  const OneHotRows* inputs = nullptr;
+  std::size_t first = 0;
   std::span<const std::size_t> targets;
 
-  std::size_t steps() const { return inputs.size(); }
+  std::size_t steps() const { return targets.size(); }
+  /// Write the window's rows as dense 0/1 vectors into `out` (resized,
+  /// its vectors reused).
+  void densify(std::vector<std::vector<float>>& out) const;
 };
 
 /// Caller-owned gradient buffers, one Matrix per param_slots() entry (per
-/// layer w, u, b; then softmax w, b). Micro-batches accumulate into their
-/// own ModelGrads so the model stays const during the parallel section; the
-/// trainer then merges lanes in a fixed order (DESIGN.md §5).
+/// layer w, u, b; then softmax w, b). SequenceModel::make_grads decides
+/// each buffer's layout and records it in `transposed`: a transposed slot
+/// (layer 0's input weights, input_dim × 4H, as its row scatter writes
+/// it) holds the transpose of its parameter's gradient. Readers check the
+/// flag (or use in_param_layout) instead of assuming a slot.
+/// Micro-batches accumulate into their own ModelGrads so the model stays
+/// const during the parallel section; the trainer then merges lanes in a
+/// fixed order (DESIGN.md §5).
 struct ModelGrads {
   std::vector<Matrix> g;
+  std::vector<bool> transposed;  ///< [slot] g[slot] is stored transposed
 
   void zero() {
     for (Matrix& m : g) m.fill(0.0f);
   }
-  /// Element-wise accumulate in fixed order (deterministic reduction step).
-  ModelGrads& operator+=(const ModelGrads& other);
+  /// Slot k's gradient in its parameter's layout (a copy).
+  Matrix in_param_layout(std::size_t k) const;
 };
 
 /// Scratch for one batched forward+backward pass (train_window_batch);
@@ -62,15 +73,18 @@ struct BatchWorkspace {
 };
 
 /// Per-model cache of every weight transpose the batched forward needs
-/// (DESIGN.md §11). Weights only change at optimizer steps, so the trainer
-/// refreshes this once per step instead of once per lane per minibatch; the
-/// cached copies are exact transposes, so training results are bit-identical
-/// to the self-transposing path. Read-only during the parallel lane section
-/// — safe to share across concurrent micro-batches.
+/// (DESIGN.md §11) — and, in SequenceModel::State, the single-stream
+/// gemv_add products (§2). Weights only change at optimizer steps, so the
+/// trainer refreshes this once per step instead of once per lane per
+/// minibatch; the cached copies are exact transposes, so training results
+/// are bit-identical to the self-transposing path. Read-only during the
+/// parallel lane section — safe to share across concurrent micro-batches.
 struct TransposeCache {
   std::vector<Matrix> wT, uT;  ///< [layer] input/recurrent weight transposes
   Matrix softmax_wT;           ///< H_top × C classifier weight transpose
-  bool valid = false;          ///< false ⇒ refresh before next use
+  /// SequenceModel::params_version() the copies were built from; 0 = never
+  /// built. A cache whose version differs from the model's is stale.
+  std::uint64_t version = 0;
 };
 
 class SequenceModel {
@@ -86,33 +100,45 @@ class SequenceModel {
 
   // ---- Training -----------------------------------------------------------
 
-  /// Forward + BPTT over one fragment. `xs[t]` predicts `targets[t]`.
-  /// Accumulates gradients (callers zero_grads()/optimizer-step around it)
-  /// and returns the summed cross-entropy loss over the fragment.
+  /// Forward + BPTT over one fragment — the per-window reference step.
+  /// `xs[t]` predicts `targets[t]`. Accumulates gradients (callers
+  /// zero_grads()/optimizer-step around it) and returns the summed
+  /// cross-entropy loss over the fragment. Transposes every weight once.
   double train_fragment(std::span<const std::vector<float>> xs,
                         std::span<const std::size_t> targets);
 
   /// Batched forward + BPTT over up to a micro-batch of windows (DESIGN.md
   /// §4): only the recurrent products run per timestep; the input and
   /// output layers and the weight gradients run once over the stacked rows
-  /// of every step. Layer-0 inputs must be 0/1 (they are used as ids;
-  /// throws std::invalid_argument otherwise). The model is const:
-  /// gradients accumulate into `grads` (zeroed by the caller), so several
+  /// of every step. The windows' id rows are copied into the stacked
+  /// layer-0 input (throws std::invalid_argument on rows out of range, a
+  /// width mismatch or ids out of range or not ascending). The model is
+  /// const: gradients accumulate into `grads` (zeroed by the caller; g[0]
+  /// transposed, see ModelGrads), so several
   /// micro-batches can run concurrently. Returns the summed CE loss.
   /// Matches train_fragment's math to float-rounding (parity-tested).
   ///
-  /// `tcache`, when non-null and valid, supplies the weight transposes
-  /// (refresh_transpose_cache) so none are recomputed here; results are
-  /// bit-identical either way (DESIGN.md §11).
+  /// `tcache`, when non-null and current (its version is the model's),
+  /// supplies the weight transposes (refresh_transpose_cache) so none are
+  /// recomputed here; results are bit-identical either way (DESIGN.md §11).
   double train_window_batch(std::span<const WindowRef> windows,
                             ModelGrads& grads, BatchWorkspace& ws,
                             ThreadPool* pool = nullptr,
                             const TransposeCache* tcache = nullptr) const;
 
-  /// Recompute `cache` from the CURRENT parameters and mark it valid. The
-  /// owner must invalidate after every parameter mutation (optimizer step,
-  /// copy_params_from, re-init) — train_window_batch trusts `valid`.
+  /// Recompute `cache` from the CURRENT parameters and stamp it with
+  /// params_version().
   void refresh_transpose_cache(TransposeCache& cache) const;
+
+  /// Stamp of the current parameter values: renewed by init_params,
+  /// copy_params_from and params_changed with a value no model in the
+  /// process had before (a clone shares it while its weights are equal).
+  /// Transpose caches compare it to know they are stale.
+  std::uint64_t params_version() const { return params_version_; }
+  /// Renew params_version() after writing the parameters through
+  /// param_slots() — an optimizer step (MinibatchTrainer does it for its
+  /// own steps) or any other in-place edit.
+  void params_changed();
 
   /// Zero-filled gradient buffers shaped like param_slots().
   ModelGrads make_grads() const;
@@ -133,16 +159,26 @@ class SequenceModel {
 
   // ---- Streaming inference (detection phase) ------------------------------
 
+  /// One stream's recurrent state, its step scratch and the weight
+  /// transposes its gemv_add products read — built by the first predict
+  /// and rebuilt by the first predict after the parameters change, so a
+  /// single-stream pass transposes once, not once per package.
   struct State {
     StackedLstmState lstm;
     LstmStepCache scratch;
+    TransposeCache weights;
   };
 
+  /// Zero state (no transposes yet; predict builds them).
   State make_state() const;
+
+  /// Rewind `state` to zero h/c, keeping its transposes and buffers.
+  void reset_state(State& state) const;
 
   /// Consume one package's encoded features; emit the next-signature
   /// logits (softmax of them = Pr(s | history)) in `logits`. The top-k
-  /// verdict ranks logits directly (DESIGN.md §5).
+  /// verdict ranks logits directly (DESIGN.md §5). Always reads the
+  /// CURRENT parameters: a stale state.weights is refreshed first.
   void predict(State& state, std::span<const float> x,
                std::vector<float>& logits) const;
 
@@ -227,6 +263,7 @@ class SequenceModel {
   SequenceModelConfig config_;
   StackedLstm lstm_;
   SoftmaxLayer softmax_;
+  std::uint64_t params_version_;
 };
 
 }  // namespace mlad::nn

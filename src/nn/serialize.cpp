@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <vector>
 
 namespace mlad::nn {
 namespace {
@@ -24,6 +25,22 @@ std::uint64_t read_u64(std::istream& in) {
   return v;
 }
 
+/// A NaN logit is never "greater" under the top-k rank rule, so one NaN
+/// weight would silently switch the LSTM level off: both save and load
+/// refuse non-finite parameters. NaN and ±Inf are the floats whose exponent
+/// bits are all ones; an integer OR-reduction over that test vectorizes (a
+/// float isfinite loop did not, and tripled the load time).
+bool all_finite(const Matrix& m) {
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t non_finite = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    non_finite |= static_cast<std::uint32_t>((bits & kExponent) == kExponent);
+  }
+  return non_finite == 0;
+}
+
 void write_matrix(std::ostream& out, const Matrix& m) {
   write_u64(out, m.rows());
   write_u64(out, m.cols());
@@ -40,41 +57,40 @@ void read_matrix(std::istream& in, Matrix& m) {
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
   if (!in) throw std::runtime_error("load_model: truncated stream");
-  // A NaN logit is never "greater" under the top-k rank rule, so one NaN
-  // weight would silently switch the LSTM level off. NaN and ±Inf are the
-  // floats whose exponent bits are all ones; an integer OR-reduction over
-  // that test vectorizes (a float isfinite loop did not, and tripled the
-  // load time).
-  constexpr std::uint32_t kExponent = 0x7f800000u;
-  std::uint32_t non_finite = 0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, m.data() + i, sizeof(bits));
-    non_finite |= static_cast<std::uint32_t>((bits & kExponent) == kExponent);
-  }
-  if (non_finite != 0) {
+  if (!all_finite(m)) {
     throw std::runtime_error("load_model: non-finite parameter");
   }
+}
+
+/// Every parameter tensor of `model`, in file order.
+std::vector<const Matrix*> param_tensors(const SequenceModel& model) {
+  std::vector<const Matrix*> out;
+  for (std::size_t li = 0; li < model.lstm().num_layers(); ++li) {
+    const LstmCell& cell = model.lstm().layer(li).cell();
+    out.insert(out.end(), {&cell.w(), &cell.u(), &cell.b()});
+  }
+  out.insert(out.end(),
+             {&model.output_layer().w(), &model.output_layer().b()});
+  return out;
 }
 
 }  // namespace
 
 void save_model(std::ostream& out, const SequenceModel& model) {
+  const std::vector<const Matrix*> params = param_tensors(model);
+  for (const Matrix* m : params) {
+    // Refused before the first byte: load_model would refuse the file.
+    if (!all_finite(*m)) {
+      throw std::runtime_error("save_model: non-finite parameter");
+    }
+  }
   out.write(kMagic, sizeof(kMagic));
   const auto& cfg = model.config();
   write_u64(out, cfg.input_dim);
   write_u64(out, cfg.num_classes);
   write_u64(out, cfg.hidden_dims.size());
   for (std::size_t hd : cfg.hidden_dims) write_u64(out, hd);
-  // const_cast-free access via const accessors
-  for (std::size_t li = 0; li < model.lstm().num_layers(); ++li) {
-    const LstmCell& cell = model.lstm().layer(li).cell();
-    write_matrix(out, cell.w());
-    write_matrix(out, cell.u());
-    write_matrix(out, cell.b());
-  }
-  write_matrix(out, model.output_layer().w());
-  write_matrix(out, model.output_layer().b());
+  for (const Matrix* m : params) write_matrix(out, *m);
   if (!out) throw std::runtime_error("save_model: write failure");
 }
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "nn/activations.hpp"
+#include "nn/kernels.hpp"
 
 namespace mlad::nn {
 
@@ -28,18 +29,18 @@ void SoftmaxLayer::init_params(Rng& rng) {
   b_.fill(0.0f);
 }
 
-void SoftmaxLayer::logits(std::span<const float> h,
+void SoftmaxLayer::logits(std::span<const float> h, const Matrix& wT,
                           std::vector<float>& out) const {
   if (h.size() != w_.cols()) {
     throw std::invalid_argument("SoftmaxLayer::logits: dim mismatch");
   }
   out.assign(b_.row(0).begin(), b_.row(0).end());
-  gemv_add(w_, h, out);
+  gemv_add(wT, h, out);
 }
 
-void SoftmaxLayer::forward(std::span<const float> h,
+void SoftmaxLayer::forward(std::span<const float> h, const Matrix& wT,
                            std::vector<float>& probs) const {
-  logits(h, probs);
+  logits(h, wT, probs);
   softmax_inplace(probs);
 }
 

@@ -22,12 +22,15 @@ class SoftmaxLayer {
   std::size_t input_dim() const { return w_.cols(); }
   std::size_t num_classes() const { return w_.rows(); }
 
-  /// out = W h + b, the logits. `out` is resized to num_classes(). Ranking
-  /// needs nothing more (in_top_k below).
-  void logits(std::span<const float> h, std::vector<float>& out) const;
+  /// out = W h + b, the logits, given wT, an exact transpose of w() built
+  /// by the caller once per weight version (gemv_add). `out` is resized to
+  /// num_classes(). Ranking needs nothing more (in_top_k below).
+  void logits(std::span<const float> h, const Matrix& wT,
+              std::vector<float>& out) const;
 
   /// probs = softmax(W h + b). `probs` is resized to num_classes().
-  void forward(std::span<const float> h, std::vector<float>& probs) const;
+  void forward(std::span<const float> h, const Matrix& wT,
+               std::vector<float>& probs) const;
 
   /// Fused softmax + cross-entropy backward for one timestep.
   ///

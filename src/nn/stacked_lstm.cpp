@@ -38,13 +38,17 @@ StackedLstmState StackedLstm::make_state() const {
 
 std::span<const float> StackedLstm::step(std::span<const float> x,
                                          StackedLstmState& state,
-                                         LstmStepCache& scratch) const {
-  if (state.h.size() != layers_.size()) {
+                                         LstmStepCache& scratch,
+                                         std::span<const Matrix> wT,
+                                         std::span<const Matrix> uT) const {
+  if (state.h.size() != layers_.size() || wT.size() != layers_.size() ||
+      uT.size() != layers_.size()) {
     throw std::invalid_argument("StackedLstm::step: state layer mismatch");
   }
   std::span<const float> in = x;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    layers_[li].cell().step(in, state.h[li], state.c[li], scratch);
+    layers_[li].cell().step(in, state.h[li], state.c[li], wT[li], uT[li],
+                            scratch);
     in = state.h[li];
   }
   return in;

@@ -61,11 +61,14 @@ class StackedLstm {
   /// Fresh all-zero state.
   StackedLstmState make_state() const;
 
-  /// Streaming step through the whole stack. Returns the top hidden vector
-  /// (valid until the next call with the same `out` buffer).
+  /// Streaming step through the whole stack. `wT`/`uT` hold each layer's
+  /// weight transposes (one per layer, exact copies of the current
+  /// parameters). Returns the top hidden vector (valid until the next
+  /// call with the same `state`).
   std::span<const float> step(std::span<const float> x,
-                              StackedLstmState& state,
-                              LstmStepCache& scratch) const;
+                              StackedLstmState& state, LstmStepCache& scratch,
+                              std::span<const Matrix> wT,
+                              std::span<const Matrix> uT) const;
 
   /// Training-time forward over a fragment; fills `cache`, returns top
   /// outputs per step.
@@ -98,7 +101,8 @@ class StackedLstm {
   /// Batched BPTT for the same `x`. `dh_top` (N×H_top, forward order) is
   /// consumed/modified in place. `grads` receives the parameter gradients,
   /// three matrices per layer in (w, u, b) order — the LSTM prefix of
-  /// SequenceModel::param_slots().
+  /// SequenceModel::param_slots(); layer 0's w gradient transposed
+  /// (input_dim × 4H, see ModelGrads).
   void backward_sequence_batch(const OneHotRows& x, StackedBatchTape& tape,
                                Matrix& dh_top, std::span<Matrix> grads,
                                ThreadPool* pool = nullptr) const;

@@ -26,7 +26,6 @@ double MinibatchTrainer::process(std::span<const WindowRef> windows) {
 
 double MinibatchTrainer::process_grouped(
     std::span<const std::span<const WindowRef>> groups) {
-  model_->zero_grads();
   // The lane partition depends only on the group sizes and micro_batch_ —
   // never on the pool — so lane contents are reproducible. Lanes never
   // straddle a group boundary: each group (capture) accumulates into its
@@ -40,10 +39,16 @@ double MinibatchTrainer::process_grouped(
   }
   const std::size_t lanes = lane_windows_.size();
   lane_seconds_.assign(lanes, 0.0);
-  if (lanes == 0) return 0.0;
+  if (lanes == 0) {
+    model_->zero_grads();
+    grad_sum_squares_ = 0.0;
+    return 0.0;
+  }
   // Weights are frozen between optimizer steps, so one refresh here serves
   // every lane of every minibatch until the next step (DESIGN.md §11).
-  if (!tcache_.valid) model_->refresh_transpose_cache(tcache_);
+  if (tcache_.version != model_->params_version()) {
+    model_->refresh_transpose_cache(tcache_);
+  }
   while (lanes_.size() < lanes) {
     lanes_.push_back(model_->make_grads());
     ws_.emplace_back();
@@ -67,36 +72,78 @@ double MinibatchTrainer::process_grouped(
     pool_.get()->parallel_for(0, lanes, run_lane);
   }
 
-  // Fixed-order pairwise tree reduction: lane pairing is a function of the
-  // lane count alone, so the float sums never depend on the thread count.
-  for (std::size_t stride = 1; stride < lanes; stride *= 2) {
-    for (std::size_t i = 0; i + stride < lanes; i += 2 * stride) {
-      lanes_[i] += lanes_[i + stride];
-    }
-  }
-  const auto slots = model_->param_slots();
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    *slots[k].grad += lanes_[0].g[k];
-  }
+  fold_lanes(lanes);
   double loss = 0.0;
   for (std::size_t mb = 0; mb < lanes; ++mb) loss += lane_loss_[mb];
   return loss;
 }
 
+void MinibatchTrainer::fold_lanes(std::size_t lanes) {
+  // The fixed-order pairwise tree over the lanes (pairing a function of
+  // the lane count alone, so the float sums never depend on the thread
+  // count): level s adds lane i + s into lane i for i = 0, 2s, 4s, ….
+  // Every level below the top one runs in place, in chunks so the lanes
+  // stay cached; the top level (lane 0 + lane `top`, or lane 0 alone when
+  // there is one lane) is added to +0 — the add into zeroed model
+  // gradients it replaces, so a −0 sum lands as +0 as it always did —
+  // written to the model's gradient buffer directly, and extends that
+  // slot's sum of squares, one serial double chain in element order
+  // (Matrix::sum_squares's). A slot the lanes store transposed
+  // (ModelGrads::transposed) lands in its parameter's layout.
+  std::size_t top = 0;
+  for (std::size_t stride = 1; stride < lanes; stride *= 2) top = stride;
+  constexpr std::size_t kChunk = 4096;
+  const auto slots = model_->param_slots();
+  double ss = 0.0;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const std::size_t size = lanes_[0].g[k].size();
+    for (std::size_t e0 = 0; e0 < size; e0 += kChunk) {
+      const std::size_t e1 = std::min(size, e0 + kChunk);
+      for (std::size_t stride = 1; stride < top; stride *= 2) {
+        for (std::size_t i = 0; i + stride < lanes; i += 2 * stride) {
+          float* acc = lanes_[i].g[k].data();
+          const float* add = lanes_[i + stride].g[k].data();
+          for (std::size_t e = e0; e < e1; ++e) acc[e] += add[e];
+        }
+      }
+    }
+    const float* a = lanes_[0].g[k].data();
+    const float* b = top != 0 ? lanes_[top].g[k].data() : nullptr;
+    Matrix& dst = *slots[k].grad;
+    float* out = dst.data();
+    const std::size_t R = dst.rows();
+    const std::size_t C = dst.cols();
+    const bool transposed = lanes_[0].transposed[k];
+    double slot_ss = 0.0;
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::size_t e = transposed ? c * R + r : r * C + c;
+        const float v = 0.0f + (b != nullptr ? a[e] + b[e] : a[e]);
+        out[r * C + c] = v;
+        slot_ss += static_cast<double>(v) * v;
+      }
+    }
+    ss += slot_ss;
+  }
+  // A NaN or Inf gradient stops training here, before Adam writes it into
+  // the weights (and save_model into a file).
+  (void)finite_grad_norm(ss);
+  grad_sum_squares_ = ss;
+}
+
 double MinibatchTrainer::step(std::span<const WindowRef> windows,
                               std::span<const ParamSlot> slots,
-                              double grad_clip, Optimizer& opt) {
+                              double grad_clip, Adam& opt) {
   const std::span<const WindowRef> group[] = {windows};
   return step_grouped(group, slots, grad_clip, opt);
 }
 
 double MinibatchTrainer::step_grouped(
     std::span<const std::span<const WindowRef>> groups,
-    std::span<const ParamSlot> slots, double grad_clip, Optimizer& opt) {
+    std::span<const ParamSlot> slots, double grad_clip, Adam& opt) {
   const double loss = process_grouped(groups);
-  clip_global_norm(slots, grad_clip);
-  opt.step(slots);
-  tcache_.valid = false;  // parameters just changed
+  opt.step(slots, clip_scale(grad_sum_squares_, grad_clip));
+  model_->params_changed();
   return loss;
 }
 

@@ -14,13 +14,19 @@
 
 namespace mlad::nn {
 
-/// One training fragment: encoded inputs and next-signature targets,
-/// already aligned (inputs[t] predicts targets[t]).
+/// One training fragment: layer-0 inputs as ids (one row per step, the
+/// noisy bit last) and next-signature targets, already aligned (row t
+/// predicts targets[t]).
 struct Fragment {
-  std::vector<std::vector<float>> inputs;
+  OneHotRows inputs;
   std::vector<std::size_t> targets;
 
-  std::size_t steps() const { return inputs.size(); }
+  std::size_t steps() const { return targets.size(); }
+  /// Steps [first, first + count) as a training window.
+  WindowRef window(std::size_t first, std::size_t count) const {
+    return {&inputs, first, std::span(targets).subspan(first, count)};
+  }
+  WindowRef window() const { return window(0, steps()); }
 };
 
 /// Deterministic data-parallel minibatch engine (DESIGN.md §4), shared by
@@ -29,10 +35,11 @@ struct Fragment {
 /// One `process()` call handles one minibatch: the windows are cut into
 /// micro-batches of a FIXED size, each micro-batch runs through the batched
 /// (B × dim) kernels into its own gradient lane on whichever worker is free,
-/// and the lanes are then merged by a fixed-order pairwise tree reduction
-/// into the model's gradient buffers. The thread count decides scheduling
-/// only, never arithmetic order, so losses and gradients are bit-identical
-/// for any `threads` value.
+/// and the lanes are then folded by a fixed-order pairwise tree reduction
+/// straight into the model's gradient buffers, which the same pass sums the
+/// squares of for the clip (DESIGN.md §4). The thread count decides
+/// scheduling only, never arithmetic order, so losses and gradients are
+/// bit-identical for any `threads` value.
 class MinibatchTrainer {
  public:
   /// micro_batch must be >= 1 (throws std::invalid_argument).
@@ -40,8 +47,10 @@ class MinibatchTrainer {
                    std::size_t threads);
 
   /// Forward + backward one minibatch of windows. Leaves the summed
-  /// gradients in the model's gradient buffers (zeroing them first) and
-  /// returns the summed CE loss; the caller clips and applies the optimizer.
+  /// gradients in the model's gradient buffers (overwriting them) and
+  /// returns the summed CE loss; grad_sum_squares() then holds their
+  /// squared global norm. Throws NonFiniteGradientError when that norm is
+  /// not finite.
   double process(std::span<const WindowRef> windows);
 
   /// Grouped minibatch (multi-capture sharded training, DESIGN.md §11):
@@ -54,21 +63,22 @@ class MinibatchTrainer {
   /// process(w) ≡ process_grouped({w}) bit-for-bit.
   double process_grouped(std::span<const std::span<const WindowRef>> groups);
 
-  /// process() + global-norm clip + optimizer step in one call — the unit
-  /// every batched training loop is built from. Returns the summed CE loss.
+  /// process() + global-norm clip + Adam step in one call — the unit every
+  /// batched training loop is built from; the clip is the scale Adam
+  /// applies as it reads each gradient. `slots` are the model's; the step
+  /// renews its params_version(). Returns the summed CE loss.
   double step(std::span<const WindowRef> windows,
-              std::span<const ParamSlot> slots, double grad_clip,
-              Optimizer& opt);
+              std::span<const ParamSlot> slots, double grad_clip, Adam& opt);
 
   /// Grouped counterpart of step() (one optimizer step per grouped round).
   double step_grouped(std::span<const std::span<const WindowRef>> groups,
                       std::span<const ParamSlot> slots, double grad_clip,
-                      Optimizer& opt);
+                      Adam& opt);
 
-  /// Mark the internal transposed-weight cache stale. step()/step_grouped()
-  /// do this automatically after the optimizer runs; call it yourself only
-  /// if you mutate the model's parameters between plain process() calls.
-  void invalidate_transpose_cache() { tcache_.valid = false; }
+  /// Squared global L2 norm of the gradients the last process() left in
+  /// the model: per slot a serial double sum in element order (as
+  /// Matrix::sum_squares), the slots added in order.
+  double grad_sum_squares() const { return grad_sum_squares_; }
 
   /// Wall-clock seconds each gradient lane spent in the most recent
   /// process()/process_grouped() call (bench instrumentation: per-lane cost
@@ -76,6 +86,10 @@ class MinibatchTrainer {
   const std::vector<double>& lane_seconds() const { return lane_seconds_; }
 
  private:
+  /// Fold lanes_[0, lanes) into the model's gradient buffers and set
+  /// grad_sum_squares_ (see the .cpp).
+  void fold_lanes(std::size_t lanes);
+
   SequenceModel* model_;
   std::size_t micro_batch_;
   PoolHandle pool_;
@@ -83,10 +97,12 @@ class MinibatchTrainer {
   std::vector<BatchWorkspace> ws_;      ///< per micro-batch scratch
   std::vector<double> lane_loss_;
   std::vector<double> lane_seconds_;
-  /// Weight transposes refreshed lazily once per optimizer step instead of
-  /// once per lane per minibatch (DESIGN.md §11); shared read-only by lanes.
+  /// Weight transposes refreshed when the model's params_version() moves
+  /// (once per optimizer step) instead of once per lane per minibatch
+  /// (DESIGN.md §11); shared read-only by lanes.
   TransposeCache tcache_;
   std::vector<std::span<const WindowRef>> lane_windows_;
+  double grad_sum_squares_ = 0.0;
 };
 
 }  // namespace mlad::nn

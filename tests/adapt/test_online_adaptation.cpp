@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -364,7 +365,8 @@ TEST(OnlineAdaptation, AdapterRequiresIntervalAndMatchingDetector) {
 /// blown-up weights (AdaptConfig::poison_round), with the engine's rollback
 /// monitor on (`rollback_window` > 0) or off (== 0).
 RunResult run_poisoned_serve(std::size_t rollback_window,
-                             double rollback_ratio = 2.0) {
+                             double rollback_ratio = 2.0,
+                             double poison_scale = -8.0) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);
   const auto detector = detect::load_framework(in);
@@ -376,7 +378,7 @@ RunResult run_poisoned_serve(std::size_t rollback_window,
   // sign structure), which a top-k detector shrugs off; negating flips the
   // ranking, so the published model predicts the least likely
   // continuations — the storm auto-rollback exists to contain.
-  acfg.poison_scale = -8.0;
+  acfg.poison_scale = poison_scale;
   serve::CountingAlarmSink sink;
   OnlineTrainer trainer(*detector, acfg);
   serve::MonitorEngineConfig cfg;
@@ -439,6 +441,20 @@ TEST(OnlineAdaptation, RollbackIsDeterministic) {
   EXPECT_EQ(first.alarms, second.alarms);
   EXPECT_EQ(first.stats.rollbacks, second.stats.rollbacks);
   EXPECT_EQ(first.stats.model_version, second.stats.model_version);
+}
+
+TEST(OnlineAdaptation, NonFiniteGradientAbandonsTheRoundAndServeSurvives) {
+  // A NaN publication makes every later round's gradient NaN. The trainer
+  // thread must survive it (no std::terminate): each such round is counted
+  // as skipped, publishes nothing, and the engine replays to the end.
+  const RunResult r =
+      run_poisoned_serve(/*rollback_window=*/0, /*rollback_ratio=*/2.0,
+                         std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(r.adapt_stats.rounds_completed, 1u);  // the poisoned round
+  EXPECT_EQ(r.adapt_stats.published_version, 1u);
+  EXPECT_GE(r.adapt_stats.rounds_skipped, 1u)
+      << "no round ran on the NaN weights";
+  EXPECT_EQ(r.stats.rollbacks, 0u);
 }
 
 TEST(OnlineAdaptation, RollbackToRestoresTheBaselineBitwise) {

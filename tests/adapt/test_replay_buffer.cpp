@@ -14,7 +14,8 @@ namespace {
 /// A tiny tagged window: one step whose target identifies (link, index).
 nn::Fragment window(std::size_t tag) {
   nn::Fragment f;
-  f.inputs.push_back({static_cast<float>(tag)});
+  f.inputs.clear(1);
+  f.inputs.end_row();
   f.targets.push_back(tag);
   return f;
 }

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "nn/kernel_backend.hpp"
 
 namespace mlad::detect {
 namespace {
@@ -236,7 +242,15 @@ TEST_F(TsFixture, Batch1IsThePerWindowReferenceStep) {
         ref.zero_grads();
         loss += ref.train_fragment(std::span(xs).subspan(start, n),
                                    std::span(targets).subspan(start, n));
-        nn::clip_global_norm(slots, config.grad_clip);
+        // The clip as a pass over the gradients; the detector folds the
+        // same float multiply into Adam's load.
+        double ss = 0.0;
+        for (const nn::ParamSlot& s : slots) ss += s.grad->sum_squares();
+        const double norm = std::sqrt(ss);
+        if (norm > config.grad_clip) {
+          const auto scale = static_cast<float>(config.grad_clip / norm);
+          for (const nn::ParamSlot& s : slots) *s.grad *= scale;
+        }
         opt.step(slots);
         steps += n;
       }
@@ -350,6 +364,33 @@ TEST_F(TsFixture, TopKErrorCurveMatchesPerKMisses) {
   config.max_k = max_k;
   det.set_train_config(config);
   EXPECT_EQ(det.choose_k(validation), brute_k == 0 ? max_k : brute_k);
+}
+
+TEST_F(TsFixture, TopKErrorCurveIsIdenticalOnEveryBackend) {
+  // The single-stream pass (gemv_add over transposes) computes the same
+  // bits on every kernel backend, so the curve and the chosen k are too.
+  auto det = make_trained(8);
+  std::vector<std::vector<double>> curves;
+  for (const std::string& name : nn::available_kernel_backends()) {
+    ASSERT_TRUE(nn::select_kernel_backend(name));
+    curves.push_back(det->top_k_error_curve(fragments, config.max_k));
+  }
+  nn::select_kernel_backend_from_env();
+  for (const auto& curve : curves) EXPECT_EQ(curve, curves.front());
+}
+
+TEST_F(TsFixture, NonFiniteGradientStopsTraining) {
+  // Batch 1 (the per-window step) and the batched fold both refuse a NaN
+  // gradient norm instead of letting Adam write NaN weights.
+  for (const std::size_t batch : {1u, 4u}) {
+    config.batch_size = batch;
+    Rng rng(21);
+    TimeSeriesDetector det(*db, cards, config, rng);
+    det.model().output_layer().b()(0, 0) =
+        std::numeric_limits<float>::quiet_NaN();
+    EXPECT_THROW(det.train(fragments, rng), nn::NonFiniteGradientError)
+        << "batch " << batch;
+  }
 }
 
 TEST_F(TsFixture, ChooseKFallsBackToMaxK) {

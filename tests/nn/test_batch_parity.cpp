@@ -131,7 +131,8 @@ TEST(BatchParity, CellForwardMatchesPerSample) {
 
     LstmStepCache ref;
     for (std::size_t r = 0; r < batch; ++r) {
-      cell.forward(x.row(r), cache.h_prev.row(r), cache.c_prev.row(r), ref);
+      cell.forward(x.row(r), cache.h_prev.row(r), cache.c_prev.row(r), wT,
+                   uT, ref);
       for (std::size_t j = 0; j < hidden; ++j) {
         ASSERT_NEAR(cache.h(r, j), ref.h[j], 1e-5);
         ASSERT_NEAR(cache.c(r, j), ref.c[j], 1e-5);
@@ -150,26 +151,31 @@ SequenceModelConfig small_config(std::size_t input_dim, std::size_t classes) {
   return cfg;
 }
 
-/// A random 0/1 row — the batched trainer's layer-0 input contract.
-std::vector<float> random_multi_hot(Rng& rng, std::size_t n) {
-  std::vector<float> v(n);
-  for (float& x : v) x = rng.bernoulli(0.4) ? 1.0f : 0.0f;
-  return v;
-}
-
-/// Windows of different lengths over random multi-hot inputs.
+/// Windows of different lengths over random multi-hot id rows.
 std::vector<Fragment> random_fragments(Rng& rng, std::size_t count,
                                        std::size_t input_dim,
                                        std::size_t classes) {
   std::vector<Fragment> frags(count);
   for (std::size_t f = 0; f < count; ++f) {
+    frags[f].inputs.clear(input_dim);
     const std::size_t steps = 1 + rng.index(9);
     for (std::size_t t = 0; t < steps; ++t) {
-      frags[f].inputs.push_back(random_multi_hot(rng, input_dim));
+      for (std::size_t j = 0; j < input_dim; ++j) {
+        if (rng.bernoulli(0.4)) {
+          frags[f].inputs.ids.push_back(static_cast<std::uint32_t>(j));
+        }
+      }
+      frags[f].inputs.end_row();
       frags[f].targets.push_back(rng.index(classes));
     }
   }
   return frags;
+}
+
+std::vector<WindowRef> whole_windows(const std::vector<Fragment>& frags) {
+  std::vector<WindowRef> windows;
+  for (const Fragment& f : frags) windows.push_back(f.window());
+  return windows;
 }
 
 TEST(BatchParity, WindowBatchLossAndGradsMatchPerSample) {
@@ -184,23 +190,24 @@ TEST(BatchParity, WindowBatchLossAndGradsMatchPerSample) {
   // Reference: per-sample gradients summed over the same windows.
   model.zero_grads();
   double ref_loss = 0.0;
+  std::vector<std::vector<float>> xs;
   for (const Fragment& f : frags) {
-    ref_loss += model.train_fragment(f.inputs, f.targets);
+    f.window().densify(xs);
+    ref_loss += model.train_fragment(xs, f.targets);
   }
   std::vector<Matrix> ref_grads;
   for (const ParamSlot& s : model.param_slots()) ref_grads.push_back(*s.grad);
 
   // Batched: one micro-batch over all windows at once.
-  std::vector<WindowRef> windows;
-  for (const Fragment& f : frags) windows.push_back({f.inputs, f.targets});
+  const std::vector<WindowRef> windows = whole_windows(frags);
   ModelGrads grads = model.make_grads();
   BatchWorkspace ws;
   const double batch_loss = model.train_window_batch(windows, grads, ws);
 
   EXPECT_NEAR(batch_loss, ref_loss, 1e-5 * std::max(1.0, std::abs(ref_loss)));
-  const auto slots = model.param_slots();
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    expect_matrix_near(ref_grads[k], grads.g[k], 1e-4, "accumulated grads");
+  for (std::size_t k = 0; k < ref_grads.size(); ++k) {
+    expect_matrix_near(ref_grads[k], grads.in_param_layout(k), 1e-4,
+                       "accumulated grads");
   }
 }
 
@@ -211,8 +218,7 @@ TEST(BatchParity, WindowBatchIsBitIdenticalAcrossPools) {
   SequenceModel model(small_config(input_dim, classes));
   model.init_params(rng);
   const auto frags = random_fragments(rng, 5, input_dim, classes);
-  std::vector<WindowRef> windows;
-  for (const Fragment& f : frags) windows.push_back({f.inputs, f.targets});
+  const std::vector<WindowRef> windows = whole_windows(frags);
 
   ModelGrads g1 = model.make_grads();
   BatchWorkspace ws1;
@@ -255,8 +261,10 @@ double per_step_reference(const SequenceModel& model,
   for (std::size_t t = 0; t < T; ++t) {
     in[0][t].resize(rows[t], model.input_dim());
     for (std::size_t r = 0; r < rows[t]; ++r) {
-      const auto& x = frags[order[r]].inputs[t];
-      std::copy(x.begin(), x.end(), in[0][t].row(r).begin());
+      const OneHotRows& x = frags[order[r]].inputs;
+      for (std::uint32_t k = x.offsets[t]; k < x.offsets[t + 1]; ++k) {
+        in[0][t](r, x.ids[k]) = 1.0f;
+      }
     }
   }
   for (std::size_t l = 0; l < L; ++l) {
@@ -309,7 +317,11 @@ double per_step_reference(const SequenceModel& model,
       da.resize(rows[t], 4 * cell.hidden_dim());
       lstm_gates_backward(c.i, c.f, c.o, c.g, c.c_prev, c.tanh_c, dh[t],
                           t + 1 < T ? dc_carry : empty, da, dc_prev);
-      matmul_tn_acc(da, in[l][t], grads.g[3 * l]);
+      if (grads.transposed[3 * l]) {  // the lanes' layout of this slot
+        matmul_tn_acc(in[l][t], da, grads.g[3 * l]);
+      } else {
+        matmul_tn_acc(da, in[l][t], grads.g[3 * l]);
+      }
       matmul_tn_acc(da, c.h_prev, grads.g[3 * l + 1]);
       col_sum_acc(da, grads.g[3 * l + 2]);
       if (l > 0) matmul_nn(da, cell.w(), dh[t]);  // dh_out of layer l-1
@@ -333,8 +345,7 @@ TEST(BatchParity, WholeWindowBpttMatchesPerStepReferenceBitwise) {
   SequenceModel model(cfg);
   model.init_params(rng);
   const auto frags = random_fragments(rng, 7, cfg.input_dim, cfg.num_classes);
-  std::vector<WindowRef> windows;
-  for (const Fragment& f : frags) windows.push_back({f.inputs, f.targets});
+  const std::vector<WindowRef> windows = whole_windows(frags);
   for (const std::string& name : available_kernel_backends()) {
     if (name != "avx2" && name != "avx512") continue;
     ASSERT_TRUE(select_kernel_backend(name));
@@ -353,38 +364,47 @@ TEST(BatchParity, WholeWindowBpttMatchesPerStepReferenceBitwise) {
   select_kernel_backend_from_env();
 }
 
-TEST(BatchParity, WindowBatchRejectsNonBinaryInputs) {
-  // train_window_batch feeds layer 0 as ids (DESIGN.md §4): a value other
-  // than 0/1 cannot be represented and must be refused, not rounded.
+TEST(BatchParity, WindowBatchRejectsMalformedIdRows) {
+  // train_window_batch copies layer-0 id rows; an id out of range, ids out
+  // of order, or rows past the fragment's end must be refused.
   Rng rng(33);
   SequenceModel model(small_config(3, 2));
   model.init_params(rng);
-  const std::vector<std::vector<float>> inputs = {{0.0f, 1.0f, 0.0f},
-                                                  {0.0f, 0.5f, 1.0f}};
   const std::vector<std::size_t> targets = {1, 0};
-  const WindowRef window{inputs, targets};
-  ModelGrads grads = model.make_grads();
-  BatchWorkspace ws;
-  EXPECT_THROW(model.train_window_batch(std::span(&window, 1), grads, ws),
-               std::invalid_argument);
+  const auto rejects = [&](const OneHotRows& inputs, std::size_t first) {
+    const WindowRef window{&inputs, first, targets};
+    ModelGrads grads = model.make_grads();
+    BatchWorkspace ws;
+    EXPECT_THROW(model.train_window_batch(std::span(&window, 1), grads, ws),
+                 std::invalid_argument);
+  };
+  OneHotRows x;
+  x.clear(3);
+  x.ids = {1, 0, 3};  // row 1 holds id 3 of a 3-wide row
+  x.offsets = {0, 1, 3};
+  rejects(x, 0);
+  x.ids = {1, 2, 0};  // row 1 not ascending
+  rejects(x, 0);
+  x.ids = {1, 0, 2};
+  rejects(x, 1);  // rows 1..2 of a 2-row fragment
 }
 
-TEST(BatchKernels, OneHotRowsFromDense) {
+TEST(BatchKernels, OneHotRowsAppendRow) {
   OneHotRows x;
   x.clear(4);
-  x.append_dense(std::vector<float>{1.0f, 0.0f, -0.0f, 1.0f});
-  x.append_dense(std::vector<float>{0.0f, 0.0f, 0.0f, 0.0f});
+  x.ids = {0, 3};
+  x.offsets = {0, 2, 2};
   ASSERT_EQ(x.rows(), 2u);
-  EXPECT_EQ(x.ids, (std::vector<std::uint32_t>{0, 3}));
   OneHotRows y;
   y.clear(4);
   y.append_row(x, 1);
   y.append_row(x, 0);
   EXPECT_EQ(y.offsets, (std::vector<std::uint32_t>{0, 0, 2}));
-  EXPECT_THROW(x.append_dense(std::vector<float>{1.0f, 2.0f, 0.0f, 0.0f}),
-               std::invalid_argument);
-  EXPECT_THROW(x.append_dense(std::vector<float>{1.0f}),
-               std::invalid_argument);
+  EXPECT_EQ(y.ids, (std::vector<std::uint32_t>{0, 3}));
+  EXPECT_THROW(y.append_row(x, 2), std::invalid_argument);
+  OneHotRows narrow;
+  narrow.clear(3);
+  EXPECT_THROW(narrow.append_row(x, 0), std::invalid_argument);
 }
 
 }  // namespace

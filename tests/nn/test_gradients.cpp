@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "nn/kernels.hpp"
 #include "nn/lstm_cell.hpp"
 #include "nn/sequence_model.hpp"
 #include "nn/softmax.hpp"
@@ -27,11 +28,29 @@ void expect_close(double analytic, double numeric, const char* what) {
       << what << ": analytic=" << analytic << " numeric=" << numeric;
 }
 
+/// The layers' single-stream forward over freshly transposed weights (the
+/// checks below perturb the weights between calls).
+void softmax_forward(const SoftmaxLayer& layer, const std::vector<float>& h,
+                     std::vector<float>& probs) {
+  Matrix wT;
+  transpose(layer.w(), wT);
+  layer.forward(h, wT, probs);
+}
+
+void cell_forward(const LstmCell& cell, const std::vector<float>& x,
+                  const std::vector<float>& h0, const std::vector<float>& c0,
+                  LstmStepCache& cache) {
+  Matrix wT, uT;
+  transpose(cell.w(), wT);
+  transpose(cell.u(), uT);
+  cell.forward(x, h0, c0, wT, uT, cache);
+}
+
 /// Loss for the softmax layer test: CE of a fixed target given input h.
 double softmax_loss(const SoftmaxLayer& layer, const std::vector<float>& h,
                     std::size_t target) {
   std::vector<float> probs;
-  layer.forward(h, probs);
+  softmax_forward(layer, h, probs);
   return -std::log(std::max(1e-12, static_cast<double>(probs[target])));
 }
 
@@ -43,7 +62,7 @@ TEST(GradCheck, SoftmaxLayerParamsAndInput) {
   const std::size_t target = 2;
 
   std::vector<float> probs;
-  layer.forward(h, probs);
+  softmax_forward(layer, h, probs);
   std::vector<float> dh(4, 0.0f);
   layer.zero_grads();
   layer.backward(h, probs, target, dh);
@@ -78,7 +97,7 @@ double cell_loss(const LstmCell& cell, const std::vector<float>& x,
                  const std::vector<float>& h0, const std::vector<float>& c0,
                  const std::vector<float>& probe) {
   LstmStepCache cache;
-  cell.forward(x, h0, c0, cache);
+  cell_forward(cell, x, h0, c0, cache);
   double loss = 0.0;
   for (std::size_t i = 0; i < probe.size(); ++i) loss += cache.h[i] * probe[i];
   return loss;
@@ -95,7 +114,7 @@ TEST(GradCheck, LstmCellAllParameters) {
   std::vector<float> probe = {1.0f, -0.5f, 0.25f, 0.75f};
 
   LstmStepCache cache;
-  cell.forward(x, h0, c0, cache);
+  cell_forward(cell, x, h0, c0, cache);
   std::vector<float> dc_in(4, 0.0f);
   std::vector<float> dx(3);
   std::vector<float> dh_prev(4);

@@ -3,8 +3,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "nn/kernels.hpp"
 #include "nn/lstm_cell.hpp"
-#include "nn/lstm_layer.hpp"
 #include "nn/stacked_lstm.hpp"
 
 namespace mlad::nn {
@@ -33,6 +33,16 @@ TEST(LstmCell, ForgetBiasInitializedToOne) {
   }
 }
 
+/// One step over freshly transposed weights.
+void cell_forward(const LstmCell& cell, std::span<const float> x,
+                  std::span<const float> h, std::span<const float> c,
+                  LstmStepCache& cache) {
+  Matrix wT, uT;
+  transpose(cell.w(), wT);
+  transpose(cell.u(), uT);
+  cell.forward(x, h, c, wT, uT, cache);
+}
+
 TEST(LstmCell, OutputsBounded) {
   Rng rng(5);
   LstmCell cell(3, 4);
@@ -44,7 +54,7 @@ TEST(LstmCell, OutputsBounded) {
     std::vector<float> x = {static_cast<float>(rng.uniform(-3, 3)),
                             static_cast<float>(rng.uniform(-3, 3)),
                             static_cast<float>(rng.uniform(-3, 3))};
-    cell.forward(x, h, c, cache);
+    cell_forward(cell, x, h, c, cache);
     h = cache.h;
     c = cache.c;
     for (float v : h) {
@@ -64,7 +74,7 @@ TEST(LstmCell, DimMismatchThrows) {
   LstmCell cell(3, 4);
   LstmStepCache cache;
   std::vector<float> x(2), h(4), c(4);
-  EXPECT_THROW(cell.forward(x, h, c, cache), std::invalid_argument);
+  EXPECT_THROW(cell_forward(cell, x, h, c, cache), std::invalid_argument);
 }
 
 TEST(LstmCell, CellStateUpdateEquation) {
@@ -74,55 +84,9 @@ TEST(LstmCell, CellStateUpdateEquation) {
   std::vector<float> x = {1.0f};
   std::vector<float> h0 = {0.0f};
   std::vector<float> c0 = {0.8f};
-  cell.forward(x, h0, c0, cache);
+  cell_forward(cell, x, h0, c0, cache);
   EXPECT_NEAR(cache.c[0], 0.4f, 1e-6f);
   EXPECT_NEAR(cache.h[0], 0.5f * std::tanh(0.4f), 1e-6f);
-}
-
-TEST(LstmLayer, StreamingMatchesSequenceForward) {
-  Rng rng(7);
-  LstmLayer layer(3, 5);
-  layer.init_params(rng);
-  const auto xs = random_sequence(rng, 12, 3);
-
-  std::vector<LstmStepCache> caches;
-  std::vector<std::vector<float>> seq_out;
-  layer.forward_sequence(xs, caches, seq_out);
-
-  layer.reset_state();
-  for (std::size_t t = 0; t < xs.size(); ++t) {
-    const auto h = layer.step(xs[t]);
-    for (std::size_t j = 0; j < h.size(); ++j) {
-      EXPECT_NEAR(h[j], seq_out[t][j], 1e-6f);
-    }
-  }
-}
-
-TEST(LstmLayer, ResetStateRestartsSequence) {
-  Rng rng(9);
-  LstmLayer layer(2, 4);
-  layer.init_params(rng);
-  const std::vector<float> x = {0.4f, -0.6f};
-  layer.step(x);
-  const auto s1 = layer.step(x);
-  const std::vector<float> h1(s1.begin(), s1.end());
-  layer.reset_state();
-  layer.step(x);
-  const auto s2 = layer.step(x);
-  const std::vector<float> h2(s2.begin(), s2.end());
-  EXPECT_EQ(h1, h2);  // same two-step history ⇒ same state
-}
-
-TEST(LstmLayer, SetStateRoundTrip) {
-  Rng rng(13);
-  LstmLayer layer(2, 3);
-  layer.init_params(rng);
-  layer.step(std::vector<float>{1.0f, 2.0f});
-  const std::vector<float> h(layer.hidden().begin(), layer.hidden().end());
-  const std::vector<float> c(layer.cell_state().begin(), layer.cell_state().end());
-  layer.reset_state();
-  layer.set_state(h, c);
-  EXPECT_EQ(std::vector<float>(layer.hidden().begin(), layer.hidden().end()), h);
 }
 
 TEST(StackedLstm, RequiresLayers) {
@@ -152,8 +116,13 @@ TEST(StackedLstm, StreamingMatchesSequence) {
 
   StackedLstmState state = stack.make_state();
   LstmStepCache scratch;
+  std::vector<Matrix> wT(dims.size()), uT(dims.size());
+  for (std::size_t li = 0; li < dims.size(); ++li) {
+    transpose(stack.layer(li).cell().w(), wT[li]);
+    transpose(stack.layer(li).cell().u(), uT[li]);
+  }
   for (std::size_t t = 0; t < xs.size(); ++t) {
-    const auto h = stack.step(xs[t], state, scratch);
+    const auto h = stack.step(xs[t], state, scratch, wT, uT);
     for (std::size_t j = 0; j < h.size(); ++j) {
       EXPECT_NEAR(h[j], seq_out[t][j], 1e-6f);
     }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "nn/kernels.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -12,6 +13,15 @@ namespace {
 TEST(ElmanCell, RejectsZeroDims) {
   EXPECT_THROW(ElmanCell(0, 3), std::invalid_argument);
   EXPECT_THROW(ElmanCell(3, 0), std::invalid_argument);
+}
+
+/// One step over freshly transposed weights.
+void elman_forward(const ElmanCell& cell, std::span<const float> x,
+                   std::span<const float> h, ElmanCell::StepCache& cache) {
+  Matrix wT, uT;
+  transpose(cell.w(), wT);
+  transpose(cell.u(), uT);
+  cell.forward(x, h, wT, uT, cache);
 }
 
 TEST(ElmanCell, OutputBoundedByTanh) {
@@ -24,7 +34,7 @@ TEST(ElmanCell, OutputBoundedByTanh) {
     std::vector<float> x = {static_cast<float>(rng.uniform(-5, 5)),
                             static_cast<float>(rng.uniform(-5, 5)),
                             static_cast<float>(rng.uniform(-5, 5))};
-    cell.forward(x, h, cache);
+    elman_forward(cell, x, h, cache);
     h = cache.h;
     for (float v : h) EXPECT_LE(std::abs(v), 1.0f);
   }
@@ -40,14 +50,14 @@ TEST(ElmanCell, GradientCheck) {
 
   auto loss = [&] {
     ElmanCell::StepCache c;
-    cell.forward(x, h0, c);
+    elman_forward(cell, x, h0, c);
     double s = 0;
     for (std::size_t i = 0; i < probe.size(); ++i) s += c.h[i] * probe[i];
     return s;
   };
 
   ElmanCell::StepCache cache;
-  cell.forward(x, h0, cache);
+  elman_forward(cell, x, h0, cache);
   std::vector<float> dx(3);
   std::vector<float> dh_prev(4);
   cell.zero_grads();
@@ -96,8 +106,7 @@ TEST(RnnClassifier, LearnsCyclicSequence) {
     const double loss = model.train_fragment(xs, targets) / xs.size();
     if (epoch == 0) first = loss;
     last = loss;
-    clip_global_norm(slots, 5.0);
-    opt.step(slots);
+    opt.step(slots, clip_scale(slots, 5.0));
   }
   EXPECT_LT(last, first * 0.3);
   EXPECT_EQ(model.top_k_misses(xs, targets, 1), 0u);

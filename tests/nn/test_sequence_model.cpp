@@ -66,8 +66,7 @@ TEST(SequenceModel, LearnsCyclicSequence) {
     const double loss = model.train_fragment(xs, targets) / xs.size();
     if (epoch == 0) first_loss = loss;
     last_loss = loss;
-    clip_global_norm(slots, 5.0);
-    opt.step(slots);
+    opt.step(slots, clip_scale(slots, 5.0));
   }
   EXPECT_LT(last_loss, first_loss * 0.2);
   // The deterministic cycle should be perfectly predicted at top-1.
@@ -137,6 +136,48 @@ TEST(SequenceModel, StreamingPredictMatchesSequenceProbabilities) {
     ASSERT_EQ(p1.size(), p2.size());
     for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_FLOAT_EQ(p1[i], p2[i]);
   }
+}
+
+TEST(SequenceModel, StateMadeBeforeAWeightChangePredictsWithTheNewWeights) {
+  // A State caches weight transposes; a weight change (copy_params_from,
+  // re-init, or an optimizer step announced by params_changed) must reach
+  // a State made before it — the bits of a State made after it.
+  SequenceModelConfig cfg;
+  cfg.input_dim = 5;
+  cfg.num_classes = 4;
+  cfg.hidden_dims = {6, 3};
+  SequenceModel model(cfg);
+  SequenceModel other(cfg);
+  Rng rng(23);
+  model.init_params(rng);
+  other.init_params(rng);
+  const std::vector<float> x = {1, 0, 0, 1, 0};
+  const auto expect_fresh_bits = [&](SequenceModel::State& old_state,
+                                     const char* what) {
+    model.reset_state(old_state);
+    SequenceModel::State fresh = model.make_state();
+    std::vector<float> got, want;
+    model.predict(old_state, x, got);
+    model.predict(fresh, x, want);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << what << " logit " << i;
+    }
+  };
+
+  SequenceModel::State state = model.make_state();
+  std::vector<float> before;
+  model.predict(state, x, before);  // builds the transposes
+
+  model.copy_params_from(other);
+  expect_fresh_bits(state, "copy_params_from");
+  model.init_params(rng);
+  expect_fresh_bits(state, "init_params");
+  for (const ParamSlot& slot : model.param_slots()) {
+    slot.param->data()[0] += 0.5f;
+  }
+  model.params_changed();
+  expect_fresh_bits(state, "params_changed");
 }
 
 TEST(SequenceModel, MemoryBytesTracksParamCount) {

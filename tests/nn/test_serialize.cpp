@@ -97,6 +97,24 @@ TEST(Serialize, NonFiniteParameterThrows) {
                        std::numeric_limits<float>::infinity());
 }
 
+TEST(Serialize, SaveRefusesNonFiniteParameters) {
+  // The load check, on the write side: a model load_model would refuse is
+  // never written, not even in part.
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::nanf(""), -kInf}) {
+    SequenceModel model = make_model(67);
+    model.output_layer().b()(0, 4) = bad;
+    std::stringstream buf;
+    try {
+      save_model(buf, model);
+      FAIL() << "a non-finite parameter was saved";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "save_model: non-finite parameter");
+    }
+    EXPECT_TRUE(buf.str().empty());
+  }
+}
+
 TEST(Serialize, EmptyStreamThrows) {
   std::stringstream buf;
   EXPECT_THROW(load_model(buf), std::runtime_error);

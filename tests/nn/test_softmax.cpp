@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
+#include "nn/kernels.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -18,8 +19,10 @@ TEST(SoftmaxLayer, ForwardProducesDistribution) {
   SoftmaxLayer layer(4, 6);
   layer.init_params(rng);
   const std::vector<float> h = {0.2f, -0.4f, 0.8f, 0.0f};
+  Matrix wT;
+  transpose(layer.w(), wT);
   std::vector<float> probs;
-  layer.forward(h, probs);
+  layer.forward(h, wT, probs);
   ASSERT_EQ(probs.size(), 6u);
   float sum = 0.0f;
   for (float p : probs) {
@@ -34,8 +37,10 @@ TEST(SoftmaxLayer, BackwardReturnsCrossEntropy) {
   SoftmaxLayer layer(3, 4);
   layer.init_params(rng);
   const std::vector<float> h = {0.1f, 0.2f, 0.3f};
+  Matrix wT;
+  transpose(layer.w(), wT);
   std::vector<float> probs;
-  layer.forward(h, probs);
+  layer.forward(h, wT, probs);
   std::vector<float> dh(3);
   const double loss = layer.backward(h, probs, 2, dh);
   EXPECT_NEAR(loss, -std::log(probs[2]), 1e-6);
@@ -43,8 +48,10 @@ TEST(SoftmaxLayer, BackwardReturnsCrossEntropy) {
 
 TEST(SoftmaxLayer, DimValidation) {
   SoftmaxLayer layer(3, 4);
+  Matrix wT;
+  transpose(layer.w(), wT);
   std::vector<float> probs;
-  EXPECT_THROW(layer.forward(std::vector<float>{1.0f}, probs),
+  EXPECT_THROW(layer.forward(std::vector<float>{1.0f}, wT, probs),
                std::invalid_argument);
   EXPECT_THROW(SoftmaxLayer(0, 4), std::invalid_argument);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -11,10 +13,10 @@ namespace {
 
 Fragment cyclic(std::size_t classes, std::size_t steps, std::size_t phase) {
   Fragment f;
+  f.inputs.clear(classes);
   for (std::size_t t = 0; t < steps; ++t) {
-    std::vector<float> x(classes, 0.0f);
-    x[(t + phase) % classes] = 1.0f;
-    f.inputs.push_back(std::move(x));
+    f.inputs.ids.push_back(static_cast<std::uint32_t>((t + phase) % classes));
+    f.inputs.end_row();
     f.targets.push_back((t + phase + 1) % classes);
   }
   return f;
@@ -37,6 +39,26 @@ TEST(MinibatchTrainer, ZeroMicroBatchIsRejected) {
                std::invalid_argument);
 }
 
+TEST(MinibatchTrainer, NonFiniteGradientStopsTheStep) {
+  // A NaN gradient fails `norm > max_norm`, so Adam used to write it into
+  // the weights. The fold now throws before the optimizer runs.
+  const std::vector<Fragment> frags = {cyclic(4, 10, 0), cyclic(4, 7, 1),
+                                       cyclic(4, 12, 2)};
+  std::vector<WindowRef> windows;
+  for (const Fragment& f : frags) windows.push_back(f.window());
+  SequenceModel model = make_model(4, 3);
+  model.output_layer().w()(1, 2) = std::numeric_limits<float>::quiet_NaN();
+  const SequenceModel before = model;
+  MinibatchTrainer engine(model, 2, 1);
+  Adam opt(1e-2);
+  const auto slots = model.param_slots();
+  EXPECT_THROW(engine.step(windows, slots, 5.0, opt), NonFiniteGradientError);
+  EXPECT_EQ(opt.state().t, 0u);
+  const auto& b = before.lstm().layer(0).cell().w();
+  const auto& a = model.lstm().layer(0).cell().w();
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+}
+
 TEST(MinibatchTrainer, StepEqualsOneGroupStepGrouped) {
   // The detector's epoch loop runs every batched round through
   // step_grouped; a one-capture round must train exactly like step().
@@ -44,7 +66,7 @@ TEST(MinibatchTrainer, StepEqualsOneGroupStepGrouped) {
                                        cyclic(4, 12, 2)};
   std::vector<WindowRef> windows;
   for (const Fragment& f : frags) {
-    windows.push_back({std::span(f.inputs), std::span(f.targets)});
+    windows.push_back(f.window());
   }
   SequenceModel ma = make_model(4, 3);
   SequenceModel mb = make_model(4, 3);

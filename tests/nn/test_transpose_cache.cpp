@@ -4,6 +4,8 @@
 // per-lane re-transposition work (measured via nn::transpose_stats).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "nn/kernels.hpp"
 #include "nn/trainer.hpp"
@@ -13,10 +15,10 @@ namespace {
 
 Fragment cyclic(std::size_t classes, std::size_t steps, std::size_t phase) {
   Fragment f;
+  f.inputs.clear(classes);
   for (std::size_t t = 0; t < steps; ++t) {
-    std::vector<float> x(classes, 0.0f);
-    x[(t + phase) % classes] = 1.0f;
-    f.inputs.push_back(std::move(x));
+    f.inputs.ids.push_back(static_cast<std::uint32_t>((t + phase) % classes));
+    f.inputs.end_row();
     f.targets.push_back((t + phase + 1) % classes);
   }
   return f;
@@ -36,7 +38,7 @@ SequenceModel make_model(std::size_t classes, std::uint64_t seed) {
 std::vector<WindowRef> window_refs(std::span<const Fragment> frags) {
   std::vector<WindowRef> out;
   for (const Fragment& f : frags) {
-    out.push_back({std::span(f.inputs), std::span(f.targets)});
+    out.push_back(f.window());
   }
   return out;
 }
@@ -68,7 +70,7 @@ TEST(TransposeCache, CachedTrainWindowBatchIsBitwiseIdentical) {
 
   TransposeCache tcache;
   model.refresh_transpose_cache(tcache);
-  ASSERT_TRUE(tcache.valid);
+  ASSERT_EQ(tcache.version, model.params_version());
 
   const double loss_plain =
       model.train_window_batch(windows, plain, ws_plain);
@@ -80,17 +82,17 @@ TEST(TransposeCache, CachedTrainWindowBatchIsBitwiseIdentical) {
 }
 
 TEST(TransposeCache, InvalidCacheFallsBackToSelfTransposing) {
-  const SequenceModel model = make_model(3, 2);
+  SequenceModel model = make_model(3, 2);
   const std::vector<Fragment> frags = {cyclic(3, 14, 0)};
   const std::vector<WindowRef> windows = window_refs(frags);
 
-  // Poison the cache contents, then mark it stale: train_window_batch must
-  // ignore it entirely and still match the plain path.
+  // Poison the cache contents, then announce a parameter change: the stale
+  // cache must be ignored entirely and still match the plain path.
   TransposeCache tcache;
   model.refresh_transpose_cache(tcache);
   for (Matrix& m : tcache.wT) m.fill(123.0f);
   tcache.softmax_wT.fill(-7.0f);
-  tcache.valid = false;
+  model.params_changed();
 
   ModelGrads plain = model.make_grads();
   ModelGrads stale = model.make_grads();
@@ -122,8 +124,9 @@ TEST(TransposeCache, ProcessReusesTransposesUntilInvalidated) {
   engine.process(windows);
   EXPECT_EQ(transpose_stats().calls, 0u);
 
-  // Invalidation forces exactly one fresh refresh (2 per layer + softmax).
-  engine.invalidate_transpose_cache();
+  // A parameter change forces exactly one fresh refresh (2 per layer +
+  // softmax).
+  model.params_changed();
   engine.process(windows);
   EXPECT_EQ(transpose_stats().calls,
             2 * model.lstm().num_layers() + 1);
@@ -131,9 +134,10 @@ TEST(TransposeCache, ProcessReusesTransposesUntilInvalidated) {
 
 TEST(TransposeCache, TrainerStepsMatchUncachedReferenceBitwise) {
   // Reference: the engine's original semantics — every lane transposes for
-  // itself (tcache == nullptr) — re-implemented with the same fixed-order
-  // tree reduction. Three optimizer steps must leave the parameters
-  // bit-identical to the cached engine's.
+  // itself (tcache == nullptr), the lanes reduce in the same fixed-order
+  // tree in separate passes and the clip scales the gradients in place.
+  // Three optimizer steps must leave the parameters bit-identical to the
+  // cached engine's fused fold.
   const std::size_t kMicro = 2;
   const std::vector<Fragment> frags = {cyclic(4, 19, 0), cyclic(4, 11, 1),
                                        cyclic(4, 13, 2), cyclic(4, 7, 3),
@@ -166,15 +170,29 @@ TEST(TransposeCache, TrainerStepsMatchUncachedReferenceBitwise) {
           std::span(windows).subspan(begin, count), lane_grads[mb],
           lane_ws[mb]);
     }
+    // The fold as separate passes: the pairwise tree, lane 0 back in the
+    // parameters' layout (a transpose of layer 0's input-weight gradient),
+    // an add into the zeroed model gradients, then the clip as an in-place
+    // scaling pass.
     for (std::size_t stride = 1; stride < lanes; stride *= 2) {
       for (std::size_t i = 0; i + stride < lanes; i += 2 * stride) {
-        lane_grads[i] += lane_grads[i + stride];
+        for (std::size_t k = 0; k < ref_slots.size(); ++k) {
+          lane_grads[i].g[k] += lane_grads[i + stride].g[k];
+        }
       }
     }
     for (std::size_t k = 0; k < ref_slots.size(); ++k) {
-      *ref_slots[k].grad += lane_grads[0].g[k];
+      *ref_slots[k].grad += lane_grads[0].in_param_layout(k);
     }
-    clip_global_norm(ref_slots, 5.0);
+    double ss = 0.0;
+    for (const ParamSlot& s : ref_slots) ss += s.grad->sum_squares();
+    ASSERT_EQ(engine.grad_sum_squares(), ss) << "step " << step;
+    const double norm = std::sqrt(ss);
+    if (norm > 5.0) {
+      for (const ParamSlot& s : ref_slots) {
+        *s.grad *= static_cast<float>(5.0 / norm);
+      }
+    }
     opt_ref.step(ref_slots);
 
     ASSERT_EQ(cached_loss, ref_loss) << "step " << step;
