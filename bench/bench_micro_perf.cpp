@@ -179,9 +179,10 @@ void BM_KernelMatmulNN(benchmark::State& state, const std::string& backend) {
 }
 
 /// The matmul shapes the serve tick and whole-window training run on the
-/// bench model (hidden 64, |S| ≈ 300, batch 8, 20-step windows), the ones
-/// the AVX-512 tile shape was chosen on (DESIGN.md §7). Args: M, K, N and
-/// 1 for out += aᵀ·b (a: K×M), 0 for out += a·b.
+/// bench model (hidden 64, |S| ≈ 350; training lanes of micro_batch 4
+/// windows × truncate_steps 64, so about 250 stacked rows), the ones the
+/// AVX-512 tile shape was chosen on (DESIGN.md §7). Args: M, K, N and 1
+/// for out += aᵀ·b (a: K×M), 0 for out += a·b.
 void BM_KernelMatmulShapes(benchmark::State& state,
                            const std::string& backend) {
   nn::select_kernel_backend(backend);
@@ -221,12 +222,79 @@ void register_matmul_shapes(const std::string& backend) {
     bm->Args({m, 64, 256, 0});
     bm->Args({m, 64, 300, 0});
   }
-  // Training: per-step dA·U, stacked-window products and their gradients.
-  bm->Args({8, 256, 64, 0});
-  bm->Args({160, 64, 256, 0});
-  bm->Args({160, 300, 64, 0});
-  bm->Args({300, 160, 64, 1});
-  bm->Args({256, 160, 64, 1});
+  // Training, per step: H·Uᵀ and dA·U on the 1–4 rows still active.
+  for (const std::int64_t m : {1, 2, 3, 4}) {
+    bm->Args({m, 64, 256, 0});
+    bm->Args({m, 256, 64, 0});
+  }
+  // Training, once per lane over its ~250 stacked rows: the logits, dH of
+  // the output layer, and the output-layer and recurrent weight gradients.
+  bm->Args({250, 64, 350, 0});
+  bm->Args({250, 350, 64, 0});
+  bm->Args({350, 250, 64, 1});
+  bm->Args({256, 250, 64, 1});
+}
+
+/// transpose() of the bench model's three weights (DESIGN.md §11: the
+/// transpose cache rebuilds them after every optimizer step): layer 0's
+/// W (4H × input_dim), U (4H × H) and the output layer's W (|S| × H).
+/// Args: rows, cols.
+void BM_Transpose(benchmark::State& state, const std::string& backend) {
+  nn::select_kernel_backend(backend);
+  const auto R = static_cast<std::size_t>(state.range(0));
+  const auto C = static_cast<std::size_t>(state.range(1));
+  Rng rng(5);
+  nn::Matrix a(R, C), out;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (auto _ : state) {
+    nn::transpose(a, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(R * C));  // elements
+  nn::select_kernel_backend_from_env();
+}
+
+void register_transpose(const std::string& backend) {
+  auto* bm = benchmark::RegisterBenchmark(
+      ("BM_Transpose/" + backend).c_str(), BM_Transpose, backend);
+  bm->ArgNames({"R", "C"});
+  bm->Args({256, 111});
+  bm->Args({256, 64});
+  bm->Args({350, 64});
+}
+
+/// col_sum_acc over a training lane's stacked rows (about 250: micro_batch
+/// 4 × truncate_steps 64) — the bias gradients of the gates (4H = 256) and
+/// of the output layer (|S| = 350). Args: rows, cols.
+void BM_ColSum(benchmark::State& state, const std::string& backend) {
+  nn::select_kernel_backend(backend);
+  const auto R = static_cast<std::size_t>(state.range(0));
+  const auto C = static_cast<std::size_t>(state.range(1));
+  Rng rng(5);
+  nn::Matrix a(R, C), sums(1, C);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  for (auto _ : state) {
+    nn::col_sum_acc(a, sums);
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(R * C));  // elements
+  nn::select_kernel_backend_from_env();
+}
+
+void register_col_sum(const std::string& backend) {
+  auto* bm = benchmark::RegisterBenchmark(("BM_ColSum/" + backend).c_str(),
+                                          BM_ColSum, backend);
+  bm->ArgNames({"R", "C"});
+  bm->Args({250, 256});
+  bm->Args({250, 350});
 }
 
 void BM_KernelLstmGates(benchmark::State& state, const std::string& backend) {
@@ -315,6 +383,8 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_KernelLstmGates/" + backend).c_str(),
                                  BM_KernelLstmGates, backend);
     register_matmul_shapes(backend);
+    register_transpose(backend);
+    register_col_sum(backend);
   }
 
   std::vector<char*> raw;

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -36,10 +38,27 @@ float clip_scale(double sum_squares, double max_norm) {
                                        : 1.0f;
 }
 
-float clip_scale(std::span<const ParamSlot> slots, double max_norm) {
+double grad_sum_squares(std::span<const ParamSlot> slots) {
+  // In groups of four, the chains sum_squares_side_by_side runs side by
+  // side, from stack arrays: this runs every optimizer step.
   double ss = 0.0;
-  for (const ParamSlot& s : slots) ss += s.grad->sum_squares();
-  return clip_scale(ss, max_norm);
+  for (std::size_t g = 0; g < slots.size(); g += 4) {
+    const std::size_t m = std::min<std::size_t>(4, slots.size() - g);
+    std::array<std::span<const float>, 4> grads;
+    std::array<double, 4> slot_ss{};
+    for (std::size_t c = 0; c < m; ++c) {
+      const Matrix& grad = *slots[g + c].grad;
+      grads[c] = {grad.data(), grad.size()};
+    }
+    sum_squares_side_by_side(std::span(grads).first(m),
+                             std::span(slot_ss).first(m));
+    for (std::size_t c = 0; c < m; ++c) ss += slot_ss[c];
+  }
+  return ss;
+}
+
+float clip_scale(std::span<const ParamSlot> slots, double max_norm) {
+  return clip_scale(grad_sum_squares(slots), max_norm);
 }
 
 void Adam::step(std::span<const ParamSlot> slots, float grad_scale) {

@@ -130,6 +130,17 @@ struct KernelBackend {
   /// backend computes the same bits.
   void (*adam_update)(float* p, float* m, float* v, const float* grad,
                       float grad_scale, std::size_t n, const AdamCoeffs& c);
+
+  /// out (C×R) = aᵀ for the row-major R×C `a` — a pure copy, so every
+  /// backend produces the same bits (the weight-transpose cache, §11, and
+  /// the trainer's fold of the transposed layer-0 gradient, §4).
+  void (*transpose)(const float* a, float* out, std::size_t R, std::size_t C);
+
+  /// out[0,N) += the column sums of the R×N block `a`: per column a chain
+  /// of plain float adds over the rows, ascending, so every backend
+  /// computes the same bits (the bias gradients).
+  void (*col_sum_acc)(const float* a, float* out, std::size_t R,
+                      std::size_t N);
 };
 
 /// The portable reference backend — always available, bit-identical to the

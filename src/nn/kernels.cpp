@@ -115,25 +115,28 @@ inline void check_nn(ConstRowsView a, const Matrix& b, const char* who) {
   }
 }
 
-/// Every row's ids strictly ascending and below x.cols, offsets consistent.
-void check_one_hot(const OneHotRows& x, const std::string& who) {
-  if (x.offsets.empty() || x.offsets.back() != x.ids.size()) {
-    throw std::invalid_argument(who + ": malformed input rows");
+}  // namespace
+
+void check_one_hot_row(const OneHotRows& x, std::size_t r, const char* who) {
+  const std::uint32_t kb = x.offsets[r];
+  const std::uint32_t ke = x.offsets[r + 1];
+  if (ke < kb || ke > x.ids.size()) {
+    throw std::invalid_argument(std::string(who) + ": malformed input rows");
   }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const std::uint32_t kb = x.offsets[r];
-    const std::uint32_t ke = x.offsets[r + 1];
-    if (ke < kb) throw std::invalid_argument(who + ": malformed input rows");
-    for (std::uint32_t k = kb; k < ke; ++k) {
-      if (x.ids[k] >= x.cols || (k > kb && x.ids[k] <= x.ids[k - 1])) {
-        throw std::invalid_argument(who +
-                                    ": ids out of range or not ascending");
-      }
+  for (std::uint32_t k = kb; k < ke; ++k) {
+    if (x.ids[k] >= x.cols || (k > kb && x.ids[k] <= x.ids[k - 1])) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": ids out of range or not ascending");
     }
   }
 }
 
-}  // namespace
+void check_one_hot(const OneHotRows& x, const char* who) {
+  if (x.offsets.empty() || x.offsets.back() != x.ids.size()) {
+    throw std::invalid_argument(std::string(who) + ": malformed input rows");
+  }
+  for (std::size_t r = 0; r < x.rows(); ++r) check_one_hot_row(x, r, who);
+}
 
 void matmul_nn(ConstRowsView a, const Matrix& b, Matrix& out,
                ThreadPool* pool) {
@@ -180,7 +183,6 @@ void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
   if (out.rows() != x.rows() || out.cols() != b.cols()) {
     throw std::invalid_argument("gather_rows_acc: output shape mismatch");
   }
-  check_one_hot(x, "gather_rows_acc");
   const KernelBackend& be = kernel_backend();
   for_row_blocks(x.rows(), pool, [&](std::size_t rb, std::size_t re) {
     be.gather_rows_acc(x.ids.data(), x.offsets.data(), b.data(), out.data(),
@@ -192,7 +194,6 @@ void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out) {
   if (x.rows() != a.rows || out.rows() != x.cols || out.cols() != a.cols) {
     throw std::invalid_argument("scatter_rows_acc: shape mismatch");
   }
-  check_one_hot(x, "scatter_rows_acc");
   kernel_backend().scatter_rows_acc(x.ids.data(), x.offsets.data(), a.data,
                                     out.data(), a.cols, 0, a.rows);
 }
@@ -228,24 +229,12 @@ void transpose(const Matrix& a, Matrix& out) {
   g_transpose_calls.fetch_add(1, std::memory_order_relaxed);
   g_transpose_elements.fetch_add(a.rows() * a.cols(),
                                  std::memory_order_relaxed);
-  out.resize(a.cols(), a.rows());
-  // 16×16 tiles: a tile's 16 source rows and 16 destination rows stay
-  // cached, where a plain row loop strides through a whole destination
-  // column per source row.
-  constexpr std::size_t kTile = 16;
-  const std::size_t R = a.rows();
-  const std::size_t C = a.cols();
-  for (std::size_t i0 = 0; i0 < R; i0 += kTile) {
-    const std::size_t i1 = std::min(R, i0 + kTile);
-    for (std::size_t j0 = 0; j0 < C; j0 += kTile) {
-      const std::size_t j1 = std::min(C, j0 + kTile);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* a_row = a.data() + i * C;
-        float* out_col = out.data() + i;
-        for (std::size_t j = j0; j < j1; ++j) out_col[j * R] = a_row[j];
-      }
-    }
+  // Every element is overwritten: a cache entry of the right shape skips
+  // resize's fill pass.
+  if (out.rows() != a.cols() || out.cols() != a.rows()) {
+    out.resize(a.cols(), a.rows());
   }
+  kernel_backend().transpose(a.data(), out.data(), a.rows(), a.cols());
 }
 
 void add_bias_rows(Matrix& m, const Matrix& bias) {
@@ -274,11 +263,7 @@ void col_sum_acc(ConstRowsView a, Matrix& out_row) {
   if (out_row.rows() != 1 || out_row.cols() != a.cols) {
     throw std::invalid_argument("col_sum_acc: output shape mismatch");
   }
-  float* out = out_row.data();
-  for (std::size_t r = 0; r < a.rows; ++r) {
-    const float* row = a.data + r * a.cols;
-    for (std::size_t j = 0; j < a.cols; ++j) out[j] += row[j];
-  }
+  kernel_backend().col_sum_acc(a.data, out_row.data(), a.rows, a.cols);
 }
 
 void copy_top_rows(const Matrix& src, std::size_t n, Matrix& dst) {

@@ -45,10 +45,21 @@ void matmul_nn_acc(ConstRowsView a, const Matrix& b, RowsView out,
 void matmul_tn_acc(ConstRowsView a, ConstRowsView b, Matrix& out,
                    ThreadPool* pool = nullptr);
 
+/// Throws std::invalid_argument (message prefixed by `who`) unless x's
+/// offsets are consistent and every row's ids are strictly ascending and
+/// below x.cols — what the gather and scatter below index by. The entry
+/// points that take ids from outside check them once
+/// (LstmCell::forward_batch whole, train_window_batch row by row as it
+/// stacks them); the gather and scatter do not re-check (DESIGN.md §2).
+void check_one_hot(const OneHotRows& x, const char* who);
+/// The same for row r < x.rows() alone: its ids lie inside x.ids, strictly
+/// ascending and below x.cols.
+void check_one_hot_row(const OneHotRows& x, std::size_t r, const char* who);
+
 /// out += x · b for 0/1 rows x (x.cols == b.rows(), out: x.rows()×b.cols()):
 /// row r adds the b rows its ids select, ascending, with plain float adds —
-/// bitwise the same on every backend (DESIGN.md §2, §7). Throws on an id
-/// out of range or ids that are not strictly ascending within a row.
+/// bitwise the same on every backend (DESIGN.md §2, §7). Throws on a shape
+/// mismatch; x's ids must already pass check_one_hot.
 void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
                      ThreadPool* pool = nullptr);
 
@@ -56,7 +67,8 @@ void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
 /// row r of a is added into out at each of its ids, rows ascending, with
 /// plain float adds — the transposed layer-0 weight gradient (DESIGN.md
 /// §4, §7). Bitwise the same on every backend; on the FMA backends also the
-/// transpose of matmul_tn_acc(a, dense x). Throws like gather_rows_acc.
+/// transpose of matmul_tn_acc(a, dense x). Throws on a shape mismatch;
+/// x's ids must already pass check_one_hot.
 void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out);
 
 /// y += W x for one input vector x, given W's transpose wT (in×out,
@@ -68,8 +80,10 @@ void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out);
 /// once per weight version (a stream, a pass, a training window).
 void gemv_add(const Matrix& wT, std::span<const float> x, std::span<float> y);
 
-/// out = aᵀ (resized), copied in 16×16 tiles — an exact copy. Used to cache
-/// transposed weights once per optimizer step (DESIGN.md §11).
+/// out = aᵀ (resized) on the active backend — an exact copy, in-register
+/// 16×16 tiles on AVX-512, cached 16×16 tiles on the scalar and AVX2
+/// backends. Used to cache transposed weights once per optimizer step
+/// (DESIGN.md §11).
 void transpose(const Matrix& a, Matrix& out);
 
 /// Cumulative process-wide transpose() counters, maintained with relaxed
@@ -95,7 +109,8 @@ void add_bias_rows(Matrix& m, const Matrix& bias);
 /// m is resized to rows×bias.cols() and every row is set to bias (1×C).
 void broadcast_rows(const Matrix& bias, std::size_t rows, Matrix& m);
 
-/// out_row (1×a.cols) += column sums of a, summed in row order.
+/// out_row (1×a.cols) += column sums of a, summed in row order on the
+/// active backend (vectorized over columns; the same bits everywhere).
 void col_sum_acc(ConstRowsView a, Matrix& out_row);
 
 /// dst = the first n rows of src (resized to n×src.cols()).

@@ -491,6 +491,7 @@ constexpr KernelBackend kAvx2Backend = {
     "avx2", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
     gates_forward_rows,
     gates_backward_rows, softmax_rows_, gemv_acc, adam_update,
+    detail::scalar_transpose, detail::scalar_col_sum_acc,
 };
 
 }  // namespace

@@ -540,10 +540,105 @@ MLAD_NO_FP_CONTRACT void adam_update(float* p, float* m, float* v,
   }
 }
 
+// ---- data movement and plain-add reductions (exact on every backend) -----
+
+/// Lanes [0, n) of a 16-lane mask, n ≤ 16.
+inline __mmask16 lanes16(std::size_t n) {
+  return n >= 16 ? __mmask16{0xffff}
+                 : static_cast<__mmask16>((1u << n) - 1u);
+}
+
+/// Transpose 16 rows of 16 floats in registers: 32-bit, then 64-bit
+/// unpacks inside each 128-bit lane, then two 128-bit lane shuffles. Row j
+/// of the result is column j of the input.
+inline void transpose16x16(__m512 r[16]) {
+  __m512 t[16];
+  for (std::size_t i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // u[4g + c], lane L: column 4L + c of rows 4g..4g+3.
+  __m512 u[16];
+  for (std::size_t g = 0; g < 16; g += 4) {
+    const __m512d t0 = _mm512_castps_pd(t[g]);
+    const __m512d t1 = _mm512_castps_pd(t[g + 1]);
+    const __m512d t2 = _mm512_castps_pd(t[g + 2]);
+    const __m512d t3 = _mm512_castps_pd(t[g + 3]);
+    u[g] = _mm512_castpd_ps(_mm512_unpacklo_pd(t0, t2));
+    u[g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(t0, t2));
+    u[g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(t1, t3));
+    u[g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(t1, t3));
+  }
+  // Column 4L + c gathers lane L of u[c], u[4 + c], u[8 + c], u[12 + c].
+  for (std::size_t c = 0; c < 4; ++c) {
+    const __m512 lo01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x44);
+    const __m512 hi01 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xEE);
+    const __m512 lo23 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x44);
+    const __m512 hi23 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xEE);
+    r[c] = _mm512_shuffle_f32x4(lo01, lo23, 0x88);
+    r[4 + c] = _mm512_shuffle_f32x4(lo01, lo23, 0xDD);
+    r[8 + c] = _mm512_shuffle_f32x4(hi01, hi23, 0x88);
+    r[12 + c] = _mm512_shuffle_f32x4(hi01, hi23, 0xDD);
+  }
+}
+
+/// out = aᵀ in 16×16 register tiles; ragged edge tiles load masked
+/// columns and zero rows, and store only the valid rows and lanes.
+void transpose_(const float* a, float* out, std::size_t R, std::size_t C) {
+  for (std::size_t i0 = 0; i0 < R; i0 += 16) {
+    const std::size_t ni = std::min<std::size_t>(16, R - i0);
+    const __mmask16 store_mask = lanes16(ni);
+    for (std::size_t j0 = 0; j0 < C; j0 += 16) {
+      const std::size_t nj = std::min<std::size_t>(16, C - j0);
+      const __mmask16 load_mask = lanes16(nj);
+      __m512 r[16];
+      for (std::size_t i = 0; i < 16; ++i) {
+        r[i] = i < ni ? _mm512_maskz_loadu_ps(load_mask, a + (i0 + i) * C + j0)
+                      : _mm512_setzero_ps();
+      }
+      transpose16x16(r);
+      for (std::size_t j = 0; j < nj; ++j) {
+        _mm512_mask_storeu_ps(out + (j0 + j) * R + i0, store_mask, r[j]);
+      }
+    }
+  }
+}
+
+/// Column sums, 128 columns per block in eight zmm accumulators held
+/// across all rows: one plain add per element, rows ascending — the scalar
+/// definition's bits. A short last block uses only the accumulators it
+/// needs, the last one masked.
+void col_sum_acc(const float* a, float* out, std::size_t R, std::size_t N) {
+  for (std::size_t j = 0; j < N; j += 128) {
+    const std::size_t width = std::min<std::size_t>(128, N - j);
+    const std::size_t nv = (width + 15) / 16;
+    __mmask16 mask[8];
+    __m512 acc[8];
+    for (std::size_t v = 0; v < 8; ++v) {
+      mask[v] = v < nv ? lanes16(width - 16 * v) : __mmask16{0};
+      acc[v] = v < nv ? _mm512_maskz_loadu_ps(mask[v], out + j + 16 * v)
+                      : _mm512_setzero_ps();
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const float* row = a + r * N + j;
+      for (std::size_t v = 0; v < 8; ++v) {
+        if (v < nv) {
+          acc[v] = _mm512_add_ps(
+              acc[v], _mm512_maskz_loadu_ps(mask[v], row + 16 * v));
+        }
+      }
+    }
+    for (std::size_t v = 0; v < nv; ++v) {
+      _mm512_mask_storeu_ps(out + j + 16 * v, mask[v], acc[v]);
+    }
+  }
+}
+
 constexpr KernelBackend kAvx512Backend = {
     "avx512", nn_rows, tn_rows, gather_rows_acc, scatter_rows_acc,
     gates_forward_rows,
-    gates_backward_rows, softmax_rows_, gemv_acc, adam_update,
+    gates_backward_rows, softmax_rows_, gemv_acc, adam_update, transpose_,
+    col_sum_acc,
 };
 
 }  // namespace

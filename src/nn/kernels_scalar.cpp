@@ -186,11 +186,47 @@ MLAD_NO_FP_CONTRACT void adam_update(float* p, float* m, float* v,
   }
 }
 
+}  // namespace
+
+namespace detail {
+
+void scalar_transpose(const float* a, float* out, std::size_t R,
+                      std::size_t C) {
+  // 16×16 tiles: a tile's 16 source rows and 16 destination rows stay
+  // cached, where a plain row loop strides through a whole destination
+  // column per source row.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t i0 = 0; i0 < R; i0 += kTile) {
+    const std::size_t i1 = std::min(R, i0 + kTile);
+    for (std::size_t j0 = 0; j0 < C; j0 += kTile) {
+      const std::size_t j1 = std::min(C, j0 + kTile);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const float* a_row = a + i * C;
+        float* out_col = out + i;
+        for (std::size_t j = j0; j < j1; ++j) out_col[j * R] = a_row[j];
+      }
+    }
+  }
+}
+
+void scalar_col_sum_acc(const float* a, float* out, std::size_t R,
+                        std::size_t N) {
+  for (std::size_t r = 0; r < R; ++r) {
+    const float* row = a + r * N;
+    for (std::size_t j = 0; j < N; ++j) out[j] += row[j];
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
 constexpr KernelBackend kScalarBackend = {
     "scalar",            nn_rows,          tn_rows,
     gather_rows_acc,     scatter_rows_acc, gates_forward_rows,
     gates_backward_rows, softmax_rows_,    gemv_acc,
-    adam_update,
+    adam_update,         detail::scalar_transpose,
+    detail::scalar_col_sum_acc,
 };
 
 }  // namespace

@@ -119,4 +119,15 @@ MLAD_NO_FP_CONTRACT static inline void scalar_adam_element(
   p -= static_cast<float>(step);
 }
 
+/// The scalar backend's transpose and col_sum_acc entries. Unlike the
+/// bodies above these are declared here and defined once, in
+/// kernels_scalar.cpp, so they run as the scalar TU is compiled (baseline
+/// x86-64 by default): the AVX2 backend's table points at the same
+/// functions (compiled under -mavx2 the tiled transpose ran about 40 %
+/// slower).
+void scalar_transpose(const float* a, float* out, std::size_t R,
+                      std::size_t C);
+void scalar_col_sum_acc(const float* a, float* out, std::size_t R,
+                        std::size_t N);
+
 }  // namespace mlad::nn::detail

@@ -158,6 +158,7 @@ void LstmCell::forward_batch(const OneHotRows& x, const Matrix& wT,
                              const Matrix& uT, LstmBatchCache& cache,
                              Matrix& a_scratch, ThreadPool* pool) const {
   check_forward_batch(x.rows(), cache);
+  check_one_hot(x, "LstmCell::forward_batch");
   input_product(x, wT, a_scratch, pool);
   step_forward(cache.h_prev, cache.c_prev, uT, a_scratch, cache, pool);
 }

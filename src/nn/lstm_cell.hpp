@@ -101,7 +101,8 @@ class LstmCell {
                      ThreadPool* pool = nullptr) const;
 
   /// The same step for a 0/1 input given as active ids (the one-hot layer-0
-  /// input): X Wᵀ becomes a gather of Wᵀ rows.
+  /// input): X Wᵀ becomes a gather of Wᵀ rows. Throws on ids check_one_hot
+  /// refuses.
   void forward_batch(const OneHotRows& x, const Matrix& wT, const Matrix& uT,
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
@@ -109,7 +110,10 @@ class LstmCell {
   /// a = 1·bᵀ + X Wᵀ (resized to x's rows × 4H): the input half of the
   /// pre-activations, for any number of stacked rows. 0/1 rows gather Wᵀ
   /// rows in ascending id order — bitwise the dense product on the FMA
-  /// backends (DESIGN.md §2).
+  /// backends (DESIGN.md §2). The 0/1 overloads here and in weight_grads
+  /// take rows whose ids already passed check_one_hot (training's stacked
+  /// rows, checked as train_window_batch copies them in) and do not
+  /// re-check them.
   void input_product(const Matrix& x, const Matrix& wT, Matrix& a,
                      ThreadPool* pool = nullptr) const;
   void input_product(const OneHotRows& x, const Matrix& wT, Matrix& a,

@@ -77,9 +77,10 @@ class LstmLayer {
   /// Batched forward over a whole window batch whose steps are stacked in
   /// forward order (`layout`): the input product runs once over all N rows,
   /// then a per-step loop adds H_{t-1} Uᵀ and applies the gates. Layer 0
-  /// takes its 0/1 input as ids, the layers above the layer below's
-  /// tape.h. State starts at zero; results land in `tape`. Const —
-  /// gradients and caches are all caller-owned.
+  /// takes its 0/1 input as ids (already checked, see
+  /// LstmCell::input_product), the layers above the layer below's tape.h.
+  /// State starts at zero; results land in `tape`. Const — gradients and
+  /// caches are all caller-owned.
   ///
   /// `wT`/`uT`, when both non-null, are caller-cached transposes of the
   /// cell's current w/u (e.g. SequenceModel::TransposeCache, DESIGN.md §11);

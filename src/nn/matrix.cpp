@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace mlad::nn {
 
@@ -61,10 +62,83 @@ Matrix& Matrix::hadamard(const Matrix& other) {
   return *this;
 }
 
+// The double square of a float is exact (24-bit significands, 48 bits of
+// product), so an FMA-contracted `s += v * v` (a -march=native build) has
+// the bits of a multiply then an add: sum_squares_side_by_side, which
+// squares packed and adds apart, matches this in every build.
 double Matrix::sum_squares() const {
   double s = 0.0;
   for (float v : data_) s += static_cast<double>(v) * v;
   return s;
+}
+
+namespace {
+
+/// The chains of sum_squares_side_by_side for M buffers over elements
+/// [lo, hi): each a serial double chain, the M of them interleaved. The
+/// squares of a block are computed first, packed: a scalar float→double
+/// conversion merges into its destination register, which tied every
+/// chain to the previous element's square through that register.
+template <std::size_t M>
+void advance_chains(const float* const* p, double* s, std::size_t lo,
+                    std::size_t hi) {
+  constexpr std::size_t kBlock = 256;
+  double sq[M][kBlock];
+  double acc[M];
+  for (std::size_t c = 0; c < M; ++c) acc[c] = s[c];
+  for (std::size_t b = lo; b < hi; b += kBlock) {
+    const std::size_t n = std::min(kBlock, hi - b);
+    for (std::size_t c = 0; c < M; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double v = p[c][b + i];
+        sq[c][i] = v * v;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < M; ++c) acc[c] += sq[c][i];
+    }
+  }
+  for (std::size_t c = 0; c < M; ++c) s[c] = acc[c];
+}
+
+}  // namespace
+
+void sum_squares_side_by_side(std::span<const std::span<const float>> bufs,
+                              std::span<double> out) {
+  if (out.size() != bufs.size()) {
+    throw std::invalid_argument("sum_squares_side_by_side: size mismatch");
+  }
+  // Four consecutive buffers at a time, longest first within the group: a
+  // group drops a chain as the chain reaches its end. Everything lives on
+  // the stack — the trainer calls this once per optimizer step.
+  for (std::size_t g = 0; g < bufs.size(); g += 4) {
+    const std::size_t m = std::min<std::size_t>(4, bufs.size() - g);
+    std::size_t order[4];
+    for (std::size_t c = 0; c < m; ++c) {
+      order[c] = g + c;  // insertion sort, longest first
+      for (std::size_t d = c;
+           d > 0 && bufs[order[d]].size() > bufs[order[d - 1]].size(); --d) {
+        std::swap(order[d], order[d - 1]);
+      }
+    }
+    const float* p[4] = {};
+    double s[4] = {};
+    for (std::size_t c = 0; c < m; ++c) p[c] = bufs[order[c]].data();
+    // While `live` chains remain, elements [lo, hi) advance chains
+    // [0, live), hi being where the shortest of them (live - 1) ends.
+    std::size_t lo = 0;
+    for (std::size_t live = m; live > 0; --live) {
+      const std::size_t hi = bufs[order[live - 1]].size();
+      switch (live) {
+        case 4: advance_chains<4>(p, s, lo, hi); break;
+        case 3: advance_chains<3>(p, s, lo, hi); break;
+        case 2: advance_chains<2>(p, s, lo, hi); break;
+        default: advance_chains<1>(p, s, lo, hi); break;
+      }
+      lo = hi;
+    }
+    for (std::size_t c = 0; c < m; ++c) out[order[c]] = s[c];
+  }
 }
 
 double Matrix::sum() const {

@@ -7,13 +7,45 @@
 // builds and allocation-free on the hot paths that matter.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
 namespace mlad::nn {
+
+/// Allocator that starts every block on a 64-byte cache-line boundary
+/// (DESIGN.md §2). glibc's malloc returns 16-byte alignment, and blocks
+/// large enough to be mmap'd start 16 bytes past a page, so a 64-byte SIMD
+/// load of such a buffer straddled two lines almost every time. Aligned
+/// operator new pairs with aligned operator delete.
+template <typename T>
+struct LineAllocator {
+  using value_type = T;
+  static constexpr std::size_t kAlign = 64;
+
+  LineAllocator() = default;
+  template <typename U>
+  LineAllocator(const LineAllocator<U>&) noexcept {}  // NOLINT: rebind
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kAlign}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{kAlign});
+  }
+  template <typename U>
+  bool operator==(const LineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// Line-aligned float storage: Matrix's buffer and Adam's moments.
+using LineFloats = std::vector<float, LineAllocator<float>>;
 
 class Matrix;
 
@@ -43,7 +75,9 @@ struct RowsView {
   operator ConstRowsView() const { return {data, rows, cols}; }
 };
 
-/// Row-major dense matrix. A row vector is a Matrix with rows()==1.
+/// Row-major dense matrix. A row vector is a Matrix with rows()==1. data()
+/// starts on a cache line; rows are not padded, so row r > 0 is aligned
+/// only when cols() is a multiple of 16.
 class Matrix {
  public:
   Matrix() = default;
@@ -114,7 +148,7 @@ class Matrix {
     return *this;
   }
 
-  /// Frobenius-norm squared.
+  /// Frobenius-norm squared: one serial double chain in element order.
   double sum_squares() const;
   /// Sum of all entries.
   double sum() const;
@@ -126,7 +160,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  LineFloats data_;
 };
 
 inline ConstRowsView::ConstRowsView(const Matrix& m)
@@ -156,6 +190,14 @@ struct OneHotRows {
   /// Append a copy of row r of `other` (same width).
   void append_row(const OneHotRows& other, std::size_t r);
 };
+
+/// out[i] = the sum of squares of bufs[i] exactly as Matrix::sum_squares
+/// computes it (one serial double chain in element order), the chains of
+/// four consecutive buffers advanced side by side, so their add latencies
+/// overlap instead of queuing one after another (DESIGN.md §11). Allocates
+/// nothing. out.size() must equal bufs.size().
+void sum_squares_side_by_side(std::span<const std::span<const float>> bufs,
+                              std::span<double> out);
 
 /// out = a * b. Shapes must agree; `out` is resized.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);

@@ -27,8 +27,8 @@ struct ParamSlot {
 /// as a sidecar next to the model (nn/serialize.hpp).
 struct AdamState {
   std::uint64_t t = 0;
-  std::vector<std::vector<float>> m;  ///< first moments, one vector per slot
-  std::vector<std::vector<float>> v;  ///< second moments
+  std::vector<LineFloats> m;  ///< first moments, one vector per slot
+  std::vector<LineFloats> v;  ///< second moments
 };
 
 /// Does `state` have exactly one (m, v) pair per slot, each sized like the
@@ -54,8 +54,12 @@ double finite_grad_norm(double sum_squares);
 /// NonFiniteGradientError when the norm is not finite.
 float clip_scale(double sum_squares, double max_norm);
 
-/// clip_scale of the slots' gradients: each slot's Matrix::sum_squares,
-/// added in slot order.
+/// The squared global L2 norm of the slots' gradients: each slot's
+/// Matrix::sum_squares, the chains run side by side
+/// (sum_squares_side_by_side), the sums added in slot order.
+double grad_sum_squares(std::span<const ParamSlot> slots);
+
+/// clip_scale(grad_sum_squares(slots), max_norm).
 float clip_scale(std::span<const ParamSlot> slots, double max_norm);
 
 /// Adam (Kingma & Ba) with bias correction. The per-element update runs on
@@ -95,8 +99,8 @@ class Adam {
   double beta2_;
   double eps_;
   std::uint64_t t_ = 0;
-  std::vector<std::vector<float>> m_;
-  std::vector<std::vector<float>> v_;
+  std::vector<LineFloats> m_;  ///< line-aligned, like the parameters
+  std::vector<LineFloats> v_;
 };
 
 }  // namespace mlad::nn

@@ -153,7 +153,8 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
   const std::size_t T = windows[ws.order.front()].steps();
 
   // Stack every step's rows in forward order: step t holds the step-t
-  // input and target of every window still active at t.
+  // input and target of every window still active at t. Each id row is
+  // checked as it is copied; the layers do not re-check the stack.
   ws.step_rows.resize(T);
   ws.x.clear(config_.input_dim);
   ws.targets.clear();
@@ -166,6 +167,7 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
       if (w.targets[t] >= config_.num_classes) {
         throw std::invalid_argument("train_window_batch: target out of range");
       }
+      check_one_hot_row(*w.inputs, w.first + t, "train_window_batch");
       ws.x.append_row(*w.inputs, w.first + t);
       ws.targets.push_back(w.targets[t]);
     }

@@ -87,7 +87,7 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k) {
   if (target >= scores.size() || k == 0) return false;
-  if (k >= scores.size()) return true;
+  if (k >= scores.size()) return !std::isnan(scores[target]);
   return top_k_rank(scores, target, k) < k;
 }
 
@@ -113,6 +113,9 @@ std::size_t count_where(const float* p, std::size_t n, const Pred& pred) {
 std::size_t top_k_rank(std::span<const float> scores, std::size_t target,
                        std::size_t cap) {
   const float st = scores[target];
+  // Every comparison with a NaN target is false, so it would rank 0 — a
+  // hit at every k. It ranks as a miss instead.
+  if (std::isnan(st)) return cap;
   // A full count with no early exit, so both loops vectorize: ties (and
   // -0 == +0) count only before `target`, and a NaN on either side of a
   // comparison never counts. Capping afterwards returns exactly what a loop

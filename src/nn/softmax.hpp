@@ -66,13 +66,15 @@ std::vector<std::size_t> top_k_indices(std::span<const float> scores,
 /// S(k) membership test used by the time-series detection function F_t):
 /// fewer than k entries are greater than scores[target], or equal with a
 /// lower index. Softmax is monotone, so the verdict is taken on logits
-/// (DESIGN.md §5); a NaN score is never "greater".
+/// (DESIGN.md §5); a NaN score is never "greater", and a NaN target score
+/// is never in the top k — weights gone non-finite must read as misses
+/// (alarms), not as hits.
 bool in_top_k(std::span<const float> scores, std::size_t target,
               std::size_t k);
 
 /// The count in_top_k makes for `target` (< scores.size()) — entries greater
 /// than scores[target], or equal with a lower index — capped at `cap` (a
-/// full, branch-free count; DESIGN.md §5):
+/// full, branch-free count; DESIGN.md §5). A NaN target ranks `cap`:
 /// in_top_k(scores, target, k) == (top_k_rank(scores, target, cap) < k) for
 /// every k ≤ cap.
 std::size_t top_k_rank(std::span<const float> scores, std::size_t target,

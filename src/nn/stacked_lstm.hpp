@@ -84,8 +84,10 @@ class StackedLstm {
 
   /// Batched training-time forward over a window batch: x holds the 0/1
   /// input rows of every step stacked in forward order, step t holding the
-  /// step_rows[t] sequences still active (non-increasing). Top-layer
-  /// outputs are tape.layers.back().h, in the same order. Const —
+  /// step_rows[t] sequences still active (non-increasing); its ids must
+  /// already pass check_one_hot (train_window_batch checks them as it
+  /// stacks them) and are not re-checked here or in the backward pass.
+  /// Top-layer outputs are tape.layers.back().h, in the same order. Const —
   /// everything lands in the tape.
   ///
   /// `wT`/`uT`, when non-empty, hold one caller-cached transpose of each

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/stopwatch.hpp"
+#include "nn/kernel_backend.hpp"
 
 namespace mlad::nn {
 
@@ -85,16 +86,16 @@ void MinibatchTrainer::fold_lanes(std::size_t lanes) {
   // Every level below the top one runs in place, in chunks so the lanes
   // stay cached; the top level (lane 0 + lane `top`, or lane 0 alone when
   // there is one lane) is added to +0 — the add into zeroed model
-  // gradients it replaces, so a −0 sum lands as +0 as it always did —
-  // written to the model's gradient buffer directly, and extends that
-  // slot's sum of squares, one serial double chain in element order
-  // (Matrix::sum_squares's). A slot the lanes store transposed
-  // (ModelGrads::transposed) lands in its parameter's layout.
+  // gradients it replaces, so a −0 sum lands as +0 as it always did — and
+  // written to the model's gradient buffer directly. A slot the lanes
+  // store transposed (ModelGrads::transposed) is summed in place in lane 0
+  // and lands in its parameter's layout through the backend transpose.
+  // nn::grad_sum_squares then takes the clip's norm over the folded slots.
   std::size_t top = 0;
   for (std::size_t stride = 1; stride < lanes; stride *= 2) top = stride;
   constexpr std::size_t kChunk = 4096;
   const auto slots = model_->param_slots();
-  double ss = 0.0;
+  const KernelBackend& be = kernel_backend();
   for (std::size_t k = 0; k < slots.size(); ++k) {
     const std::size_t size = lanes_[0].g[k].size();
     for (std::size_t e0 = 0; e0 < size; e0 += kChunk) {
@@ -107,24 +108,19 @@ void MinibatchTrainer::fold_lanes(std::size_t lanes) {
         }
       }
     }
-    const float* a = lanes_[0].g[k].data();
-    const float* b = top != 0 ? lanes_[top].g[k].data() : nullptr;
+    float* a = lanes_[0].g[k].data();
     Matrix& dst = *slots[k].grad;
-    float* out = dst.data();
-    const std::size_t R = dst.rows();
-    const std::size_t C = dst.cols();
     const bool transposed = lanes_[0].transposed[k];
-    double slot_ss = 0.0;
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t c = 0; c < C; ++c) {
-        const std::size_t e = transposed ? c * R + r : r * C + c;
-        const float v = 0.0f + (b != nullptr ? a[e] + b[e] : a[e]);
-        out[r * C + c] = v;
-        slot_ss += static_cast<double>(v) * v;
-      }
+    float* sum = transposed ? a : dst.data();
+    if (top != 0) {
+      const float* b = lanes_[top].g[k].data();
+      for (std::size_t e = 0; e < size; ++e) sum[e] = 0.0f + (a[e] + b[e]);
+    } else {
+      for (std::size_t e = 0; e < size; ++e) sum[e] = 0.0f + a[e];
     }
-    ss += slot_ss;
+    if (transposed) be.transpose(a, dst.data(), dst.cols(), dst.rows());
   }
+  const double ss = nn::grad_sum_squares(slots);
   // A NaN or Inf gradient stops training here, before Adam writes it into
   // the weights (and save_model into a file).
   (void)finite_grad_norm(ss);

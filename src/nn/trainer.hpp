@@ -36,10 +36,10 @@ struct Fragment {
 /// micro-batches of a FIXED size, each micro-batch runs through the batched
 /// (B × dim) kernels into its own gradient lane on whichever worker is free,
 /// and the lanes are then folded by a fixed-order pairwise tree reduction
-/// straight into the model's gradient buffers, which the same pass sums the
-/// squares of for the clip (DESIGN.md §4). The thread count decides
-/// scheduling only, never arithmetic order, so losses and gradients are
-/// bit-identical for any `threads` value.
+/// straight into the model's gradient buffers, whose squares are then
+/// summed for the clip, the slots' chains side by side (DESIGN.md §4,
+/// §11). The thread count decides scheduling only, never arithmetic order,
+/// so losses and gradients are bit-identical for any `threads` value.
 class MinibatchTrainer {
  public:
   /// micro_batch must be >= 1 (throws std::invalid_argument).

@@ -457,6 +457,22 @@ TEST(OnlineAdaptation, NonFiniteGradientAbandonsTheRoundAndServeSurvives) {
   EXPECT_EQ(r.stats.rollbacks, 0u);
 }
 
+TEST(OnlineAdaptation, NonFinitePublicationTripsRollback) {
+  // A 1e39 blow-up overflows the published weights to ±Inf, so the logits
+  // go NaN. A NaN target logit must rank as a miss (an alarm): before it
+  // did, every package ranked inside the top k, alarms FELL, and the
+  // rollback monitor, which watches for a rise, never fired.
+  const RunResult r = run_poisoned_serve(/*rollback_window=*/60,
+                                         /*rollback_ratio=*/2.0,
+                                         /*poison_scale=*/1e39);
+  ASSERT_GE(r.swaps.size(), 1u);
+  ASSERT_GE(r.rollbacks.size(), 1u)
+      << "the non-finite publication never tripped the rollback monitor";
+  EXPECT_EQ(r.rollbacks.front().from, 1u);
+  EXPECT_EQ(r.rollbacks.front().to, 0u);
+  EXPECT_GT(r.rollbacks.front().tick, r.swaps.front().tick);
+}
+
 TEST(OnlineAdaptation, RollbackToRestoresTheBaselineBitwise) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);

@@ -141,6 +141,32 @@ TEST(BatchParity, CellForwardMatchesPerSample) {
   }
 }
 
+TEST(BatchParity, CellForwardBatchRejectsMalformedIdRows) {
+  // The serve step's entry point checks the ids its gather indexes by.
+  Rng rng(22);
+  LstmCell cell(4, 3);
+  cell.init_params(rng);
+  Matrix wT, uT, a;
+  transpose(cell.w(), wT);
+  transpose(cell.u(), uT);
+  LstmBatchCache cache;
+  cache.h_prev = Matrix(1, 3);
+  cache.c_prev = Matrix(1, 3);
+  OneHotRows x;
+  x.clear(4);
+  x.ids = {1, 3};
+  x.end_row();
+  EXPECT_NO_THROW(cell.forward_batch(x, wT, uT, cache, a));
+  for (const std::vector<std::uint32_t>& bad :
+       {std::vector<std::uint32_t>{3, 1}, std::vector<std::uint32_t>{4}}) {
+    x.clear(4);
+    x.ids = bad;  // not ascending; out of range
+    x.end_row();
+    EXPECT_THROW(cell.forward_batch(x, wT, uT, cache, a),
+                 std::invalid_argument);
+  }
+}
+
 // ---- model-level parity -----------------------------------------------------
 
 SequenceModelConfig small_config(std::size_t input_dim, std::size_t classes) {

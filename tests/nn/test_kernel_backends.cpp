@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -312,19 +314,49 @@ TEST(KernelBackends, GatherIsBitwiseEqualOnEveryBackend) {
   }
 }
 
-TEST(KernelBackends, GatherRejectsMalformedRows) {
-  const Matrix b(4, 3);
-  Matrix out(1, 3);
+TEST(KernelBackends, CheckOneHotRejectsMalformedRows) {
+  // What the gather and scatter index by; their entry points check it.
   OneHotRows x;
+  x.clear(4);
+  x.ids = {0, 3};
+  x.end_row();
+  x.end_row();  // an empty row is fine
+  EXPECT_NO_THROW(check_one_hot(x, "test"));
+  const auto rejects = [](const OneHotRows& bad) {
+    EXPECT_THROW(check_one_hot(bad, "test"), std::invalid_argument);
+    EXPECT_THROW(check_one_hot_row(bad, 0, "test"), std::invalid_argument);
+  };
   x.clear(4);
   x.ids = {2, 1};  // not ascending
   x.end_row();
-  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
+  rejects(x);
+  x.clear(4);
+  x.ids = {1, 1};  // repeated
+  x.end_row();
+  rejects(x);
   x.clear(4);
   x.ids = {4};  // out of range
   x.end_row();
-  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
+  rejects(x);
+  x.clear(4);
+  x.ids = {0, 1};
+  x.offsets = {0, 3};  // row 0 ends past the ids
+  rejects(x);
+  x.offsets = {0, 1};  // ids left over after the last row
+  EXPECT_THROW(check_one_hot(x, "test"), std::invalid_argument);
+  x.offsets = {2, 1};  // row ends before it starts
+  EXPECT_THROW(check_one_hot_row(x, 0, "test"), std::invalid_argument);
+}
+
+TEST(KernelBackends, GatherRejectsAShapeMismatch) {
+  const Matrix b(4, 3);
+  Matrix out(1, 3);
+  OneHotRows x;
   x.clear(3);  // width disagrees with b
+  x.end_row();
+  EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
+  x.clear(4);  // two rows against one row of out
+  x.end_row();
   x.end_row();
   EXPECT_THROW(gather_rows_acc(x, b, out), std::invalid_argument);
 }
@@ -380,22 +412,10 @@ TEST(KernelBackends, ScatterIsBitwiseEqualOnEveryBackend) {
   }
 }
 
-TEST(KernelBackends, ScatterRejectsMalformedRows) {
+TEST(KernelBackends, ScatterRejectsAShapeMismatch) {
   const Matrix a(1, 3);
   Matrix out(4, 3);
   OneHotRows x;
-  x.clear(4);
-  x.ids = {2, 1};  // not ascending
-  x.end_row();
-  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
-  x.clear(4);
-  x.ids = {1, 1};  // repeated
-  x.end_row();
-  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
-  x.clear(4);
-  x.ids = {4};  // out of range
-  x.end_row();
-  EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
   x.clear(3);  // width disagrees with out
   x.end_row();
   EXPECT_THROW(scatter_rows_acc(x, a, out), std::invalid_argument);
@@ -586,7 +606,11 @@ TEST(KernelBackends, AdamParityVsScalarLoop) {
           Matrix param = Matrix::from_rows(1, n, p);
           Matrix grad = Matrix::from_rows(1, n, g);
           Adam adam(lr);
-          if (t0 != 0) adam.restore({t0, {m}, {v}});
+          if (t0 != 0) {
+            adam.restore({t0,
+                          {LineFloats(m.begin(), m.end())},
+                          {LineFloats(v.begin(), v.end())}});
+          }
           const ParamSlot slots[] = {{&param, &grad}};
           adam.step(slots, scale);
           adam.step(slots, scale);
@@ -654,19 +678,205 @@ TEST(KernelBackends, StackedProductsEqualPerStepCallsBitwise) {
   }
 }
 
-TEST(KernelBackends, TiledTransposeIsExact) {
+TEST(KernelBackends, TransposeIsExactOnEveryBackend) {
+  // A pure copy: every backend's tiles (in-register 16×16 on AVX-512, 8×8
+  // on AVX2, cached 16×16 on scalar), ragged edges included, must put
+  // a(i, j) at t(j, i) bit for bit — NaN payloads and -0 too.
+  BackendGuard restore;
   Rng rng(47);
   for (const auto& [rows, cols] :
        std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {1, 40}, {17, 33}, {16, 16}, {256, 111}, {5, 300}}) {
-    const Matrix a = random_matrix(rows, cols, rng);
-    Matrix t;
-    transpose(a, t);
-    ASSERT_EQ(t.rows(), cols);
-    ASSERT_EQ(t.cols(), rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        ASSERT_EQ(t(j, i), a(i, j));
+           {1, 1}, {1, 40}, {17, 33}, {16, 16}, {8, 9}, {256, 111},
+           {256, 64}, {350, 64}, {5, 300}}) {
+    Matrix a = random_matrix(rows, cols, rng);
+    a.data()[0] = -0.0f;
+    a.data()[a.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+    for (const std::string& name : available_kernel_backends()) {
+      ASSERT_TRUE(select_kernel_backend(name));
+      Matrix t;
+      transpose(a, t);
+      ASSERT_EQ(t.rows(), cols);
+      ASSERT_EQ(t.cols(), rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          ASSERT_EQ(0, std::memcmp(&t(j, i), &a(i, j), sizeof(float)))
+              << name << " " << rows << "x" << cols << " at " << i << ","
+              << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, ColSumIsBitwiseEqualOnEveryBackend) {
+  // Bias gradients: per column a chain of plain adds over the rows,
+  // ascending — one definition every backend must reproduce bitwise, on
+  // widths that leave every kind of ragged column block.
+  BackendGuard restore;
+  Rng rng(53);
+  for (const std::size_t n : {1u, 7u, 16u, 64u, 100u, 128u, 256u, 350u}) {
+    for (const std::size_t rows : {1u, 5u, 250u}) {
+      const Matrix a = random_matrix(rows, n, rng, 0.1);
+      const Matrix seed = random_matrix(1, n, rng);
+      Matrix want = seed;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < n; ++j) want(0, j) += a(r, j);
+      }
+      for (const std::string& name : available_kernel_backends()) {
+        ASSERT_TRUE(select_kernel_backend(name));
+        Matrix got = seed;
+        col_sum_acc(a, got);
+        expect_bitwise(got, want,
+                       name + " col_sum N=" + std::to_string(n) +
+                           " rows=" + std::to_string(rows));
+      }
+    }
+  }
+}
+
+/// Runs `kernel` on copies of `operands` that start `offset` floats past a
+/// cache line and returns every operand's contents afterwards.
+std::vector<std::vector<float>> run_shifted(
+    const std::vector<Matrix>& operands, std::size_t offset,
+    const std::function<void(const std::vector<float*>&)>& kernel) {
+  std::vector<LineFloats> bufs;
+  std::vector<float*> ptrs;
+  for (const Matrix& m : operands) {
+    bufs.emplace_back(m.size() + offset);
+    std::copy(m.data(), m.data() + m.size(), bufs.back().data() + offset);
+  }
+  for (LineFloats& b : bufs) ptrs.push_back(b.data() + offset);
+  kernel(ptrs);
+  std::vector<std::vector<float>> after;
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    after.emplace_back(ptrs[i], ptrs[i] + operands[i].size());
+  }
+  return after;
+}
+
+TEST(KernelBackends, UnalignedOperandsGiveTheAlignedBits) {
+  // Matrix storage starts on a cache line (DESIGN.md §2), but a step's
+  // rows of an N = 350 tape, or of any width that is not a multiple of 16,
+  // never do — so no kernel may assume alignment. Every entry, run on
+  // operands 1–15 floats past a line, must give its line-aligned bits.
+  BackendGuard restore;
+  Rng rng(59);
+  struct Case {
+    std::string what;
+    std::vector<Matrix> operands;
+    std::function<void(const std::vector<float*>&)> kernel;
+  };
+  const OneHotRows ids = crossing_ids(5, 110);
+  std::vector<Case> cases;
+  const auto add = [&](std::string what, std::vector<Matrix> operands,
+                       std::function<void(const std::vector<float*>&)> k) {
+    cases.push_back({std::move(what), std::move(operands), std::move(k)});
+  };
+  for (const Shape& s :
+       {Shape{3, 64, 256}, Shape{4, 256, 64}, Shape{9, 64, 350}}) {
+    add("matmul_nn " + std::to_string(s.m) + "x" + std::to_string(s.k) +
+            "x" + std::to_string(s.n),
+        {random_matrix(s.m, s.k, rng, 0.2), random_matrix(s.k, s.n, rng),
+         random_matrix(s.m, s.n, rng)},
+        [s](const std::vector<float*>& p) {
+          kernel_backend().matmul_nn_rows(p[0], p[1], p[2], s.k, s.n, 0, s.m);
+        });
+    add("matmul_tn " + std::to_string(s.m) + "x" + std::to_string(s.k) +
+            "x" + std::to_string(s.n),
+        {random_matrix(s.k, s.m, rng), random_matrix(s.k, s.n, rng),
+         random_matrix(s.m, s.n, rng)},
+        [s](const std::vector<float*>& p) {
+          kernel_backend().matmul_tn_rows(p[0], p[1], p[2], s.k, s.m, s.n, 0,
+                                          s.m);
+        });
+  }
+  for (const std::size_t n : {256u, 350u}) {
+    add("gather N=" + std::to_string(n),
+        {random_matrix(110, n, rng), random_matrix(ids.rows(), n, rng)},
+        [&ids, n](const std::vector<float*>& p) {
+          kernel_backend().gather_rows_acc(ids.ids.data(), ids.offsets.data(),
+                                           p[0], p[1], n, 0, ids.rows());
+        });
+    add("scatter N=" + std::to_string(n),
+        {random_matrix(ids.rows(), n, rng), random_matrix(110, n, rng)},
+        [&ids, n](const std::vector<float*>& p) {
+          kernel_backend().scatter_rows_acc(ids.ids.data(),
+                                            ids.offsets.data(), p[0], p[1], n,
+                                            0, ids.rows());
+        });
+    add("softmax C=" + std::to_string(n), {random_matrix(3, n, rng)},
+        [n](const std::vector<float*>& p) {
+          kernel_backend().softmax_rows(p[0], n, 0, 3);
+        });
+    add("col_sum N=" + std::to_string(n),
+        {random_matrix(37, n, rng), random_matrix(1, n, rng)},
+        [n](const std::vector<float*>& p) {
+          kernel_backend().col_sum_acc(p[0], p[1], 37, n);
+        });
+  }
+  for (const std::size_t H : {31u, 64u}) {
+    const std::size_t B = 3;
+    std::vector<Matrix> fwd = {random_matrix(B, 4 * H, rng),
+                               random_matrix(B, H, rng)};
+    for (int k = 0; k < 7; ++k) fwd.emplace_back(B, H);
+    add("gates_forward H=" + std::to_string(H), fwd,
+        [H, B](const std::vector<float*>& p) {
+          kernel_backend().gates_forward_rows(p[0], p[1], p[2], p[3], p[4],
+                                              p[5], p[6], p[7], p[8], H, 0, B);
+        });
+    std::vector<Matrix> bwd;
+    for (int k = 0; k < 8; ++k) bwd.push_back(random_matrix(B, H, rng));
+    bwd.emplace_back(B, 4 * H);
+    bwd.emplace_back(B, H);
+    add("gates_backward H=" + std::to_string(H), bwd,
+        [H, B](const std::vector<float*>& p) {
+          kernel_backend().gates_backward_rows(p[0], p[1], p[2], p[3], p[4],
+                                               p[5], p[6], p[7], p[8], p[9],
+                                               H, B - 1, 0, B);
+        });
+  }
+  for (const auto& [k, n] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {64, 256}, {111, 256}, {64, 350}}) {
+    add("gemv " + std::to_string(k) + "x" + std::to_string(n),
+        {random_matrix(1, k, rng, 0.5), random_matrix(k, n, rng),
+         random_matrix(1, n, rng)},
+        [k = k, n = n](const std::vector<float*>& p) {
+          kernel_backend().gemv_acc(p[0], p[1], p[2], k, n);
+        });
+  }
+  for (const auto& [r, c] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {256, 111}, {256, 64}, {350, 64}, {17, 33}}) {
+    add("transpose " + std::to_string(r) + "x" + std::to_string(c),
+        {random_matrix(r, c, rng), Matrix(c, r)},
+        [r = r, c = c](const std::vector<float*>& p) {
+          kernel_backend().transpose(p[0], p[1], r, c);
+        });
+  }
+  {
+    const std::size_t n = 1001;
+    Matrix v = random_matrix(1, n, rng);
+    v.apply([](float x) { return x * x; });
+    const AdamCoeffs c{0.9, 0.1, 0.999, 0.001, 1e-3, 1e-8};
+    add("adam n=1001",
+        {random_matrix(1, n, rng), random_matrix(1, n, rng), v,
+         random_matrix(1, n, rng)},
+        [c, n](const std::vector<float*>& p) {
+          kernel_backend().adam_update(p[0], p[1], p[2], p[3], 0.5f, n, c);
+        });
+  }
+
+  for (const std::string& name : available_kernel_backends()) {
+    ASSERT_TRUE(select_kernel_backend(name));
+    for (const Case& c : cases) {
+      const auto aligned = run_shifted(c.operands, 0, c.kernel);
+      for (std::size_t offset = 1; offset < 16; ++offset) {
+        const auto shifted = run_shifted(c.operands, offset, c.kernel);
+        for (std::size_t i = 0; i < aligned.size(); ++i) {
+          ASSERT_EQ(0, std::memcmp(aligned[i].data(), shifted[i].data(),
+                                   aligned[i].size() * sizeof(float)))
+              << name << " " << c.what << " operand " << i << " at +"
+              << offset << " floats";
+        }
       }
     }
   }

@@ -173,10 +173,12 @@ TEST(TopK, OnePassCurveEqualsPerKInTopK) {
   EXPECT_THROW(TopKErrorCurve(2).error(3), std::out_of_range);
 }
 
-/// The early-exit loop top_k_rank ran before it became a full count.
+/// The early-exit loop top_k_rank ran before it became a full count, with
+/// the NaN-target rule since added: a NaN target ranks `cap`, a miss.
 std::size_t early_exit_rank(std::span<const float> scores, std::size_t target,
                             std::size_t cap) {
   const float st = scores[target];
+  if (std::isnan(st)) return cap;
   std::size_t better = 0;
   for (std::size_t i = 0; i < scores.size() && better < cap; ++i) {
     if (scores[i] > st || (scores[i] == st && i < target)) ++better;
@@ -187,7 +189,7 @@ std::size_t early_exit_rank(std::span<const float> scores, std::size_t target,
 bool early_exit_in_top_k(std::span<const float> scores, std::size_t target,
                          std::size_t k) {
   if (target >= scores.size() || k == 0) return false;
-  if (k >= scores.size()) return true;
+  if (k >= scores.size()) return !std::isnan(scores[target]);
   return early_exit_rank(scores, target, k) < k;
 }
 
@@ -208,7 +210,7 @@ TEST(TopK, BranchFreeRankEqualsEarlyExitLoop) {
                              : static_cast<float>(rng.normal());
     }
     const std::size_t target = rng.index(size);
-    if (n % 5 == 0) scores[target] = nan;  // a NaN target is never beaten
+    if (n % 5 == 0) scores[target] = nan;  // a NaN target always misses
     for (std::size_t cap = 0; cap <= size + 2; ++cap) {
       ASSERT_EQ(top_k_rank(scores, target, cap),
                 early_exit_rank(scores, target, cap))
@@ -227,13 +229,41 @@ TEST(TopK, RankIsInTopKCount) {
   EXPECT_EQ(top_k_rank(scores, 2, 2), 2u);  // capped
   EXPECT_EQ(top_k_rank(scores, 1, 10), 0u);
   // +0 == -0 ties count only before the target; NaNs never count, and a
-  // NaN target is beaten by nothing.
+  // NaN target ranks the cap (NanTargetIsAMissAtEveryK).
   const std::vector<float> zeros = {0.0f, -0.0f, 0.0f, -0.0f, 0.0f};
   EXPECT_EQ(top_k_rank(zeros, 3, 10), 3u);
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> with_nan = {nan, 1.0f, nan, 0.5f};
   EXPECT_EQ(top_k_rank(with_nan, 3, 10), 1u);
-  EXPECT_EQ(top_k_rank(with_nan, 0, 10), 0u);
+  EXPECT_EQ(top_k_rank(with_nan, 0, 10), 10u);
+}
+
+TEST(TopK, NanTargetIsAMissAtEveryK) {
+  // Weights gone non-finite give NaN logits. Every comparison with a NaN
+  // is false, so a NaN target used to rank 0 and sit inside every top k:
+  // the LSTM level went silent. It must rank the cap and miss instead,
+  // whatever the other scores are — and so must -NaN.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float target_score : {nan, -nan}) {
+    for (const std::vector<float>& others :
+         {std::vector<float>{nan, nan, nan},
+          std::vector<float>{1.0f, 2.0f, 3.0f},
+          std::vector<float>{-1.0f, nan, 0.0f}}) {
+      std::vector<float> scores = others;
+      scores.insert(scores.begin() + 1, target_score);
+      for (std::size_t k = 1; k <= scores.size() + 1; ++k) {
+        EXPECT_EQ(top_k_rank(scores, 1, k), k);
+        EXPECT_FALSE(in_top_k(scores, 1, k)) << "k=" << k;
+      }
+      TopKErrorCurve curve(3);
+      curve.add(scores, 1);
+      for (std::size_t k = 1; k <= 3; ++k) EXPECT_EQ(curve.error(k), 1.0);
+    }
+  }
+  // A finite target among NaNs keeps its rank: NaNs never count as better.
+  const std::vector<float> finite_target = {nan, 0.5f, nan};
+  EXPECT_EQ(top_k_rank(finite_target, 1, 3), 0u);
+  EXPECT_TRUE(in_top_k(finite_target, 1, 1));
 }
 
 }  // namespace
