@@ -1,12 +1,14 @@
-// Shared scaffolding for the experiment harnesses (one binary per paper
-// table/figure, see DESIGN.md §6).
+// Shared scaffolding for the experiment harnesses (DESIGN.md §6):
+// bench_paper prints every table and figure of the shared capture from one
+// run, bench_ablation_lstm sweeps LSTM shapes on it.
 //
 // Scale control: by default every harness runs a CPU-friendly reduction
 // (smaller capture, smaller LSTM, fewer epochs) so the full bench suite
 // finishes in minutes. `MLAD_SCALE=paper` switches to the paper's settings
 // (2×256 LSTM, 50 epochs, full-size capture); intermediate `MLAD_SCALE=big`
-// is a compromise. Each harness prints its results to stdout; no results
-// file is committed for them.
+// is a compromise. Each harness prints its results to stdout; the default
+// scale's detection quality is committed as BENCH_quality.json
+// (`bench_paper --json`) and guarded by ctest.
 #pragma once
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 
 #include "detect/pipeline.hpp"
 #include "ics/simulator.hpp"
+#include "nn/softmax.hpp"
 
 namespace mlad::bench {
 
@@ -52,6 +55,29 @@ inline detect::PipelineConfig pipeline_config(const Scale& scale) {
   cfg.combined.timeseries.max_k = 10;
   cfg.seed = 5;
   return cfg;
+}
+
+/// Fig. 6's curves of a trained framework: its LSTM level's top-k misses
+/// on the split's anomaly-free train and validation fragments, discretized
+/// by its own package level, for k = 1..max_k of its config.
+struct TopKCurves {
+  nn::TopKErrorCurve train;
+  nn::TopKErrorCurve validation;
+};
+
+inline TopKCurves top_k_curves(const detect::CombinedDetector& detector,
+                               const ics::DatasetSplit& split) {
+  const auto discretize = [&](std::span<const ics::PackageFragment> frags) {
+    std::vector<detect::DiscreteFragment> out;
+    for (const auto& rows : detect::fragment_raw_rows(frags)) {
+      out.push_back(detector.package_level().discretizer().transform_all(rows));
+    }
+    return out;
+  };
+  const detect::TimeSeriesDetector& ts = detector.timeseries_level();
+  const std::size_t max_k = ts.config().max_k;
+  return {ts.rank_targets(discretize(split.train_fragments), max_k),
+          ts.rank_targets(discretize(split.validation_fragments), max_k)};
 }
 
 inline void print_header(const char* experiment, const Scale& scale) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -38,9 +39,18 @@ class Rng {
         std::uniform_int_distribution<std::uint64_t>(0, n - 1)(engine_));
   }
 
-  /// Normal draw.
+  /// Normal draw: z * stddev + mean for a standard normal z. That is the
+  /// arithmetic std::normal_distribution(mean, stddev) does on the same
+  /// engine draws, so every stddev > 0 gives its bits; stddev 0 (a quiet
+  /// plant) draws too and returns `mean`. A negative or non-finite stddev
+  /// throws.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    if (!std::isfinite(stddev) || stddev < 0.0) {
+      throw std::invalid_argument(
+          "Rng::normal: stddev must be finite and >= 0");
+    }
+    const double z = std::normal_distribution<double>()(engine_);
+    return stddev == 0.0 ? mean : z * stddev + mean;
   }
 
   /// Bernoulli draw with success probability p.

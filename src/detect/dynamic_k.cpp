@@ -5,20 +5,29 @@
 
 namespace mlad::detect {
 
-DynamicKMonitor::DynamicKMonitor(const CombinedDetector& detector,
-                                 const DynamicKConfig& config)
-    : detector_(&detector),
-      config_(config),
-      stream_(detector.make_stream()),
-      k_(std::clamp(detector.chosen_k(), config.k_min, config.k_max)),
-      ewma_(config.target_rate) {
+namespace {
+
+/// Throws on a bad config; runs before any member initializer clamps with
+/// the k range (std::clamp requires lo <= hi).
+const DynamicKConfig& validated(const DynamicKConfig& config) {
   if (config.k_min == 0 || config.k_min > config.k_max) {
     throw std::invalid_argument("DynamicKMonitor: bad k range");
   }
   if (config.ewma_alpha <= 0.0 || config.ewma_alpha > 1.0) {
     throw std::invalid_argument("DynamicKMonitor: bad ewma_alpha");
   }
+  return config;
 }
+
+}  // namespace
+
+DynamicKMonitor::DynamicKMonitor(const CombinedDetector& detector,
+                                 const DynamicKConfig& config)
+    : detector_(&detector),
+      config_(validated(config)),
+      stream_(detector.make_stream()),
+      k_(std::clamp(detector.chosen_k(), config_.k_min, config_.k_max)),
+      ewma_(config_.target_rate) {}
 
 CombinedVerdict DynamicKMonitor::classify_and_consume(
     std::span<const double> raw) {

@@ -116,6 +116,11 @@ class TimeSeriesDetector {
   /// was deserialized with defaults. hidden_dims must match the model.
   void set_train_config(const TimeSeriesConfig& config);
 
+  /// Every next-package target of `fragments` ranked once, capped at
+  /// max_k: the per-k miss counts behind the curve below.
+  nn::TopKErrorCurve rank_targets(std::span<const DiscreteFragment> fragments,
+                                  std::size_t max_k) const;
+
   /// Paper §V-B top-k error on (anomaly-free) fragments for every
   /// k = 1..max_k (index k-1), from one pass that ranks each target once.
   std::vector<double> top_k_error_curve(
@@ -187,10 +192,6 @@ class TimeSeriesDetector {
   const TimeSeriesConfig& config() const { return config_; }
 
  private:
-  /// Every next-package target of `fragments` ranked once, capped at max_k.
-  nn::TopKErrorCurve rank_targets(std::span<const DiscreteFragment> fragments,
-                                  std::size_t max_k) const;
-
   /// One capture's fragments, Rng and streaming window state (the .cpp).
   struct Feed;
 

@@ -72,8 +72,8 @@ void gather_rows_acc(const OneHotRows& x, const Matrix& b, Matrix& out,
 void scatter_rows_acc(const OneHotRows& x, ConstRowsView a, Matrix& out);
 
 /// y += W x for one input vector x, given W's transpose wT (in×out,
-/// x.size() == wT.rows(), y.size() == wT.cols()): the single-stream gate,
-/// softmax and RNN product (DESIGN.md §2). Per y[n], a chain from +0 over
+/// x.size() == wT.rows(), y.size() == wT.cols()): the single-stream gate
+/// and softmax product (DESIGN.md §2). Per y[n], a chain from +0 over
 /// ascending j with x[j] != 0 adds x[j]·W(n, j) — a multiply, then an add,
 /// no FMA — and y[n] then adds the chain; bitwise the same on every backend
 /// and bitwise the dense one-row dot product for finite W. Callers build wT

@@ -137,12 +137,17 @@ void TopKErrorCurve::add(std::span<const float> scores, std::size_t target) {
   ++total_;
 }
 
-double TopKErrorCurve::error(std::size_t k) const {
+std::size_t TopKErrorCurve::misses(std::size_t k) const {
   if (k > max_k()) throw std::out_of_range("TopKErrorCurve: k beyond max_k");
-  if (total_ == 0) return 0.0;
   std::size_t misses = 0;
   for (std::size_t r = k; r < rank_count_.size(); ++r) misses += rank_count_[r];
-  return static_cast<double>(misses) / static_cast<double>(total_);
+  return misses;
+}
+
+double TopKErrorCurve::error(std::size_t k) const {
+  const std::size_t miss = misses(k);
+  if (total_ == 0) return 0.0;
+  return static_cast<double>(miss) / static_cast<double>(total_);
 }
 
 std::vector<double> TopKErrorCurve::errors() const {

@@ -95,8 +95,9 @@ class TopKErrorCurve {
   std::size_t max_k() const { return rank_count_.size() - 1; }
   std::size_t total() const { return total_; }
 
-  /// err_k = misses / total for k ≤ max_k (k = 0 misses everything); 0
-  /// when nothing was added.
+  /// Targets outside the top k, for k ≤ max_k (k = 0 misses everything).
+  std::size_t misses(std::size_t k) const;
+  /// err_k = misses(k) / total; 0 when nothing was added.
   double error(std::size_t k) const;
   /// err_1 .. err_max_k (index k-1).
   std::vector<double> errors() const;

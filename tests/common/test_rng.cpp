@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -89,6 +91,42 @@ TEST(Rng, NormalMoments) {
   const double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.4);
+}
+
+TEST(Rng, NormalMatchesTheStandardDistributionBitwise) {
+  // normal() scales a standard draw itself; every stddev > 0 must keep the
+  // bits (and the engine draws) of std::normal_distribution(mean, stddev).
+  for (const std::uint64_t seed : {1u, 23u, 1234u}) {
+    for (const double stddev : {1e-6, 0.05, 1.0, 3.0, 250.0}) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 200; ++i) {
+        const double mean = (i % 7) * 1.5 - 4.0;
+        const double expected =
+            std::normal_distribution<double>(mean, stddev)(reference);
+        ASSERT_EQ(rng.normal(mean, stddev), expected)
+            << "seed " << seed << " stddev " << stddev << " draw " << i;
+      }
+      EXPECT_EQ(rng.engine()(), reference());
+    }
+  }
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsTheMean) {
+  Rng rng(5);
+  std::mt19937_64 reference(5);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(rng.normal(7.25, 0.0), 7.25);
+    std::normal_distribution<double>()(reference);  // same engine draws
+  }
+  EXPECT_EQ(rng.engine()(), reference());
+}
+
+TEST(Rng, NormalRejectsBadStddev) {
+  Rng rng(5);
+  EXPECT_THROW(rng.normal(0.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(rng.normal(0.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(rng.normal(0.0, HUGE_VAL), std::invalid_argument);
 }
 
 TEST(Rng, ShufflePreservesElements) {

@@ -15,7 +15,13 @@ the CI gate that keeps them honest:
     `per_link_verdicts_match_isolated: true` (sharding may never change a
     verdict) and a met speedup criterion.
 
+`--same-results A B` instead compares the `results` objects of two records
+of one bench (e.g. the committed BENCH_quality.json and a fresh
+`bench_paper --json` run) and fails naming the first differing key path
+and both values.
+
 Usage: check_bench_json.py [repo_root|file.json ...]
+       check_bench_json.py --same-results A.json B.json
 Exits non-zero with one line per violation.
 """
 
@@ -347,7 +353,65 @@ def check_file(path: pathlib.Path) -> list:
     return errors
 
 
+def first_difference(a, b, path: str):
+    """The first key path (document order of `a`, then keys only in `b`)
+    where two JSON values differ, with both values; None when equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a:
+            if key not in b:
+                return f"{path}.{key}", a[key], "<missing>"
+            diff = first_difference(a[key], b[key], f"{path}.{key}")
+            if diff is not None:
+                return diff
+        for key in b:
+            if key not in a:
+                return f"{path}.{key}", "<missing>", b[key]
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_difference(x, y, f"{path}[{i}]")
+            if diff is not None:
+                return diff
+        if len(a) != len(b):
+            return f"{path}.length", len(a), len(b)
+        return None
+    if type(a) is not type(b) or a != b:
+        return path, a, b
+    return None
+
+
+def same_results(expected_path: str, actual_path: str) -> int:
+    docs = []
+    for path in (expected_path, actual_path):
+        try:
+            doc = json.loads(pathlib.Path(path).read_text(),
+                             parse_constant=_reject_constant)
+        except (OSError, ValueError) as exc:
+            print(f"{path}: unreadable or invalid JSON: {exc}",
+                  file=sys.stderr)
+            return 1
+        if not isinstance(doc, dict) or not isinstance(doc.get("results"),
+                                                       dict):
+            print(f"{path}: no 'results' object", file=sys.stderr)
+            return 1
+        docs.append(doc["results"])
+    diff = first_difference(docs[0], docs[1], "results")
+    if diff is not None:
+        where, want, got = diff
+        print(f"{where}: {expected_path} has {json.dumps(want)}, "
+              f"{actual_path} has {json.dumps(got)}", file=sys.stderr)
+        return 1
+    print(f"{actual_path}: results equal {expected_path}")
+    return 0
+
+
 def main(argv: list) -> int:
+    if argv and argv[0] == "--same-results":
+        if len(argv) != 3:
+            print("usage: check_bench_json.py --same-results A.json B.json",
+                  file=sys.stderr)
+            return 2
+        return same_results(argv[1], argv[2])
     targets = []
     for arg in argv or ["."]:
         p = pathlib.Path(arg)
