@@ -117,6 +117,18 @@ class SpscQueue {
   /// `out`'s previous contents are swapped into the freed slot.
   bool pop(T& out) { return pop_until(out, nullptr) == PopResult::kItem; }
 
+  /// Dequeue only if an item is there right now; never waits. False means
+  /// "empty at this instant", closed or not — a consumer that must tell the
+  /// two apart follows up with pop()/pop_for(). Lets a consumer do work
+  /// that pays only once its input has run dry (the serve shards' ready-only
+  /// tick, DESIGN.md §10) before it blocks.
+  bool try_pop(T& out) {
+    const std::uint64_t h = head_.load(std::memory_order_relaxed);
+    if (drained_ || !has_item(h)) return false;
+    take(h, out);
+    return true;
+  }
+
   /// Outcome of a timed pop.
   enum class PopResult { kItem, kTimeout, kClosed };
 
@@ -278,6 +290,12 @@ class SpscQueue {
         return r;
       }
     }
+    take(h, out);
+    return PopResult::kItem;
+  }
+
+  /// Hand item number `h` (published) to the consumer and free its slot.
+  void take(std::uint64_t h, T& out) {
     using std::swap;
     swap(out, *slot(head_slot_));
     if (++head_slot_ == capacity_) head_slot_ = 0;
@@ -285,7 +303,6 @@ class SpscQueue {
     if (producer_sleeping_.load(std::memory_order_seq_cst)) {
       wake(producer_sleeping_, not_full_);
     }
-    return PopResult::kItem;
   }
 
   /// Spin, then sleep until item number `h` is published, the queue is

@@ -51,7 +51,7 @@ void PackageLevelDetector::classify_batch(
     std::span<const std::span<const double>> rows,
     std::vector<PackageVerdict>& out, BatchScratch& scratch) const {
   const std::size_t n = rows.size();
-  out.resize(n);
+  if (out.size() < n) out.resize(n);
   scratch.keys.resize(n);
   scratch.ids.resize(n);
   scratch.in_bloom.resize(n);

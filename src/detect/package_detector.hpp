@@ -60,8 +60,10 @@ class PackageLevelDetector {
     std::vector<std::uint8_t> in_bloom;
   };
 
-  /// Batched classify: out[i] == classify(rows[i]) element-for-element
-  /// (same Bloom bits, same ids), but the signature checks run as one
+  /// Batched classify: out[i] == classify(rows[i]) for i < rows.size()
+  /// (same Bloom bits, same ids). `out` is grown to rows.size() but never
+  /// shrunk: entries past it keep their row buffers, so batches of varying
+  /// size allocate nothing once warm. The signature checks run as one
   /// batched membership + id-lookup pass — through the attached SigDbView's
   /// kernel-dispatched query_batch when present, else the in-RAM
   /// contains_batch / lookup_batch pair.

@@ -21,11 +21,11 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
                        std::vector<CombinedVerdict>& verdicts,
                        std::vector<PackageVerdict>* packages) {
   const std::size_t n = rows.size();
-  if (n != active_) {
-    throw std::invalid_argument("StreamBatch::step: rows != active streams");
+  if (n > active_) {
+    throw std::invalid_argument("StreamBatch::step: rows > active streams");
   }
   verdicts.assign(n, {});
-  if (packages != nullptr) packages->resize(n);
+  if (packages != nullptr && packages->size() < n) packages->resize(n);
   if (n == 0) return;
 
   const TimeSeriesDetector& ts = detector_->timeseries_level();

@@ -35,12 +35,18 @@ class StreamBatch {
 
   std::size_t active() const { return active_; }
 
-  /// One tick: rows[s] is the next raw package of stream s. rows.size()
-  /// must equal active(). verdicts is resized; verdicts[s] is stream s's
+  /// One tick of streams [0, rows.size()): rows[s] is the next raw package
+  /// of stream s, and rows.size() <= active(). The streams past the prefix
+  /// keep their LSTM state and standing prediction bit for bit, and a
+  /// stream's verdicts never depend on which others share its ticks
+  /// (DESIGN.md §8); rows.size() == active() is the lockstep tick.
+  /// verdicts is resized to rows.size(); verdicts[s] is stream s's
   /// classification, already absorbed into its history. When `packages` is
-  /// non-null it is resized and receives each stream's package-level
-  /// verdict (discretized row + signature id) — the online-adaptation
-  /// harvest reads these without re-running the Bloom stage.
+  /// non-null it is grown to at least rows.size() entries (never shrunk,
+  /// so their row buffers survive smaller ticks) and entry s receives
+  /// stream s's package-level verdict (discretized row + signature id) —
+  /// the online-adaptation harvest reads these without re-running the
+  /// Bloom stage.
   void step(std::span<const std::span<const double>> rows,
             std::vector<CombinedVerdict>& verdicts,
             std::vector<PackageVerdict>* packages = nullptr);

@@ -249,13 +249,16 @@ void add_bias_rows(Matrix& m, const Matrix& bias) {
 }
 
 void broadcast_rows(const Matrix& bias, std::size_t rows, Matrix& m) {
-  if (bias.rows() != 1) {
-    throw std::invalid_argument("broadcast_rows: bias must be a row vector");
-  }
   m.resize(rows, bias.cols());
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy(bias.data(), bias.data() + bias.cols(),
-              m.data() + r * bias.cols());
+  broadcast_rows(bias, m);
+}
+
+void broadcast_rows(const Matrix& bias, RowsView m) {
+  if (bias.rows() != 1 || bias.cols() != m.cols) {
+    throw std::invalid_argument("broadcast_rows: bias must be a 1×cols row");
+  }
+  for (std::size_t r = 0; r < m.rows; ++r) {
+    std::copy(bias.data(), bias.data() + m.cols, m.data + r * m.cols);
   }
 }
 

@@ -108,6 +108,8 @@ void add_bias_rows(Matrix& m, const Matrix& bias);
 
 /// m is resized to rows×bias.cols() and every row is set to bias (1×C).
 void broadcast_rows(const Matrix& bias, std::size_t rows, Matrix& m);
+/// Every row of the view m is set to bias (m.cols == bias.cols()).
+void broadcast_rows(const Matrix& bias, RowsView m);
 
 /// out_row (1×a.cols) += column sums of a, summed in row order on the
 /// active backend (vectorized over columns; the same bits everywhere).

@@ -130,8 +130,9 @@ void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
 
 void LstmCell::check_forward_batch(std::size_t rows,
                                    const LstmBatchCache& cache) const {
-  if (cache.h_prev.rows() != rows || cache.h_prev.cols() != hidden_dim_ ||
-      cache.c_prev.rows() != rows || cache.c_prev.cols() != hidden_dim_) {
+  if (cache.h_prev.rows() < rows || cache.h_prev.cols() != hidden_dim_ ||
+      cache.c_prev.rows() != cache.h_prev.rows() ||
+      cache.c_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: dim mismatch");
   }
 }
@@ -145,13 +146,14 @@ void LstmCell::check_input(std::size_t cols, const Matrix& wT) const {
   }
 }
 
-void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
+void LstmCell::forward_batch(ConstRowsView x, const Matrix& wT,
                              const Matrix& uT, LstmBatchCache& cache,
                              Matrix& a_scratch, ThreadPool* pool) const {
-  check_forward_batch(x.rows(), cache);
+  check_forward_batch(x.rows, cache);
   // A = 1·bᵀ + X Wᵀ + H_prev Uᵀ, all four gates at once.
   input_product(x, wT, a_scratch, pool);
-  step_forward(cache.h_prev, cache.c_prev, uT, a_scratch, cache, pool);
+  step_forward(cache.h_prev.block(0, x.rows), cache.c_prev.block(0, x.rows),
+               uT, a_scratch, cache, pool);
 }
 
 void LstmCell::forward_batch(const OneHotRows& x, const Matrix& wT,
@@ -160,13 +162,14 @@ void LstmCell::forward_batch(const OneHotRows& x, const Matrix& wT,
   check_forward_batch(x.rows(), cache);
   check_one_hot(x, "LstmCell::forward_batch");
   input_product(x, wT, a_scratch, pool);
-  step_forward(cache.h_prev, cache.c_prev, uT, a_scratch, cache, pool);
+  step_forward(cache.h_prev.block(0, x.rows()),
+               cache.c_prev.block(0, x.rows()), uT, a_scratch, cache, pool);
 }
 
-void LstmCell::input_product(const Matrix& x, const Matrix& wT, Matrix& a,
+void LstmCell::input_product(ConstRowsView x, const Matrix& wT, Matrix& a,
                              ThreadPool* pool) const {
-  check_input(x.cols(), wT);
-  broadcast_rows(b_, x.rows(), a);
+  check_input(x.cols, wT);
+  broadcast_rows(b_, x.rows, a);
   matmul_nn_acc(x, wT, a, pool);
 }
 

@@ -92,11 +92,13 @@ class LstmCell {
   // step (step_forward, step_backward).
 
   /// Batched one-timestep forward (inference). The caller fills
-  /// cache.h_prev / cache.c_prev (B×H) with the entering state; x is B×I.
-  /// `wT` / `uT` are transposes of w() / u() cached by the caller (refresh
-  /// after each optimizer step); `a_scratch` holds the B×4H
-  /// pre-activations.
-  void forward_batch(const Matrix& x, const Matrix& wT, const Matrix& uT,
+  /// cache.h_prev / cache.c_prev (S×H) with the entering state; x is n×I
+  /// with n <= S, and the step advances the first n rows: cache.h / c
+  /// (resized to n×H) receive their new state, rows n.. of h_prev / c_prev
+  /// are not read. `wT` / `uT` are transposes of w() / u() cached by the
+  /// caller (refresh after each optimizer step); `a_scratch` holds the
+  /// n×4H pre-activations.
+  void forward_batch(ConstRowsView x, const Matrix& wT, const Matrix& uT,
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
 
@@ -114,7 +116,7 @@ class LstmCell {
   /// take rows whose ids already passed check_one_hot (training's stacked
   /// rows, checked as train_window_batch copies them in) and do not
   /// re-check them.
-  void input_product(const Matrix& x, const Matrix& wT, Matrix& a,
+  void input_product(ConstRowsView x, const Matrix& wT, Matrix& a,
                      ThreadPool* pool = nullptr) const;
   void input_product(const OneHotRows& x, const Matrix& wT, Matrix& a,
                      ThreadPool* pool = nullptr) const;

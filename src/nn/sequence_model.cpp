@@ -295,9 +295,15 @@ void SequenceModel::predict_batch(BatchState& state, const OneHotRows& x,
   if (x.cols != config_.input_dim) {
     throw std::invalid_argument("predict_batch: input dim mismatch");
   }
-  const Matrix& top = lstm_.step_stream_batch(x, state.lstm, pool);
-  broadcast_rows(softmax_.b(), top.rows(), state.logits);
-  matmul_nn_acc(top, state.softmax_wT, state.logits, pool);
+  const ConstRowsView top = lstm_.step_stream_batch(x, state.lstm, pool);
+  // Shaped by the first tick; grow/shrink keep its rows = the stream count.
+  const std::size_t streams = state.lstm.layers.front().h_prev.rows();
+  if (state.logits.rows() != streams || state.logits.cols() != num_classes()) {
+    state.logits.resize(streams, num_classes());
+  }
+  const RowsView logits = state.logits.block(0, top.rows);
+  broadcast_rows(softmax_.b(), logits);
+  matmul_nn_acc(top, state.softmax_wT, logits, pool);
 }
 
 void SequenceModel::shrink_batch_state(BatchState& state,

@@ -192,11 +192,13 @@ class SequenceModel {
 
   BatchState make_batch_state(std::size_t streams) const;
 
-  /// One batched tick: x holds B one-hot input rows as active ids, B =
-  /// current stream count; row s of state.logits becomes stream s's
-  /// next-package logits. Matches per-stream predict() to float rounding
-  /// (batched kernels vs per-sample reference); bit-identical for any
-  /// `pool`.
+  /// One batched tick of streams [0, n): x holds n one-hot input rows as
+  /// active ids, n <= the current stream count; row s < n of state.logits
+  /// becomes stream s's next-package logits, and every other stream keeps
+  /// its state and logits bit for bit (n == stream count is the lockstep
+  /// tick). A stream's rows never depend on n or on its neighbours (§5).
+  /// Matches per-stream predict() to float rounding (batched kernels vs
+  /// per-sample reference); bit-identical for any `pool`.
   void predict_batch(BatchState& state, const OneHotRows& x,
                      ThreadPool* pool = nullptr) const;
 

@@ -147,28 +147,39 @@ void StackedLstm::begin_stream_batch(std::size_t streams,
   }
 }
 
-const Matrix& StackedLstm::step_stream_batch(const OneHotRows& x,
+ConstRowsView StackedLstm::step_stream_batch(const OneHotRows& x,
                                              StreamBatchState& sb,
                                              ThreadPool* pool) const {
   if (sb.layers.size() != layers_.size()) {
     throw std::invalid_argument("step_stream_batch: uninitialized state");
   }
+  const std::size_t n = x.rows();
+  const bool every_stream = n == sb.layers.front().h_prev.rows();
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     LstmBatchCache& cache = sb.layers[li];
     const LstmCell& cell = layers_[li].cell();
     if (li == 0) {
       cell.forward_batch(x, sb.wT[0], sb.uT[0], cache, sb.a, pool);
     } else {
-      // After the swap below, the layer beneath's h_prev holds its fresh
-      // output: this layer's input block.
-      cell.forward_batch(sb.layers[li - 1].h_prev, sb.wT[li], sb.uT[li],
-                         cache, sb.a, pool);
+      // The layer beneath's h_prev rows [0, n) hold its fresh output (see
+      // below): this layer's input block.
+      cell.forward_batch(sb.layers[li - 1].h_prev.block(0, n), sb.wT[li],
+                         sb.uT[li], cache, sb.a, pool);
     }
-    // The fresh h/c become the entering state of the next tick.
-    std::swap(cache.h, cache.h_prev);
-    std::swap(cache.c, cache.c_prev);
+    // The fresh h/c become the entering state of the next tick: swapped in
+    // whole when every stream stepped, copied over the stepped rows when
+    // only a prefix did (the rest keep theirs).
+    if (every_stream) {
+      std::swap(cache.h, cache.h_prev);
+      std::swap(cache.c, cache.c_prev);
+    } else {
+      std::copy(cache.h.data(), cache.h.data() + cache.h.size(),
+                cache.h_prev.data());
+      std::copy(cache.c.data(), cache.c.data() + cache.c.size(),
+                cache.c_prev.data());
+    }
   }
-  return sb.layers.back().h_prev;
+  return sb.layers.back().h_prev.block(0, n);
 }
 
 void StackedLstm::shrink_stream_batch(std::size_t n,

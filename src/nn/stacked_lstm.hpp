@@ -115,12 +115,13 @@ class StackedLstm {
   /// again after any parameter update to refresh them).
   void begin_stream_batch(std::size_t streams, StreamBatchState& sb) const;
 
-  /// Advance every stream one timestep: x holds B 0/1 rows of input_dim
-  /// columns as active ids, B = current stream count, so layer 0's input
-  /// product is a gather (DESIGN.md §2). Returns the top layer's (B×H_top)
-  /// hidden block, valid until the next call. `pool` only partitions kernel
-  /// rows and never changes results (§5).
-  const Matrix& step_stream_batch(const OneHotRows& x, StreamBatchState& sb,
+  /// Advance streams [0, n) one timestep: x holds n 0/1 rows of input_dim
+  /// columns as active ids, n <= the current stream count S, so layer 0's
+  /// input product is a gather (DESIGN.md §2). Streams n.. keep their rows
+  /// bit for bit; n == S is the lockstep tick. Returns the top layer's
+  /// (n×H_top) fresh hidden rows, valid until the next call. `pool` only
+  /// partitions kernel rows and never changes results (§5).
+  ConstRowsView step_stream_batch(const OneHotRows& x, StreamBatchState& sb,
                                   ThreadPool* pool = nullptr) const;
 
   /// Keep only the first n streams (rows) of the state.

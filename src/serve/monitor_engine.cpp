@@ -109,12 +109,14 @@ void MonitorEngine::ingest(const ics::LinkMux::Demuxed& demuxed,
   Link& link = links_[demuxed.link];
   if (link.slot == kNoSlot) {
     join(demuxed.link, link);
-  } else {
+  } else if (link.closed) {
     // A frame arriving while the link is still draining a premature close
     // cancels it: the stream continues. Only a link that actually LEFT
     // rejoins as a fresh stream (slot == kNoSlot above).
     link.closed = false;
+    --closed_links_;
   }
+  if (link.queue.empty()) ++ready_links_;
 
   const ics::Package& p = demuxed.decoded.package;
   Pending& pending = link.queue.push_back();
@@ -152,7 +154,10 @@ void MonitorEngine::join(ics::LinkId id, Link& link) {
   link.slot = slots_.size();
   slots_.push_back(id);
   slot_links_.push_back(&link);
+  // Not counted in closed_links_: that count was settled when the link
+  // left.
   link.closed = false;
+  link.block_start_ms.reset();
   batch_.grow(slots_.size());
   if (resuming) {
     batch_.restore_stream(link.slot, *link.parked_state);
@@ -182,13 +187,19 @@ void MonitorEngine::close(ics::LinkId id) {
     return;
   }
   if (it->second.slot == kNoSlot) return;
-  it->second.closed = true;
+  mark_closed(it->second);
   maybe_tick();
+}
+
+void MonitorEngine::mark_closed(Link& link) {
+  if (link.closed) return;
+  link.closed = true;
+  ++closed_links_;
 }
 
 void MonitorEngine::finish() {
   for (auto& [id, link] : links_) {
-    if (link.slot != kNoSlot) link.closed = true;
+    if (link.slot != kNoSlot) mark_closed(link);
     // Nothing more will arrive; a parked link can't drain through the
     // gate, so retire it here.
     if (link.parked) retire_parked(id, link);
@@ -208,41 +219,39 @@ void MonitorEngine::retire_drained() {
   // retirement swaps the victim to the last slot and shrinks — streams are
   // independent, so the relabeling never changes anyone's verdicts.
   for (std::size_t s = slots_.size(); s-- > 0;) {
-    Link& link = *slot_links_[s];
+    const Link& link = *slot_links_[s];
     if (!link.closed || !link.queue.empty()) continue;
     const ics::LinkId id = slots_[s];
-    const std::size_t last = slots_.size() - 1;
-    if (s != last) {
-      batch_.swap_streams(s, last);
-      std::swap(slots_[s], slots_[last]);
-      std::swap(slot_links_[s], slot_links_[last]);
-      slot_links_[s]->slot = s;
-    }
-    batch_.shrink(last);
-    link.slot = kNoSlot;
-    slots_.pop_back();
-    slot_links_.pop_back();
+    release_slot(s);
+    --closed_links_;
     ++stats_.links_retired;
     if (config_.adapter != nullptr) config_.adapter->stream_break(id);
   }
 }
 
+void MonitorEngine::swap_slots(std::size_t a, std::size_t b) {
+  batch_.swap_streams(a, b);
+  std::swap(slots_[a], slots_[b]);
+  std::swap(slot_links_[a], slot_links_[b]);
+  slot_links_[a]->slot = a;
+  slot_links_[b]->slot = b;
+}
+
+void MonitorEngine::release_slot(std::size_t s) {
+  const std::size_t last = slots_.size() - 1;
+  if (s != last) swap_slots(s, last);
+  batch_.shrink(last);
+  slot_links_[last]->slot = kNoSlot;
+  slots_.pop_back();
+  slot_links_.pop_back();
+}
+
 void MonitorEngine::park(std::size_t s) {
   Link& link = *slot_links_[s];
   link.parked_state = batch_.extract_stream(s);
-  const std::size_t last = slots_.size() - 1;
-  if (s != last) {
-    batch_.swap_streams(s, last);
-    std::swap(slots_[s], slots_[last]);
-    std::swap(slot_links_[s], slot_links_[last]);
-    slot_links_[s]->slot = s;
-  }
-  batch_.shrink(last);
-  link.slot = kNoSlot;
+  release_slot(s);
   link.parked = true;
   link.parked_at_ms = now_ms_;
-  slots_.pop_back();
-  slot_links_.pop_back();
   ++parked_count_;
   ++link.stats.parks;
   ++stats_.links_parked;
@@ -274,41 +283,35 @@ bool MonitorEngine::sweep(double now_ms) {
       }
     }
   }
-  // The block clock runs only while a straggler is actually blocking the
-  // gate: some link holds pending work, another is silent. All-idle is not
-  // a stall, and a gate that can tick will (maybe_tick already ran).
-  bool any_pending = false;
-  bool any_silent = false;
-  for (const Link* link : slot_links_) {
-    if (!link->queue.empty()) {
-      any_pending = true;
-    } else if (!link->closed) {
-      any_silent = true;
-    }
-  }
-  if (!any_pending || !any_silent) {
-    block_start_ms_.reset();
-    return changed;
-  }
-  // A block first seen now began after the previous sweep; crediting it
-  // from there makes a clock that advances once per pushed frame count
-  // exactly the packages queued behind the straggler.
-  if (!block_start_ms_) block_start_ms_ = prev_ms;
-  const double blocked_ms = now_ms - *block_start_ms_;
+  // A silent link's block clock runs while the wire is held back: some
+  // link has work pending behind the lockstep gate, or the batch is split
+  // (ready-only ticks have left a link behind). A tick that steps the link
+  // restarts its clock, so a link that keeps talking never reaches a
+  // threshold. All-idle after a full tick is not a stall, and a gate that
+  // can tick will (maybe_tick already ran).
+  const bool held_back = ready_links_ > 0 || split_;
   for (std::size_t s = slots_.size(); s-- > 0;) {
     Link& link = *slot_links_[s];
-    if (!link.queue.empty() || link.closed) continue;
+    if (!held_back || !link.queue.empty() || link.closed) {
+      link.block_start_ms.reset();
+      continue;
+    }
+    // A block first seen now began after the previous sweep; crediting it
+    // from there makes a clock that advances once per pushed frame count
+    // exactly the packages queued behind the straggler.
+    if (!link.block_start_ms) link.block_start_ms = prev_ms;
+    const double blocked_ms = now_ms - *link.block_start_ms;
     if (park_ms > 0.0) {
       // Hysteresis: a block that starts within park_after_ms of the link's
       // last rejoin needs twice the block time to re-park it. Both stamps
       // are fixed once the block starts, so the raised bar is always met.
       const bool rejoined_recently =
-          *block_start_ms_ - link.rejoined_ms < park_ms;
+          *link.block_start_ms - link.rejoined_ms < park_ms;
       if (blocked_ms < (rejoined_recently ? 2.0 : 1.0) * park_ms) continue;
       park(s);
     } else {
       if (blocked_ms < close_ms) continue;
-      link.closed = true;  // retire_drained drops it on the next pass
+      mark_closed(link);  // retire_drained drops it on the next pass
       ++stats_.straggler_closes;
     }
     changed = true;
@@ -319,73 +322,98 @@ bool MonitorEngine::sweep(double now_ms) {
 
 void MonitorEngine::maybe_tick() {
   for (;;) {
-    retire_drained();
-    if (slots_.empty()) return;
+    if (closed_links_ > 0) retire_drained();
     // Lockstep gate: a tick advances EVERY active stream, so it fires only
     // once each active link has its next package decoded. On a time-ordered
     // wire links take turns, so queues stay O(1); a link that stops
-    // producing blocks everyone until it is close()d or the straggler
-    // ladder's sweep() takes it out of the gate.
+    // producing blocks everyone until it is close()d, the caller runs
+    // tick_ready(), or the straggler ladder's sweep() takes it out of the
+    // gate.
     const std::size_t n = slots_.size();
-    bool ready = true;
-    for (std::size_t s = 0; s < n && ready; ++s) {
-      ready = !slot_links_[s]->queue.empty();
-    }
-    if (!ready) return;
+    if (n == 0 || ready_links_ < n) return;
+    tick(n);
+  }
+}
 
-    std::uint64_t tick_start = 0;
-    if (tele_.on()) {
-      // One clock read covers the whole tick: every sampled front
-      // package's queue wait (enqueue_ns != 0 marks the 1-in-N frames the
-      // decode path stamped) is measured against the same instant.
-      tick_start = obs::now_ns();
-      for (std::size_t s = 0; s < n; ++s) {
-        const Pending& p = slot_links_[s]->queue.front();
-        if (p.enqueue_ns != 0) {
-          tele_.queue_wait_ns->record(
-              tick_start > p.enqueue_ns ? tick_start - p.enqueue_ns : 0);
-        }
-      }
+void MonitorEngine::tick_ready() {
+  maybe_tick();
+  // Every ready link lies in slots [0, scan): gather them at the front and
+  // step that prefix. Nothing arrives meanwhile, so the next round's ready
+  // links lie inside this round's prefix; a retirement reshuffles slots,
+  // so after one the scan covers them all again.
+  std::size_t scan = slots_.size();
+  while (ready_links_ > 0) {
+    std::size_t ready = 0;
+    for (std::size_t s = 0; s < scan; ++s) {
+      if (slot_links_[s]->queue.empty()) continue;
+      if (s != ready) swap_slots(s, ready);
+      ++ready;
     }
-    tick_rows_.resize(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      tick_rows_[s] = slot_links_[s]->queue.front().row;
+    tick(ready);
+    scan = ready;
+    if (closed_links_ > 0) {
+      retire_drained();
+      scan = slots_.size();
     }
-    Stopwatch sw;
-    batch_.step(tick_rows_, verdicts_,
-                config_.adapter != nullptr ? &package_verdicts_ : nullptr);
-    stats_.classify_ns += sw.elapsed_ns();
-    ++stats_.ticks;
-    block_start_ms_.reset();  // the gate moved; the block clock restarts
+  }
+}
 
-    const std::uint64_t dispatch_start = tele_.on() ? obs::now_ns() : 0;
+void MonitorEngine::tick(std::size_t n) {
+  std::uint64_t tick_start = 0;
+  if (tele_.on()) {
+    // One clock read covers the whole tick: every sampled front package's
+    // queue wait (enqueue_ns != 0 marks the 1-in-N frames the decode path
+    // stamped) is measured against the same instant.
+    tick_start = obs::now_ns();
     for (std::size_t s = 0; s < n; ++s) {
-      Link& link = *slot_links_[s];
-      const Pending& pending = link.queue.front();
-      dispatch(slots_[s], link, pending, verdicts_[s]);
-      if (config_.rollback_window != 0) {
-        rollback_observe(verdicts_[s].anomaly);
+      const Pending& p = slot_links_[s]->queue.front();
+      if (p.enqueue_ns != 0) {
+        tele_.queue_wait_ns->record(
+            tick_start > p.enqueue_ns ? tick_start - p.enqueue_ns : 0);
       }
-      if (config_.adapter != nullptr) {
-        config_.adapter->observe(slots_[s], package_verdicts_[s],
-                                 verdicts_[s].anomaly, pending.decode_ok);
-      }
-      link.queue.pop_front();
     }
-    if (tele_.on()) {
-      const std::uint64_t tick_end = obs::now_ns();
-      tele_.dispatch_ns->record(tick_end - dispatch_start);
-      tele_.tick_ns->record(tick_end - tick_start);
-      tele_.stats.publish(stats_);
+  }
+  tick_rows_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    tick_rows_[s] = slot_links_[s]->queue.front().row;
+  }
+  Stopwatch sw;
+  batch_.step(tick_rows_, verdicts_,
+              config_.adapter != nullptr ? &package_verdicts_ : nullptr);
+  stats_.classify_ns += sw.elapsed_ns();
+  ++stats_.ticks;
+  split_ = n < slots_.size();
+  if (split_) ++stats_.partial_ticks;
+
+  const std::uint64_t dispatch_start = tele_.on() ? obs::now_ns() : 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    Link& link = *slot_links_[s];
+    const Pending& pending = link.queue.front();
+    dispatch(slots_[s], link, pending, verdicts_[s]);
+    if (config_.rollback_window != 0) {
+      rollback_observe(verdicts_[s].anomaly);
     }
-    // Tick boundary: an armed-and-tripped rollback executes BEFORE the next
-    // adapt boundary, so the restored weights (not the bad ones) are what a
-    // same-tick swap would be judged against.
-    if (rollback_due_) perform_rollback();
-    if (config_.adapter != nullptr &&
-        stats_.ticks % config_.adapt_interval == 0) {
-      adapt_boundary();
+    if (config_.adapter != nullptr) {
+      config_.adapter->observe(slots_[s], package_verdicts_[s],
+                               verdicts_[s].anomaly, pending.decode_ok);
     }
+    link.queue.pop_front();
+    if (link.queue.empty()) --ready_links_;
+    link.block_start_ms.reset();  // it moved; its block clock restarts
+  }
+  if (tele_.on()) {
+    const std::uint64_t tick_end = obs::now_ns();
+    tele_.dispatch_ns->record(tick_end - dispatch_start);
+    tele_.tick_ns->record(tick_end - tick_start);
+    tele_.stats.publish(stats_);
+  }
+  // Tick boundary: an armed-and-tripped rollback executes BEFORE the next
+  // adapt boundary, so the restored weights (not the bad ones) are what a
+  // same-tick swap would be judged against.
+  if (rollback_due_) perform_rollback();
+  if (config_.adapter != nullptr &&
+      stats_.ticks % config_.adapt_interval == 0) {
+    adapt_boundary();
   }
 }
 

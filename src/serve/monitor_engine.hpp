@@ -11,8 +11,10 @@
 // (swap-to-back + shrink, so the batch stays dense). Because every stream's
 // arithmetic is a fixed per-row function (DESIGN.md §5/§7), a link's
 // verdict sequence is bit-identical whether it is monitored alone or
-// alongside any number of other links — lockstep batching is a pure
-// throughput optimization.
+// alongside any number of other links, and whichever of them share its
+// ticks — lockstep batching is a pure throughput optimization, and a
+// caller whose input runs dry can tick just the links that have a package
+// (tick_ready).
 #pragma once
 
 #include <array>
@@ -48,9 +50,11 @@ struct MonitorEngineConfig {
   // The lockstep gate fires only when EVERY active link has a package
   // pending, so one silent PLC stalls the whole wire. The ladder takes such
   // a link out of the gate on one clock, the time the driving thread passes
-  // to sweep(): block time accrues while some link has packages pending and
-  // another active link is silent, and restarts whenever the gate ticks.
-  // 0 = rung off (the default keeps every run untouched). Negative or
+  // to sweep(): a silent active link accrues block time while another link
+  // has packages pending, or while the batch is split (the latest tick was
+  // a ready-only tick that left some active link behind); a tick that
+  // steps the link restarts its clock. 0 = rung off (the default keeps
+  // every run untouched). Negative or
   // non-finite thresholds, and close_after_ms <= park_after_ms with both
   // set, are rejected at construction: escalation is park-then-close.
   /// Park a blocker after this much block time: the link leaves the batch
@@ -112,6 +116,9 @@ struct EngineStats {
   std::uint64_t frames = 0;    ///< frames pushed
   std::uint64_t packages = 0;  ///< packages classified (= frames once drained)
   std::uint64_t ticks = 0;
+  /// Ticks that advanced a strict subset of the active links (tick_ready
+  /// while some link had nothing pending).
+  std::uint64_t partial_ticks = 0;
   std::uint64_t alarms = 0;
   std::uint64_t package_level_alarms = 0;
   std::uint64_t timeseries_level_alarms = 0;
@@ -147,11 +154,13 @@ struct EngineStats {
 /// cross-shard merge rules. Counters and timings sum (classify_ns becomes
 /// total CPU time inside ticks, so us_per_package() stays a per-package
 /// CPU cost); the peaks and the serving model version take the max.
-inline constexpr std::array<obs::StatField<EngineStats>, 18>
+inline constexpr std::array<obs::StatField<EngineStats>, 19>
     kEngineStatFields{{
         {"engine_frames_total", &EngineStats::frames, obs::Merge::kSum},
         {"engine_packages_total", &EngineStats::packages, obs::Merge::kSum},
         {"engine_ticks_total", &EngineStats::ticks, obs::Merge::kSum},
+        {"engine_partial_ticks_total", &EngineStats::partial_ticks,
+         obs::Merge::kSum},
         {"engine_alarms_total", &EngineStats::alarms, obs::Merge::kSum},
         {"engine_package_level_alarms_total",
          &EngineStats::package_level_alarms, obs::Merge::kSum},
@@ -199,7 +208,8 @@ class MonitorEngine {
 
   /// Feed the next frame of link `link` (frames per link must arrive in
   /// capture order). Unknown links join automatically; classification runs
-  /// as soon as every active link has a package pending.
+  /// as soon as every active link has a package pending (the lockstep
+  /// gate).
   void push(ics::LinkId link, const ics::RawFrame& frame);
 
   /// Feed a frame keyed by its Modbus unit address (multi-drop-line tap).
@@ -217,6 +227,19 @@ class MonitorEngine {
 
   /// Close every link and drain all pending packages.
   void finish();
+
+  /// Tick the links that have a package pending, without waiting for the
+  /// others, until no link has one: a caller invokes this when its input
+  /// runs dry, so no verdict waits on a silent link (DESIGN.md §8). Dispatch,
+  /// stats and telemetry are the lockstep tick's, and every link's verdict
+  /// sequence is the one push() alone gives — except that a link pushed
+  /// again after close() may have drained and left in between, and so
+  /// restarts as a fresh stream where push() alone would have cancelled
+  /// the close. Each round moves the ready links to the front slots and
+  /// steps that prefix of the batch; rounds that leave a link out count in
+  /// EngineStats::partial_ticks. Tick-counted schedules (adapt_interval)
+  /// then count these rounds too.
+  void tick_ready();
 
   /// Straggler-ladder clock (DESIGN.md §12): the driving thread reports
   /// the time `now_ms`, in milliseconds since construction on a monotonic
@@ -275,6 +298,9 @@ class MonitorEngine {
   struct Link {
     std::size_t slot = kNoSlot;  ///< batch row while active
     PendingQueue queue;
+    /// Sweep time this link's current block began (straggler ladder);
+    /// reset by a tick that steps it, or a sweep that finds it not blocking.
+    std::optional<double> block_start_ms;
     bool closed = false;
     bool parked = false;  ///< out of the gate, state preserved for rejoin
     double parked_at_ms = 0.0;  ///< ladder clock at park time
@@ -288,12 +314,21 @@ class MonitorEngine {
   void ingest(const ics::LinkMux::Demuxed& demuxed, std::size_t frame_len,
               std::uint64_t enqueue_ns);
   void join(ics::LinkId id, Link& link);
+  void mark_closed(Link& link);
   void retire_drained();
+  /// Relabel two slots: stream rows, ids and the links' slot fields.
+  void swap_slots(std::size_t a, std::size_t b);
+  /// Take slot `s` out of the batch (swap to the back, shrink); the link's
+  /// stream state is dropped and its slot becomes kNoSlot.
+  void release_slot(std::size_t s);
   void park(std::size_t slot);
   /// Drop a parked link's saved state and retire it (explicit close(),
   /// the park→close escalation, or finish()).
   void retire_parked(ics::LinkId id, Link& link);
+  /// Run lockstep ticks while every active link has a package pending.
   void maybe_tick();
+  /// Classify the front package of each link in slots [0, n).
+  void tick(std::size_t n);
   /// Adaptation-interval boundary: adopt the outstanding round's weights
   /// (waiting for it if still training) and, unless `request_next` is
   /// false (final collection in finish()), request the next round.
@@ -315,6 +350,13 @@ class MonitorEngine {
   std::vector<ics::LinkId> slots_;  ///< slot → link id, dense
   std::vector<Link*> slot_links_;   ///< slot → session (map nodes are stable)
   std::size_t parked_count_ = 0;    ///< links currently parked
+  /// Active links with a package pending / marked closed: the gate and the
+  /// retirement check read these instead of scanning the slots per frame.
+  std::size_t ready_links_ = 0;
+  std::size_t closed_links_ = 0;
+  /// The latest tick left some active link behind (a partial tick); a tick
+  /// that steps every active link clears it.
+  bool split_ = false;
   EngineStats stats_;
 
   /// Telemetry instrument pointers, resolved once at construction from
@@ -334,9 +376,6 @@ class MonitorEngine {
 
   // ---- straggler ladder clock (DESIGN.md §12) -----------------------------
   double now_ms_ = 0.0;  ///< time of the last sweep()
-  /// Sweep time the current gate block started at; reset by a tick, or by
-  /// a sweep that finds the gate unblocked.
-  std::optional<double> block_start_ms_;
 
   // ---- rollback monitor (DESIGN.md §12) -----------------------------------
   std::deque<bool> recent_alarms_;     ///< last rollback_window package flags

@@ -57,22 +57,37 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
                                                    config.engine);
     shard.thread = std::thread([q = shard.queue.get(),
                                 engine = shard.engine.get(),
-                                sweep_ms = sweep_period_ms(config.engine)] {
+                                sweep_ms = sweep_period_ms(config.engine),
+                                lockstep = config.engine.adapter != nullptr] {
+      // Drain then tick: pop without blocking while frames are queued (the
+      // engine ticks in lockstep as they complete its gate), and once the
+      // queue runs dry tick every link that has a package before blocking,
+      // so no verdict waits on a silent link. Adaptation rounds are counted
+      // in ticks, so an adapting shard stays lockstep (DESIGN.md §10).
       ics::LinkFrame lf;
       if (sweep_ms == 0) {
-        while (q->pop(lf)) engine->push(lf.link, lf.frame);
+        for (;;) {
+          if (!q->try_pop(lf)) {
+            if (!lockstep) engine->tick_ready();
+            if (!q->pop(lf)) break;
+          }
+          engine->push(lf.link, lf.frame);
+        }
       } else {
         // Timed pops so a silent tap can't park the shard thread in a
         // blocking pop forever: after every wait, frame or timeout, the
         // engine's straggler ladder reads the shard's clock.
         using Clock = std::chrono::steady_clock;
+        using Pop = SpscQueue<ics::LinkFrame>::PopResult;
         const auto start = Clock::now();
         for (;;) {
-          const auto res = q->pop_for(lf, sweep_ms);
-          if (res == SpscQueue<ics::LinkFrame>::PopResult::kClosed) break;
-          if (res == SpscQueue<ics::LinkFrame>::PopResult::kItem) {
-            engine->push(lf.link, lf.frame);
+          Pop res = Pop::kItem;
+          if (!q->try_pop(lf)) {
+            if (!lockstep) engine->tick_ready();
+            res = q->pop_for(lf, sweep_ms);
+            if (res == Pop::kClosed) break;
           }
+          if (res == Pop::kItem) engine->push(lf.link, lf.frame);
           engine->sweep(std::chrono::duration<double, std::milli>(
                             Clock::now() - start)
                             .count());

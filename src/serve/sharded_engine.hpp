@@ -1,7 +1,11 @@
 // Sharded async serve path (DESIGN.md §10): one ingest pump thread (the
 // caller of push()/run()) routes wire frames by consistent link hashing
 // into N bounded SPSC queues; each queue feeds a dedicated shard thread
-// running its own lockstep MonitorEngine over the links it owns.
+// running its own MonitorEngine over the links it owns. A shard drains its
+// queue without blocking, ticking in lockstep as the frames complete its
+// gate; when the queue runs dry it ticks every link that has a package
+// (MonitorEngine::tick_ready) and only then blocks — an adapting shard
+// excepted, which stays lockstep.
 //
 //   PackageSource → pump (shard_of) → SpscQueue×N → MonitorEngine×N
 //                                                       ↓
@@ -46,8 +50,8 @@ struct ShardedEngineConfig {
   /// engine.close_after_ms), each shard thread pops with a timeout of a
   /// tenth of the smaller threshold, clamped to [1, 10] ms, and after every
   /// pop or timeout passes steady-clock time to its engine's sweep(), so a
-  /// silent tap cannot stall the shard's gate. Without one it blocks in
-  /// plain pops.
+  /// silent tap cannot stall the shard's gate (with `adapter` set) or keep
+  /// its slot forever. Without one it blocks in plain pops.
   MonitorEngineConfig engine;
 };
 

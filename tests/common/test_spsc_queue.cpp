@@ -3,9 +3,10 @@
 // strict FIFO across index wraparound at any capacity, bounded memory (a
 // full queue blocks the producer, counted), close() semantics (pending
 // items stay poppable, blocked threads wake, late pushes drop), try_push
-// backpressure accounting, exact Stats, slot reuse that never leaks a
-// previous item's bytes, move-only payloads, and producer/consumer stress
-// loops that the TSan and ASan/UBSan CI legs exercise.
+// backpressure accounting, a try_pop that never waits, exact Stats, slot
+// reuse that never leaks a previous item's bytes, move-only payloads, and
+// producer/consumer stress loops that the TSan and ASan/UBSan CI legs
+// exercise.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -158,6 +159,40 @@ TEST(SpscQueue, PopForTimesOutItemsAndCloses) {
   EXPECT_EQ(out, 2);
   EXPECT_EQ(q.pop_for(out, 1000), SpscQueue<int>::PopResult::kClosed);
   EXPECT_EQ(q.stats().pops, 2u);
+}
+
+TEST(SpscQueue, TryPopNeverWaits) {
+  SpscQueue<int> q(4);
+  int out = -1;
+
+  // Empty + open: false at once, `out` untouched, nothing counted.
+  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(out, -1);
+
+  // Items: FIFO, counted like pop(), across the ring's wraparound.
+  for (int round = 0; round < 3; ++round) {
+    q.push(10 * round);
+    q.push(10 * round + 1);
+    q.push(10 * round + 2);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(q.try_pop(out));
+      EXPECT_EQ(out, 10 * round + i);
+    }
+    EXPECT_FALSE(q.try_pop(out));
+  }
+  EXPECT_EQ(q.stats().pops, 9u);
+
+  // Closed with items pending: they stay poppable; closed AND drained is
+  // false again, and a blocking pop then reports the end.
+  q.push(7);
+  q.close();
+  ASSERT_TRUE(q.try_pop(out));
+  EXPECT_EQ(out, 7);
+  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_FALSE(q.pop(out));
+  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(out, 7);
+  EXPECT_EQ(q.stats().pops, 10u);
 }
 
 TEST(SpscQueue, PopForWakesOnPushAndOnClose) {

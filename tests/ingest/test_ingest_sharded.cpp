@@ -4,13 +4,15 @@
 // batching before it, is a pure throughput optimization. Also covered:
 // consistent link→shard hashing, lossless backpressure through tiny
 // queues, stats aggregation, lifecycle guards, and an allocation-free warm
-// pump → queue → shard hop.
+// pump → queue → shard hop, ticking in lockstep or ready-only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "detect/pipeline.hpp"
@@ -324,6 +326,69 @@ TEST(ShardedEngine, WarmPumpAllocatesNothingPerFrame) {
     EXPECT_EQ(counted.allocations(), 0u)
         << "run(CaptureSource) over " << wire.size() - warm << " frames";
   }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedEngine, WarmShardTickingReadyOnlyAllocatesNothing) {
+  // A pump that pauses after every frame lets each shard's queue run dry,
+  // so the shard ticks the one link that has a package and leaves the
+  // others behind (MonitorEngine::tick_ready). Once warm that path
+  // allocates nothing either, and every link's alarm counts are the
+  // unsharded lockstep engine's. Warm-up first pushes a burst, whose full
+  // lockstep ticks size every per-tick buffer for all of a shard's links:
+  // a paced warm-up alone may never see a tick that large, and the first
+  // one would legitimately grow them.
+  const auto& f = fixture();
+  const detect::CombinedDetector& det = *f.framework.detector;
+  std::size_t shortest = f.captures[0].size();
+  for (const ics::Capture& c : f.captures) {
+    shortest = std::min(shortest, c.size());
+  }
+  std::vector<ics::LinkFrame> wire;
+  for (std::size_t i = 0; i < std::min<std::size_t>(shortest, 120); ++i) {
+    for (std::size_t l = 0; l < f.captures.size(); ++l) {
+      wire.push_back({static_cast<ics::LinkId>(l), f.captures[l][i]});
+    }
+  }
+  const std::size_t warm = 30 * f.captures.size();
+  ASSERT_GT(wire.size(), 3 * warm);
+
+  MonitorEngine baseline(det, nullptr);
+  baseline.replay(wire);
+
+  const std::string path = ::testing::TempDir() + "warm_ready_shard.jsonl";
+  JsonlAlarmSink sink(path);
+  ShardedEngineConfig cfg;
+  cfg.shards = 2;
+  cfg.queue_capacity = 4;
+  ShardedEngine engine(det, &sink, cfg);
+  const auto push_paced = [&](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) {
+      engine.push(wire[i]);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  for (std::size_t i = 0; i < warm; ++i) engine.push(wire[i]);
+  push_paced(warm, 2 * warm);
+  test_support::begin_counting_allocations();
+  push_paced(2 * warm, wire.size());
+  const std::size_t allocations = test_support::end_counting_allocations();
+  engine.finish();
+  EXPECT_EQ(engine.stats().packages, wire.size());
+  EXPECT_GT(engine.stats().partial_ticks, 0u);
+  EXPECT_EQ(allocations, 0u)
+      << "over " << wire.size() - 2 * warm << " frames";
+  const auto links = engine.link_stats();
+  const auto base_links = baseline.link_stats();
+  ASSERT_EQ(links.size(), base_links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    EXPECT_EQ(links[i].second.packages, base_links[i].second.packages);
+    EXPECT_EQ(links[i].second.package_level_alarms,
+              base_links[i].second.package_level_alarms);
+    EXPECT_EQ(links[i].second.timeseries_level_alarms,
+              base_links[i].second.timeseries_level_alarms);
+  }
+  EXPECT_GT(baseline.stats().alarms, 0u);
   std::remove(path.c_str());
 }
 

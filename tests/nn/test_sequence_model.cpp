@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/softmax.hpp"
+#include "support/alloc_counter.hpp"
 
 namespace mlad::nn {
 namespace {
@@ -178,6 +181,124 @@ TEST(SequenceModel, StateMadeBeforeAWeightChangePredictsWithTheNewWeights) {
   }
   model.params_changed();
   expect_fresh_bits(state, "params_changed");
+}
+
+/// One tick of a prefix schedule: relabel two stream pairs, then step the
+/// first `rows.rows()` streams.
+struct PrefixTick {
+  std::size_t swap[2][2];
+  OneHotRows rows;
+};
+
+TEST(SequenceModel, PredictBatchPrefixStepsEachStreamAsIfAlone) {
+  // The serve engine's ready-only tick: relabel streams, then step only a
+  // prefix of them. On a two-layer model every stream must hold the bits of
+  // a one-stream batch fed the same inputs — the stepped rows' logits after
+  // each tick, the other streams' state and logits untouched — and once
+  // warm the prefix ticks allocate nothing.
+  SequenceModelConfig cfg;
+  cfg.input_dim = 13;
+  cfg.num_classes = 11;
+  cfg.hidden_dims = {10, 7};
+  SequenceModel model(cfg);
+  Rng rng(41);
+  model.init_params(rng);
+  constexpr std::size_t S = 5;
+
+  const auto draw_tick = [&] {
+    PrefixTick t;
+    for (auto& pair : t.swap) {
+      pair[0] = rng.index(S);
+      pair[1] = rng.index(S);
+    }
+    t.rows.clear(cfg.input_dim);
+    const std::size_t n = 1 + rng.index(S);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::uint32_t id = 0; id < cfg.input_dim; ++id) {
+        if (rng.uniform() < 0.25) t.rows.ids.push_back(id);
+      }
+      t.rows.end_row();
+    }
+    return t;
+  };
+
+  SequenceModel::BatchState batch = model.make_batch_state(S);
+  std::vector<SequenceModel::BatchState> lone;
+  for (std::size_t s = 0; s < S; ++s) lone.push_back(model.make_batch_state(1));
+  std::vector<std::size_t> stream_at(S);  // slot → stream
+  std::iota(stream_at.begin(), stream_at.end(), 0);
+  const auto relabel = [&](const PrefixTick& t) {
+    for (const auto& pair : t.swap) {
+      model.swap_batch_streams(batch, pair[0], pair[1]);
+      std::swap(stream_at[pair[0]], stream_at[pair[1]]);
+    }
+  };
+  OneHotRows one;
+  const auto step_lone = [&](const PrefixTick& t) {
+    for (std::size_t r = 0; r < t.rows.rows(); ++r) {
+      one.clear(cfg.input_dim);
+      one.append_row(t.rows, r);
+      model.predict_batch(lone[stream_at[r]], one);
+    }
+  };
+  const auto expect_alone = [&](std::size_t slot) {
+    const auto got = model.extract_batch_stream(batch, slot);
+    const auto want = model.extract_batch_stream(lone[stream_at[slot]], 0);
+    EXPECT_EQ(got.lstm.h, want.lstm.h) << "slot " << slot;
+    EXPECT_EQ(got.lstm.c, want.lstm.c) << "slot " << slot;
+    EXPECT_EQ(got.logits, want.logits) << "slot " << slot;
+  };
+
+  // Full ticks first, so every stream has standing logits to keep.
+  PrefixTick full;
+  full.rows.clear(cfg.input_dim);
+  for (std::size_t r = 0; r < S; ++r) {
+    full.rows.ids.push_back(static_cast<std::uint32_t>(r));
+    full.rows.end_row();
+  }
+  full.swap[0][0] = full.swap[0][1] = full.swap[1][0] = full.swap[1][1] = 0;
+  model.predict_batch(batch, full.rows);
+  step_lone(full);
+
+  for (std::size_t t = 0; t < 60; ++t) {
+    const PrefixTick tick = draw_tick();
+    relabel(tick);
+    const std::size_t n = tick.rows.rows();
+    std::vector<SequenceModel::StreamSnapshot> before;
+    for (std::size_t s = n; s < S; ++s) {
+      before.push_back(model.extract_batch_stream(batch, s));
+    }
+    model.predict_batch(batch, tick.rows);
+    step_lone(tick);
+    for (std::size_t s = 0; s < n; ++s) expect_alone(s);
+    for (std::size_t s = n; s < S; ++s) {
+      const auto after = model.extract_batch_stream(batch, s);
+      EXPECT_EQ(after.lstm.h, before[s - n].lstm.h) << "tick " << t;
+      EXPECT_EQ(after.lstm.c, before[s - n].lstm.c) << "tick " << t;
+      EXPECT_EQ(after.logits, before[s - n].logits) << "tick " << t;
+    }
+  }
+
+  // Warm: the same kind of schedule, drawn up front, counted.
+  std::vector<PrefixTick> ticks;
+  for (std::size_t t = 0; t < 60; ++t) ticks.push_back(draw_tick());
+  test_support::begin_counting_allocations();
+  for (const PrefixTick& tick : ticks) {
+    for (const auto& pair : tick.swap) {
+      model.swap_batch_streams(batch, pair[0], pair[1]);
+    }
+    model.predict_batch(batch, tick.rows);
+  }
+  const std::size_t allocations = test_support::end_counting_allocations();
+  EXPECT_EQ(allocations, 0u);
+  // Replay the mapping and the lone streams, then compare every stream.
+  for (const PrefixTick& tick : ticks) {
+    for (const auto& pair : tick.swap) {
+      std::swap(stream_at[pair[0]], stream_at[pair[1]]);
+    }
+    step_lone(tick);
+  }
+  for (std::size_t s = 0; s < S; ++s) expect_alone(s);
 }
 
 TEST(SequenceModel, MemoryBytesTracksParamCount) {

@@ -6,15 +6,19 @@
 // optimization.
 // (c) Links join and leave mid-run without disturbing anyone else.
 // (d) Thread count changes nothing but wall time.
+// (e) Ready-only ticks (tick_ready) at any point change no verdict.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstddef>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "detect/pipeline.hpp"
 #include "ics/capture.hpp"
 #include "ics/features.hpp"
@@ -499,6 +503,198 @@ TEST(MonitorEngine, StatsAddUp) {
   }
   EXPECT_EQ(link_packages, s.packages);
   EXPECT_EQ(link_alarms, s.alarms);
+}
+
+/// Everything an alarm carries but its link, in delivery order per link.
+using EventKey = std::tuple<std::uint64_t, double, bool, bool, bool,
+                            std::uint8_t, std::uint8_t, std::uint16_t, bool>;
+
+std::map<ics::LinkId, std::vector<EventKey>> per_link_events(
+    const std::vector<AlarmEvent>& events) {
+  std::map<ics::LinkId, std::vector<EventKey>> out;
+  for (const AlarmEvent& e : events) {
+    out[e.link].emplace_back(e.seq, e.time, e.verdict.anomaly,
+                             e.verdict.package_level,
+                             e.verdict.timeseries_level, e.address,
+                             e.function, e.length, e.decode_ok);
+  }
+  return out;
+}
+
+struct ScheduledRun {
+  std::map<ics::LinkId, std::vector<EventKey>> events;
+  std::vector<std::pair<ics::LinkId, LinkStats>> links;
+  EngineStats stats;
+};
+
+/// Drives `wire` through an engine with the straggler ladder on a frame
+/// clock, closing each link right after its last frame. After each frame,
+/// with probability `ready_p` (seeded), it also calls tick_ready();
+/// ready_p = 0 is the pure lockstep run.
+ScheduledRun run_schedule(const std::vector<ics::LinkFrame>& wire,
+                          double ready_p, std::uint64_t seed) {
+  const auto& f = fixture();
+  std::map<ics::LinkId, std::size_t> left;
+  for (const ics::LinkFrame& lf : wire) ++left[lf.link];
+  CountingAlarmSink sink;
+  MonitorEngineConfig cfg;
+  cfg.park_after_ms = 8;
+  MonitorEngine engine(*f.framework.detector, &sink, cfg);
+  FrameClock clock{engine};
+  Rng rng(seed);
+  for (const ics::LinkFrame& lf : wire) {
+    clock.push(lf.link, lf.frame);
+    if (--left[lf.link] == 0) engine.close(lf.link);
+    if (ready_p > 0.0 && rng.uniform() < ready_p) engine.tick_ready();
+  }
+  engine.finish();
+  return {per_link_events(sink.events()), engine.link_stats(),
+          engine.stats()};
+}
+
+TEST(MonitorEngine, ReadyOnlyTicksAtAnyPointKeepEveryLinksVerdicts) {
+  // Which links share a tick never changes a link's verdicts, so calling
+  // tick_ready() at arbitrary points between pushes must reproduce the
+  // pure lockstep run bit for bit — with a link joining late, one going
+  // silent long enough to be parked (and resumed), and every link closing
+  // after its last frame while others still run.
+  const auto& f = fixture();
+  ics::Capture late = f.captures[2];
+  const double offset = f.captures[0][f.captures[0].size() / 3].timestamp;
+  for (ics::RawFrame& frame : late) frame.timestamp += offset;
+  const std::vector<ics::Capture> captures = {f.captures[0], f.captures[1],
+                                              f.captures[2], late};
+  const std::vector<ics::LinkFrame> merged = ics::merge_captures(captures);
+  // Link 1 falls silent for the middle third of the wire, then delivers the
+  // held frames in one burst (its own order unchanged).
+  std::vector<ics::LinkFrame> wire, held;
+  const std::size_t n = merged.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool hold = merged[i].link == 1 && i >= n / 3 && i < 2 * n / 3;
+    (hold ? held : wire).push_back(merged[i]);
+    if (i + 1 == 2 * n / 3) wire.insert(wire.end(), held.begin(), held.end());
+  }
+  ASSERT_EQ(wire.size(), n);
+
+  const ScheduledRun lockstep = run_schedule(wire, 0.0, 0);
+  EXPECT_EQ(lockstep.stats.partial_ticks, 0u);
+  EXPECT_GE(lockstep.stats.links_parked, 1u);
+  ASSERT_EQ(lockstep.events.size(), captures.size());
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    const double ready_p = 0.1 * static_cast<double>(seed);
+    const ScheduledRun run = run_schedule(wire, ready_p, seed);
+    EXPECT_GT(run.stats.partial_ticks, 0u) << "seed " << seed;
+    EXPECT_GE(run.stats.links_parked, 1u) << "seed " << seed;
+    EXPECT_EQ(run.stats.packages, n) << "seed " << seed;
+    EXPECT_EQ(run.stats.links_seen, captures.size()) << "seed " << seed;
+    EXPECT_EQ(run.events, lockstep.events) << "seed " << seed;
+    ASSERT_EQ(run.links.size(), lockstep.links.size());
+    for (std::size_t i = 0; i < run.links.size(); ++i) {
+      EXPECT_EQ(run.links[i].second.packages,
+                lockstep.links[i].second.packages);
+      EXPECT_EQ(run.links[i].second.alarms, lockstep.links[i].second.alarms);
+    }
+  }
+}
+
+TEST(MonitorEngine, TickReadyDoesNotWaitForASilentLink) {
+  // Link 1 sends one frame and falls silent. The lockstep gate then holds
+  // every later package of link 0; tick_ready() classifies and alarms them
+  // all at once — the same alarms link 0 raises alone — before finish().
+  const auto& f = fixture();
+  const detect::CombinedDetector& det = *f.framework.detector;
+  const ics::Capture& a = f.captures[0];
+  constexpr std::size_t kFrames = 120;
+  ASSERT_GT(a.size(), kFrames);
+  const auto alone = [&] {
+    CountingAlarmSink sink;
+    MonitorEngine engine(det, &sink);
+    for (std::size_t i = 0; i < kFrames; ++i) engine.push(0, a[i]);
+    engine.finish();
+    return keys(sink.events());
+  }();
+  ASSERT_FALSE(alone.empty()) << "the fixture must raise alarms on link 0";
+
+  CountingAlarmSink sink;
+  MonitorEngine engine(det, &sink);
+  engine.push(1, f.captures[1][0]);
+  for (std::size_t i = 0; i < kFrames; ++i) engine.push(0, a[i]);
+  EXPECT_EQ(engine.stats().packages, 1u) << "the gate waits on link 1";
+  engine.tick_ready();
+  EXPECT_EQ(engine.stats().packages, kFrames + 1);
+  EXPECT_EQ(keys(sink.events(), 0u), alone);
+  EXPECT_EQ(engine.stats().partial_ticks, kFrames);
+  EXPECT_EQ(engine.active_links(), 2u);
+  engine.finish();
+  EXPECT_EQ(engine.stats().packages, kFrames + 1);
+}
+
+TEST(MonitorEngine, ReadyOnlyTicksStillParkASilentLink) {
+  // The shard loop's order: a frame, a ready-only tick once the input runs
+  // dry, then a sweep. Nothing is ever pending at the sweep, so only the
+  // split batch (the latest tick left link 1 behind) makes link 1 a
+  // straggler; the talking link 0 restarts its clock at every step and is
+  // never parked.
+  const auto& f = fixture();
+  MonitorEngineConfig cfg;
+  cfg.park_after_ms = 5;
+  MonitorEngine engine(*f.framework.detector, nullptr, cfg);
+  engine.push(1, f.captures[1][0]);
+  double now = 0.0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    engine.push(0, f.captures[0][i]);
+    engine.tick_ready();
+    engine.sweep(++now);
+  }
+  EXPECT_EQ(engine.stats().packages, 21u);
+  EXPECT_EQ(engine.stats().links_parked, 1u);
+  const auto links = engine.link_stats();
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0].second.parks, 0u) << "the talking link was parked";
+  EXPECT_EQ(links[1].second.parks, 1u);
+  EXPECT_EQ(engine.active_links(), 1u);
+}
+
+TEST(MonitorEngine, WarmReadyOnlyTicksAllocateNothing) {
+  // A caller whose input runs dry after 1, 2, 3, 1, ... frames: the links
+  // take strict turns, and each dry spell's tick_ready() steps the one or
+  // two links that have a package (three complete the lockstep gate). Once
+  // warm, this path (slot gathering, prefix steps of varying size,
+  // dispatch) allocates nothing.
+  const auto& f = fixture();
+  const detect::CombinedDetector& det = *f.framework.detector;
+  std::size_t shortest = f.captures[0].size();
+  for (const ics::Capture& c : f.captures) {
+    shortest = std::min(shortest, c.size());
+  }
+  const std::string path = ::testing::TempDir() + "warm_ready.jsonl";
+  JsonlAlarmSink sink(path);
+  MonitorEngine engine(det, &sink);
+  std::size_t since_dry = 0;
+  std::size_t burst = 1;
+  const auto push_round = [&](std::size_t i) {
+    for (std::size_t l = 0; l < f.captures.size(); ++l) {
+      engine.push(static_cast<ics::LinkId>(l), f.captures[l][i]);
+      if (++since_dry == burst) {
+        engine.tick_ready();
+        since_dry = 0;
+        burst = burst % f.captures.size() + 1;
+      }
+    }
+  };
+  const std::size_t warm = 50;
+  for (std::size_t i = 0; i < warm; ++i) push_round(i);
+  const EngineStats before = engine.stats();
+  test_support::begin_counting_allocations();
+  for (std::size_t i = warm; i < shortest; ++i) push_round(i);
+  const std::size_t allocations = test_support::end_counting_allocations();
+  const std::uint64_t frames = (shortest - warm) * f.captures.size();
+  EXPECT_EQ(engine.stats().packages - before.packages, frames);
+  EXPECT_GE(engine.stats().partial_ticks - before.partial_ticks, frames / 4);
+  EXPECT_GT(engine.stats().alarms, before.alarms);  // the sink was exercised
+  EXPECT_EQ(allocations, 0u) << "over " << frames << " frames";
+  engine.finish();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -161,6 +161,7 @@ TEST(StatFields, EngineStatsTable) {
   const EngineStats m = expect_table_contract(
       kEngineStatFields,
       {"engine_frames_total", "engine_packages_total", "engine_ticks_total",
+       "engine_partial_ticks_total",
        "engine_alarms_total", "engine_package_level_alarms_total",
        "engine_timeseries_level_alarms_total", "engine_decode_failures_total",
        "engine_links_seen_total", "engine_links_retired_total",

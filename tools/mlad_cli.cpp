@@ -572,8 +572,8 @@ void print_serve_summary(const serve::ShardedEngine& engine,
   const serve::IngestStats in = engine.ingest_stats();
   std::printf(
       "serve[%zu shard%s, source=%s]: %zu links, %zu packages, "
-      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks (mean batch "
-      "%.2f)\n",
+      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks (%zu "
+      "partial, mean batch %.2f)\n",
       engine.shards(), engine.shards() == 1 ? "" : "s", source_kind.c_str(),
       static_cast<std::size_t>(s.links_seen),
       static_cast<std::size_t>(s.packages),
@@ -581,7 +581,8 @@ void print_serve_summary(const serve::ShardedEngine& engine,
       s.packages == 0 ? 0.0
                       : 100.0 * static_cast<double>(s.alarms) /
                             static_cast<double>(s.packages),
-      s.us_per_package(), static_cast<std::size_t>(s.ticks), s.mean_batch());
+      s.us_per_package(), static_cast<std::size_t>(s.ticks),
+      static_cast<std::size_t>(s.partial_ticks), s.mean_batch());
   std::printf(
       "ingest: %zu frames routed, %zu producer stalls, peak queue depth "
       "%zu/%zu\n",
